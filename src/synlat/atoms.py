@@ -60,11 +60,11 @@ class ProfileTable:
         self.pre = tuple(tuple(p) for p in pre)  # pre[letter][profile] -> profile
         self.lambda_profile = lambda_profile
         self.n_profiles = len(self.profiles)
+        self._quotients: dict[tuple[int, str], int] = {}   # (bits, letter) -> quotient bits
         self._top = AtomSet(self, (1 << self.n_profiles) - 1)
         self._bottom = AtomSet(self, 0)
-        self._state_atoms = tuple(
-            AtomSet(self, self._bits_for_state(q)) for q in range(dfa.n_states)
-        )
+        self.residual_bits = tuple(self._bits_for_state(q) for q in range(dfa.n_states))
+        self._state_atoms = tuple(AtomSet(self, bits) for bits in self.residual_bits)
 
     def _bits_for_state(self, q: int) -> int:
         bits = 0
@@ -157,16 +157,29 @@ def contains_lambda(pt: ProfileTable, x: AtomSet) -> bool:
     return bool(x.bits >> pt.lambda_profile & 1)
 
 
-def quotient_letter(pt: ProfileTable, x: AtomSet, letter: str) -> AtomSet:
-    """a^{-1}X: profiles whose letter preimage lies in x."""
+def quotient_bits(pt: ProfileTable, x: int, letter: str) -> int:
+    """a^{-1}X on bitmasks: profiles whose letter preimage lies in x, memoized per table."""
+    key = (x, letter)
+    y = pt._quotients.get(key)
+    if y is None:
+        y = 0
+        for i, p in enumerate(pt.pre[pt.dfa.letter_index(letter)]):
+            if x >> p & 1:
+                y |= 1 << i
+        pt._quotients[key] = y
+    return y
+
+
+def own_bits(pt: ProfileTable, x: AtomSet) -> int:
+    """The bits of x, which must belong to pt."""
     if x.table is not pt:
         raise ValueError("AtomSet belongs to a different profile table")
-    pre = pt.pre[pt.dfa.letter_index(letter)]
-    bits = 0
-    for i in range(pt.n_profiles):
-        if x.bits >> pre[i] & 1:
-            bits |= 1 << i
-    return AtomSet(pt, bits)
+    return x.bits
+
+
+def quotient_letter(pt: ProfileTable, x: AtomSet, letter: str) -> AtomSet:
+    """a^{-1}X: profiles whose letter preimage lies in x."""
+    return AtomSet(pt, quotient_bits(pt, own_bits(pt, x), letter))
 
 
 def quotient_word(pt: ProfileTable, x: AtomSet, word: str) -> AtomSet:

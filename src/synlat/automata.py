@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError
 
+DEFAULT_STATE_BUDGET = 4096   # states of any automaton built by the package
+
 
 @dataclass(frozen=True)
 class Dfa:
@@ -218,7 +220,7 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     return True
 
 
-def dfa_of_finite_language(words, alphabet, state_budget: int = 4096) -> Dfa:
+def dfa_of_finite_language(words, alphabet, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Minimal complete DFA of a finite word set (trie plus sink, minimized)."""
     alphabet = tuple(alphabet)
     words = sorted(set(words))

@@ -5,30 +5,19 @@ intersection and contains the empty intersection (the full language); the
 lattice automaton additionally closes under union and contains the empty
 union.  Transitions are letter quotients, finals are the states containing λ,
 and the inclusion order is carried as a Hasse diagram (the dashed edges in
-the usual drawing convention).
+the usual drawing convention).  Both closures run on the states' bitmasks
+through close, the closure engine the syntactic algebras share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 
-from .atoms import (
-    AtomSet,
-    ProfileTable,
-    bottom,
-    contains_lambda,
-    join,
-    leq,
-    meet,
-    quotient_letter,
-    residual_atoms,
-    top,
-)
-from .automata import Dfa, access_words
+from .atoms import AtomSet, ProfileTable, bottom, quotient_bits, top
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words
 from .errors import BudgetError
 from . import terms
-
-DEFAULT_STATE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -36,12 +25,6 @@ class HasseDiagram:
     """Cover pairs (lower, upper) of a partial order on an indexed node set."""
 
     covers: tuple[tuple[int, int], ...]
-
-    def lower_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(lo for lo, hi in self.covers if hi == i)
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(hi for lo, hi in self.covers if lo == i)
 
 
 def hasse_from_leq(n: int, le) -> HasseDiagram:
@@ -63,7 +46,10 @@ def hasse(states) -> HasseDiagram:
     states = list(states)
     if len({(id(s.table), s.bits) for s in states}) != len(states):
         raise ValueError("states must be deduplicated")
-    return hasse_from_leq(len(states), lambda i, j: leq(states[i], states[j]))
+    if len({id(s.table) for s in states}) > 1:
+        raise ValueError("AtomSets belong to different profile tables")
+    bits = [s.bits for s in states]
+    return hasse_from_leq(len(bits), lambda i, j: bits[i] | bits[j] == bits[j])
 
 
 @dataclass(frozen=True)
@@ -102,69 +88,63 @@ class LatticeAutomaton:
         return tuple(terms.lattice_form_str(w) for w in self.witnesses)
 
 
-def _close(seeds, combine_ops, budget):
-    """Pairwise fixpoint closure; returns (values, witnesses) in discovery order.
+def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
+    """Fixpoint closure in discovery order; returns (values, witnesses, index).
 
-    seeds: list of (value, witness); combine_ops: list of (fn, wfn) applied to
-    every unordered pair.  Witnesses keep the least key seen.
+    seeds: (value, witness) pairs.  Each value i in turn gets every letter op
+    (fn(value), wfn(witness)), then every pair op (fn(vi, vj), wfn(wi, wj))
+    with each j <= i.  A value met again keeps the witness whose key is
+    strictly smaller.  Witnesses are read afresh for each letter op and each
+    j, since a duplicate hit can replace witnesses[i] partway through a row.
     """
     values = []
     witnesses = []
     index = {}
 
-    def add(v, w, wkey):
-        if v.bits in index:
-            i = index[v.bits]
-            if wkey(w) < wkey(witnesses[i]):
+    def add(v, w):
+        i = index.get(v)
+        if i is not None:
+            if key(w) < key(witnesses[i]):
                 witnesses[i] = w
             return
         if len(values) >= budget:
-            raise BudgetError("canonical automaton states", budget)
-        index[v.bits] = len(values)
+            raise BudgetError(what, budget)
+        index[v] = len(values)
         values.append(v)
         witnesses.append(w)
 
-    for v, w, wkey in seeds:
-        add(v, w, wkey)
+    for v, w in seeds:
+        add(v, w)
     i = 0
     while i < len(values):
+        vi = values[i]
+        for fn, wfn in letter_ops:
+            add(fn(vi), wfn(witnesses[i]))
         for j in range(i + 1):
-            for fn, wfn, wkey in combine_ops:
-                add(fn(values[i], values[j]), wfn(witnesses[i], witnesses[j]), wkey)
+            vj, wi, wj = values[j], witnesses[i], witnesses[j]
+            for fn, wfn in pair_ops:
+                add(fn(vi, vj), wfn(wi, wj))
         i += 1
     return values, witnesses, index
 
 
-def _delta_finals(pt, values, index):
-    delta = []
-    for v in values:
-        row = []
-        for a in pt.dfa.alphabet:
-            q = quotient_letter(pt, v, a)
-            row.append(index[q.bits])
-        delta.append(tuple(row))
-    finals = frozenset(i for i, v in enumerate(values) if contains_lambda(pt, v))
-    return tuple(delta), finals
+def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key):
+    """Close the seed states (bits, witness) under op and assemble the automaton."""
+    values, witnesses, index = close(seeds, (), [(op, wop)], key, budget, "canonical automaton states")
+    delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
+    finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
+    states = tuple(AtomSet(pt, v) for v in values)
+    initial = index[pt.residual_bits[dfa.initial]]
+    return cls(pt, states, tuple(witnesses), delta, initial, finals, hasse(states))
 
 
 def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> MeetAutomaton:
     """Residual states in DFA order, then ⊤, then new meets in discovery order."""
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    words = access_words(dfa)
-    wkey = terms.meet_form_key
-    seeds = [(residual_atoms(pt, q), terms.meet_form([words[q]]), wkey) for q in range(dfa.n_states)]
-    seeds.append((top(pt), terms.meet_form([]), wkey))
-    values, witnesses, index = _close(
-        seeds,
-        [(meet, lambda u, v: terms.mf_meet(u, v), wkey)],
-        budget,
-    )
-    delta, finals = _delta_finals(pt, values, index)
-    return MeetAutomaton(
-        pt, tuple(values), tuple(witnesses), delta, index[residual_atoms(pt, dfa.initial).bits],
-        finals, hasse(values),
-    )
+    seeds = [(bits, terms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
+    seeds.append((top(pt).bits, terms.meet_form([])))
+    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, terms.mf_meet, terms.meet_form_key)
 
 
 def build_lattice_automaton(
@@ -172,16 +152,6 @@ def build_lattice_automaton(
 ) -> LatticeAutomaton:
     """Join closure of the meet automaton's states, with ⊥; meet states first."""
     ma = meet_automaton if meet_automaton is not None else build_meet_automaton(pt, dfa, budget)
-    wkey = terms.lattice_form_key
-    seeds = [(v, terms.lattice_form([w]), wkey) for v, w in zip(ma.states, ma.witnesses)]
-    seeds.append((bottom(pt), terms.lattice_form([]), wkey))
-    values, witnesses, index = _close(
-        seeds,
-        [(join, lambda u, v: terms.lf_join(u, v), wkey)],
-        budget,
-    )
-    delta, finals = _delta_finals(pt, values, index)
-    return LatticeAutomaton(
-        pt, tuple(values), tuple(witnesses), delta, index[residual_atoms(pt, dfa.initial).bits],
-        finals, hasse(values),
-    )
+    seeds = [(v.bits, terms.lattice_form([w])) for v, w in zip(ma.states, ma.witnesses)]
+    seeds.append((bottom(pt).bits, terms.lattice_form([])))
+    return _automaton(LatticeAutomaton, pt, dfa, seeds, budget, or_, terms.lf_join, terms.lattice_form_key)

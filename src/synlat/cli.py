@@ -14,7 +14,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import render
-from .atoms import build_profile_table
+from .atoms import DEFAULT_PROFILE_BUDGET, build_profile_table
+from .automata import DEFAULT_STATE_BUDGET
 from .canonical import build_lattice_automaton, build_meet_automaton
 from .errors import (
     EXIT_BUDGET,
@@ -27,16 +28,16 @@ from .errors import (
     TermSyntaxError,
 )
 from .regex import compile_canonical_dfa, parse_regex
-from .reversible import is_reversible
-from .syntactic import syntactic_lattice_algebra, syntactic_monoid, syntactic_semiring
+from .reversible import DEFAULT_QUADRUPLE_BUDGET, is_reversible
+from .syntactic import DEFAULT_ELEMENT_BUDGET, syntactic_lattice_algebra, syntactic_monoid, syntactic_semiring
 
 
 @dataclass
 class Budgets:
-    profiles: int = 1 << 16
-    states: int = 4096
-    elements: int = 100_000
-    quadruples: int = 1_000_000
+    profiles: int = DEFAULT_PROFILE_BUDGET
+    states: int = DEFAULT_STATE_BUDGET
+    elements: int = DEFAULT_ELEMENT_BUDGET
+    quadruples: int = DEFAULT_QUADRUPLE_BUDGET
 
     def __post_init__(self):
         for name in ("profiles", "states", "elements", "quadruples"):

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, access_words, minimize
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, minimize
 from .errors import BudgetError, RegexSyntaxError
-
-DEFAULT_STATE_BUDGET = 4096
 
 
 class Node:

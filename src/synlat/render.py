@@ -12,6 +12,7 @@ import json
 
 from .atoms import ProfileTable, bottom, residual_atoms, top
 from .automata import Dfa
+from .errors import InconsistencyError
 from .syntactic import extend_semiring_action, hasse_of_elements
 from . import terms
 
@@ -58,10 +59,6 @@ def text_table(header, rows) -> str:
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-
-
-def parse_json(text: str) -> dict:
-    return json.loads(text)
 
 
 # --- automaton documents ---
@@ -137,11 +134,11 @@ def _column_states(level, dfa, pt, meet_aut, lattice_aut, suppress):
     return list(zip(lattice_aut.states, lattice_aut.labels()))
 
 
-def _image_label(x, aut):
-    for i, s in enumerate(aut.states):
-        if s == x:
-            return aut.labels()[i]
-    raise ValueError("image is not a state of the canonical automaton")
+def _image_label(x, state_labels):
+    try:
+        return state_labels[x]
+    except KeyError:
+        raise InconsistencyError("image is not a state of the canonical automaton") from None
 
 
 def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
@@ -157,16 +154,18 @@ def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
                 cells.append(dfa_labels[e.mapping[q]])
             rows.append((terms.word_str(e.witness), cells))
     elif level == "semiring":
+        state_labels = dict(zip(meet_aut.states, meet_aut.labels()))
         for e in algebra.elements:
             cells = [
-                _image_label(extend_semiring_action(pt, e.mapping, x), meet_aut)
+                _image_label(extend_semiring_action(pt, e.mapping, x), state_labels)
                 for x, _ in cols
             ]
             rows.append((terms.meet_form_str(e.witness), cells))
     else:
+        state_labels = dict(zip(lattice_aut.states, lattice_aut.labels()))
         for e in algebra.elements:
             cells = [
-                _image_label(terms.eval_lattice_form(pt, x, e.witness), lattice_aut)
+                _image_label(terms.eval_lattice_form(pt, x, e.witness), state_labels)
                 for x, _ in cols
             ]
             rows.append((terms.lattice_form_str(e.witness), cells))

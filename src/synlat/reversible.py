@@ -12,7 +12,6 @@ property of the language.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .automata import Dfa, run
 from .errors import BudgetError, InconsistencyError
 from .syntactic import SyntacticMonoid, omega_power, syntactic_monoid
 
-QUADRUPLE_WARN_THRESHOLD = 10**6
+DEFAULT_QUADRUPLE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,8 @@ def check_reversibility_identity(
 ) -> IdentityCounterexample | None:
     """First failing substitution in (p, u, v, w, state) index order, or None."""
     n = len(m.elements)
-    total = n**4
-    if quadruple_budget is not None and total > quadruple_budget:
+    if quadruple_budget is not None and n**4 > quadruple_budget:
         raise BudgetError("identity-check quadruples", quadruple_budget)
-    if total > QUADRUPLE_WARN_THRESHOLD:
-        warnings.warn(f"identity check enumerates {total} quadruples", RuntimeWarning)
     sb = [residual_atoms(pt, q).bits for q in range(dfa.n_states)]
     maps = [e.mapping for e in m.elements]
     mul = m.table

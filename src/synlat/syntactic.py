@@ -19,21 +19,12 @@ residual relation; its product is composition and it satisfies the laws.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import and_, or_
 
-from .atoms import (
-    AtomSet,
-    ProfileTable,
-    bottom,
-    join,
-    leq,
-    meet,
-    quotient_letter,
-    residual_atoms,
-    top,
-)
+from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
 from .automata import Dfa
-from .canonical import HasseDiagram, build_lattice_automaton, hasse_from_leq
+from .canonical import HasseDiagram, build_lattice_automaton, close, hasse_from_leq
 from .errors import BudgetError, InconsistencyError
 from . import terms
 from .terms import LatticeForm, MeetForm
@@ -133,74 +124,84 @@ class SyntacticSemiring:
         return tuple(terms.meet_form_str(e.witness) for e in self.elements)
 
 
-def extend_semiring_action(pt: ProfileTable, mapping, x: AtomSet) -> AtomSet:
-    """Action of a semiring element on any meet of residuals.
+def semiring_action_bits(pt: ProfileTable, mapping: tuple[int, ...], x: int) -> int:
+    """Action of a semiring element (residual images as bits) on a meet of residuals.
 
     (∩ S)∘U = ∩ {q∘U : q ∈ S}; using every residual above x is safe because
     x is their meet.
     """
-    out = top(pt)
-    for q in range(pt.dfa.n_states):
-        if leq(x, residual_atoms(pt, q)):
-            out = meet(out, mapping[q])
+    out = top(pt).bits
+    for q, r in enumerate(pt.residual_bits):
+        if x | r == r:
+            out &= mapping[q]
     return out
+
+
+def extend_semiring_action(pt: ProfileTable, mapping, x: AtomSet) -> AtomSet:
+    """Action of a semiring element on any meet of residuals."""
+    return AtomSet(pt, semiring_action_bits(pt, tuple(m.bits for m in mapping), own_bits(pt, x)))
+
+
+def _meet_order(meet_table) -> HasseDiagram:
+    """Cover relation of e ≤ f iff e∧f = e: the pointwise order of the mappings."""
+    return hasse_from_leq(len(meet_table), lambda i, j: meet_table[i][j] == i)
+
+
+def _pointwise_table(mappings, index, op):
+    return tuple(tuple(index[tuple(map(op, mi, mj))] for mj in mappings) for mi in mappings)
+
+
+def _product_table(mappings, index, act):
+    """table[i][j] = the element mapping each column c to act(j, mappings[i][c]).
+
+    act(j, x) is evaluated once per element j and distinct image x.
+    """
+    images = {x for m in mappings for x in m}
+    acts = [{x: act(j, x) for x in images} for j in range(len(mappings))]
+    table = []
+    for mi in mappings:
+        row = []
+        for aj in acts:
+            k = index.get(tuple(map(aj.__getitem__, mi)))
+            if k is None:
+                raise InconsistencyError("product form evaluates outside the computed algebra")
+            row.append(k)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _atomset_mappings(pt: ProfileTable, mappings):
+    """The bit mappings as AtomSet tuples, one AtomSet per distinct image."""
+    atoms = {x: AtomSet(pt, x) for x in {x for m in mappings for x in m}}
+    return [tuple(map(atoms.__getitem__, m)) for m in mappings]
 
 
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
     """Fixpoint closure of {1, letters, ⊤} under pointwise meet and extension product."""
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    n = dfa.n_states
-    mappings: list[tuple[AtomSet, ...]] = []
-    witnesses: list[MeetForm] = []
-    index: dict = {}
-
-    def add(mapping, witness):
-        if mapping in index:
-            i = index[mapping]
-            if terms.meet_form_key(witness) < terms.meet_form_key(witnesses[i]):
-                witnesses[i] = witness
-            return index[mapping]
-        if len(mappings) >= budget:
-            raise BudgetError("semiring elements", budget)
-        index[mapping] = len(mappings)
-        mappings.append(mapping)
-        witnesses.append(witness)
-        return index[mapping]
-
-    one_map = tuple(residual_atoms(pt, q) for q in range(n))
-    add(one_map, terms.meet_form([""]))
-    letter_maps = []
-    for li, a in enumerate(dfa.alphabet):
-        letter_maps.append(tuple(residual_atoms(pt, dfa.delta[q][li]) for q in range(n)))
-        add(letter_maps[-1], terms.meet_form([a]))
-    top_map = tuple(top(pt) for _ in range(n))
-    add(top_map, terms.meet_form([]))
+    one_map = pt.residual_bits
+    letter_maps = [tuple(one_map[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    top_map = (top(pt).bits,) * dfa.n_states
+    seeds = [(one_map, terms.meet_form([""]))]
+    seeds += [(m, terms.meet_form([a])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds.append((top_map, terms.meet_form([])))
 
     def product(mi, mj):
-        return tuple(extend_semiring_action(pt, mj, x) for x in mi)
+        return tuple(semiring_action_bits(pt, mj, x) for x in mi)
 
-    i = 0
-    while i < len(mappings):
-        for j in range(i + 1):
-            mi, mj = mappings[i], mappings[j]
-            wi, wj = witnesses[i], witnesses[j]
-            add(tuple(meet(x, y) for x, y in zip(mi, mj)), terms.mf_meet(wi, wj))
-            add(product(mi, mj), terms.mf_mul(wi, wj))
-            add(product(mj, mi), terms.mf_mul(wj, wi))
-        i += 1
-
-    meet_table = tuple(
-        tuple(index[tuple(meet(x, y) for x, y in zip(mi, mj))] for mj in mappings) for mi in mappings
-    )
-    mul_table = tuple(tuple(index[product(mi, mj)] for mj in mappings) for mi in mappings)
-    order = hasse_from_leq(
-        len(mappings), lambda a, b: all(leq(x, y) for x, y in zip(mappings[a], mappings[b]))
-    )
-    elements = tuple(SemiringElement(m, w) for m, w in zip(mappings, witnesses))
+    pair_ops = [
+        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.mf_meet),
+        (product, terms.mf_mul),
+        (lambda mi, mj: product(mj, mi), lambda wi, wj: terms.mf_mul(wj, wi)),
+    ]
+    mappings, witnesses, index = close(seeds, (), pair_ops, terms.meet_form_key, budget, "semiring elements")
+    meet_table = _pointwise_table(mappings, index, and_)
+    mul_table = _product_table(mappings, index, lambda j, x: semiring_action_bits(pt, mappings[j], x))
+    elements = tuple(SemiringElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses))
     return SyntacticSemiring(
         pt, dfa, elements, index[one_map], index[top_map],
-        tuple(index[m] for m in letter_maps), meet_table, mul_table, order,
+        tuple(index[m] for m in letter_maps), meet_table, mul_table, _meet_order(meet_table),
     )
 
 
@@ -248,68 +249,50 @@ class SyntacticLatticeAlgebra:
         raise InconsistencyError("form evaluates outside the computed algebra")
 
 
-def _lattice_closure(
-    pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, budget: int
+def _lattice_algebra(
+    pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, budget: int, with_tables: bool = True
 ) -> SyntacticLatticeAlgebra:
-    """Fixpoint closure of {1, letters, ⊤, ⊥} under pointwise ∧, pointwise ∨,
-    and right multiplication by letters, acting on the column states (None:
-    the residuals); witnesses are maintained throughout.  No product table.
+    """Fixpoint closure of {1, letters, ⊤, ⊥} under right multiplication by
+    letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
+    the residuals), with witnesses maintained throughout; then the tables.
+
+    The product of i and j maps column c to the action of j's witness on
+    mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
+    i's witness on column c.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    cols = columns if columns is not None else tuple(residual_atoms(pt, q) for q in range(dfa.n_states))
-    mappings: list[tuple[AtomSet, ...]] = []
-    witnesses: list[LatticeForm] = []
-    index: dict = {}
-
-    def add(mapping, witness):
-        if mapping in index:
-            i = index[mapping]
-            if terms.lattice_form_key(witness) < terms.lattice_form_key(witnesses[i]):
-                witnesses[i] = witness
-            return index[mapping]
-        if len(mappings) >= budget:
-            raise BudgetError("lattice algebra elements", budget)
-        index[mapping] = len(mappings)
-        mappings.append(mapping)
-        witnesses.append(witness)
-        return index[mapping]
-
-    add(cols, terms.lattice_form([[""]]))
-    letter_maps = []
-    for a in dfa.alphabet:
-        letter_maps.append(tuple(quotient_letter(pt, x, a) for x in cols))
-        add(letter_maps[-1], terms.lattice_form([[a]]))
-    top_map = tuple(top(pt) for _ in cols)
-    add(top_map, terms.TOP_FORM)
-    bot_map = tuple(bottom(pt) for _ in cols)
-    add(bot_map, terms.BOT_FORM)
-
-    i = 0
-    while i < len(mappings):
-        for a in dfa.alphabet:
-            m = tuple(quotient_letter(pt, x, a) for x in mappings[i])
-            add(m, terms.multiply_lattice_forms(witnesses[i], ((a,),)))
-        for j in range(i + 1):
-            mi, mj = mappings[i], mappings[j]
-            wi, wj = witnesses[i], witnesses[j]
-            add(tuple(meet(x, y) for x, y in zip(mi, mj)), terms.lf_meet(wi, wj))
-            add(tuple(join(x, y) for x, y in zip(mi, mj)), terms.lf_join(wi, wj))
-        i += 1
-
-    meet_table = tuple(
-        tuple(index[tuple(meet(x, y) for x, y in zip(mi, mj))] for mj in mappings) for mi in mappings
+    cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
+    letter_maps = [tuple(quotient_bits(pt, x, a) for x in cols) for a in dfa.alphabet]
+    top_map = (top(pt).bits,) * len(cols)
+    bot_map = (0,) * len(cols)
+    seeds = [(cols, terms.lattice_form([[""]]))]
+    seeds += [(m, terms.lattice_form([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds += [(top_map, terms.TOP_FORM), (bot_map, terms.BOT_FORM)]
+    letter_ops = [
+        (lambda m, a=a: tuple(quotient_bits(pt, x, a) for x in m),
+         lambda w, a=a: terms.multiply_lattice_forms(w, ((a,),)))
+        for a in dfa.alphabet
+    ]
+    pair_ops = [
+        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.lf_meet),
+        (lambda mi, mj: tuple(map(or_, mi, mj)), terms.lf_join),
+    ]
+    mappings, witnesses, index = close(
+        seeds, letter_ops, pair_ops, terms.lattice_form_key, budget, "lattice algebra elements"
     )
-    join_table = tuple(
-        tuple(index[tuple(join(x, y) for x, y in zip(mi, mj))] for mj in mappings) for mi in mappings
+    meet_table = _pointwise_table(mappings, index, and_)
+    join_table = _pointwise_table(mappings, index, or_)
+    mul_table = None
+    if with_tables:
+        mul_table = _product_table(mappings, index, lambda j, x: terms.eval_lattice_bits(pt, x, witnesses[j]))
+    elements = tuple(
+        LatticeAlgebraElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses)
     )
-    order = hasse_from_leq(
-        len(mappings), lambda a, b: all(leq(x, y) for x, y in zip(mappings[a], mappings[b]))
-    )
-    elements = tuple(LatticeAlgebraElement(m, w) for m, w in zip(mappings, witnesses))
     return SyntacticLatticeAlgebra(
         pt, dfa, elements, index[cols], index[top_map], index[bot_map],
-        tuple(index[m] for m in letter_maps), meet_table, join_table, None, order, columns,
+        tuple(index[m] for m in letter_maps), meet_table, join_table, mul_table,
+        _meet_order(meet_table), columns,
     )
 
 
@@ -322,12 +305,7 @@ def syntactic_lattice_algebra(
     the product table depends on the stored witnesses and the lattice-algebra
     laws can fail (see transition_lattice_algebra for the lawful quotient).
     """
-    alg = _lattice_closure(pt, dfa, None, budget)
-    if with_tables:
-        n = len(alg.elements)
-        mul = tuple(tuple(multiply_lattice_elements(alg, a, b) for b in range(n)) for a in range(n))
-        alg = replace(alg, mul_table=mul)
-    return alg
+    return _lattice_algebra(pt, dfa, None, budget, with_tables)
 
 
 def transition_lattice_algebra(
@@ -342,13 +320,7 @@ def transition_lattice_algebra(
     order, residuals first), and the product is composition of those maps,
     independent of the witnesses.
     """
-    la = build_lattice_automaton(pt, dfa)
-    alg = _lattice_closure(pt, dfa, la.states, budget)
-    state_of = {x: s for s, x in enumerate(la.states)}
-    acts = [tuple(state_of[x] for x in e.mapping) for e in alg.elements]
-    index = {act: i for i, act in enumerate(acts)}
-    mul = tuple(tuple(index[tuple(g[s] for s in f)] for g in acts) for f in acts)
-    return replace(alg, mul_table=mul)
+    return _lattice_algebra(pt, dfa, build_lattice_automaton(pt, dfa).states, budget)
 
 
 def multiply_lattice_elements(alg: SyntacticLatticeAlgebra, e1: int, e2: int) -> int:
@@ -359,18 +331,12 @@ def multiply_lattice_elements(alg: SyntacticLatticeAlgebra, e1: int, e2: int) ->
     on non-residual lattice states, so the table is canonical relative to
     the stored witnesses (see the product examples in the tests).
     """
-    form = terms.multiply_lattice_forms(alg.elements[e1].witness, alg.elements[e2].witness)
-    mapping = alg.mapping_of_form(form)
-    for i, e in enumerate(alg.elements):
-        if e.mapping == mapping:
-            return i
-    raise InconsistencyError("product form evaluates outside the computed algebra")
+    return alg.element_of_form(terms.multiply_lattice_forms(alg.elements[e1].witness, alg.elements[e2].witness))
 
 
 def hasse_of_elements(alg) -> HasseDiagram:
     """Cover relation of e ≤ f iff e∧f = e, from the meet table."""
-    mt = alg.meet_table
-    return hasse_from_leq(len(mt), lambda i, j: mt[i][j] == i)
+    return _meet_order(alg.meet_table)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .atoms import (
     contains_lambda,
     join,
     meet,
+    own_bits,
+    quotient_bits,
     quotient_letter,
     residual_atoms,
     top,
@@ -353,21 +355,29 @@ def eval_term(pt: ProfileTable, x: AtomSet, t: Term) -> AtomSet:
     raise TypeError(f"unknown term {t!r}")
 
 
-def eval_meet_form(pt: ProfileTable, x: AtomSet, u: MeetForm) -> AtomSet:
-    out = top(pt)
+def eval_meet_bits(pt: ProfileTable, x: int, u: MeetForm) -> int:
+    out = top(pt).bits
     for w in u:
         y = x
         for a in w:
-            y = quotient_letter(pt, y, a)
-        out = meet(out, y)
+            y = quotient_bits(pt, y, a)
+        out &= y
     return out
+
+
+def eval_lattice_bits(pt: ProfileTable, x: int, f: LatticeForm) -> int:
+    out = 0
+    for u in f:
+        out |= eval_meet_bits(pt, x, u)
+    return out
+
+
+def eval_meet_form(pt: ProfileTable, x: AtomSet, u: MeetForm) -> AtomSet:
+    return AtomSet(pt, eval_meet_bits(pt, own_bits(pt, x), u))
 
 
 def eval_lattice_form(pt: ProfileTable, x: AtomSet, f: LatticeForm) -> AtomSet:
-    out = bottom(pt)
-    for u in f:
-        out = join(out, eval_meet_form(pt, x, u))
-    return out
+    return AtomSet(pt, eval_lattice_bits(pt, own_bits(pt, x), f))
 
 
 # --- separation of distinct canonical forms ---

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+import synlat
+from synlat import render
 from synlat.cli import main
-from synlat.errors import EXIT_BUDGET, EXIT_OK, EXIT_PARSE
+from synlat.errors import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, InconsistencyError
+
+from conftest import build
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,7 @@ def test_reversible_lambda_language(capsys):
 
 
 def test_outputs_stable_across_processes():
+    import os
     import subprocess
     import sys
 
@@ -120,8 +125,11 @@ def test_outputs_stable_across_processes():
         sys.executable, "-m", "synlat.cli", "algebra", "--regex", "a+b+",
         "--alphabet", "ab", "--level", "semiring", "--format", "json",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True).stdout
-    second = subprocess.run(argv, capture_output=True, check=True).stdout
+    # the child imports the synlat under test, installed or not
+    src = os.path.dirname(os.path.dirname(synlat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
+    second = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     assert first == second and first
 
 
@@ -173,3 +181,15 @@ def test_json_round_trip(capsys, argv):
     from synlat.render import render_json
 
     assert render_json(doc) == out
+
+
+def test_algebra_table_rejects_automaton_of_another_table():
+    # images computed in one profile table are not states of a meet
+    # automaton built on another: an internal fault, not a user error
+    _, dfa, pt = build("a+b+", "ab")
+    other = synlat.build_profile_table(dfa)
+    semiring = synlat.syntactic_semiring(pt, dfa)
+    meet_aut = synlat.build_meet_automaton(other, dfa)
+    lattice_aut = synlat.build_lattice_automaton(other, dfa, meet_automaton=meet_aut)
+    with pytest.raises(InconsistencyError):
+        render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, True)

@@ -486,7 +486,12 @@ def test_axiom_checker_on_degenerate_language():
     assert "mul-unit-right" in report.laws_violated()
 
 
-def test_multiply_lattice_elements_matches_table(algebra):
+@pytest.mark.parametrize("pattern,alphabet", [("a+b+", "ab"), ("(a|bb)*", "ab"), ("ab*a|b", "ab")])
+def test_multiply_lattice_elements_matches_table(pattern, alphabet):
+    # the table evaluates each witness once per image; the reference
+    # multiplies the witness forms and evaluates the product on the columns
+    _, dfa, pt = build(pattern, alphabet)
+    algebra = synlat.syntactic_lattice_algebra(pt, dfa)
     for i in range(len(algebra)):
         for j in range(len(algebra)):
             assert multiply_lattice_elements(algebra, i, j) == algebra.mul_table[i][j]
