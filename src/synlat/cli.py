@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -84,8 +85,6 @@ def cmd_automaton(cfg: RunConfig) -> str:
 
 def cmd_algebra(cfg: RunConfig) -> str:
     dfa, pt = _context(cfg)
-    meet_aut = build_meet_automaton(pt, dfa, budget=cfg.budgets.states)
-    lattice_aut = build_lattice_automaton(pt, dfa, budget=cfg.budgets.states, meet_automaton=meet_aut)
     if cfg.level == "monoid":
         algebra = syntactic_monoid(dfa, budget=cfg.budgets.elements)
     elif cfg.level == "semiring":
@@ -98,6 +97,12 @@ def cmd_algebra(cfg: RunConfig) -> str:
         return render.render_json(render.algebra_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, algebra))
     if cfg.format == "dot":
         return render.algebra_dot(cfg.level, algebra)
+    # a table labels its cells by the automaton of its level, and needs no other
+    meet_aut = lattice_aut = None
+    if cfg.level == "semiring":
+        meet_aut = build_meet_automaton(pt, dfa, budget=cfg.budgets.states)
+    elif cfg.level == "lattice":
+        lattice_aut = build_lattice_automaton(pt, dfa, budget=cfg.budgets.states)
     return render.algebra_text(
         cfg.level, dfa, pt, algebra, meet_aut, lattice_aut, cfg.suppress_derivable_columns
     )
@@ -110,7 +115,9 @@ def cmd_reversible(cfg: RunConfig) -> str:
     return render.render_json(render.reversible_payload(report))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(prog="synlat")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,8 +13,7 @@ import json
 from .atoms import ProfileTable, bottom, residual_atoms, top
 from .automata import Dfa
 from .errors import InconsistencyError
-from .syntactic import extend_semiring_action, hasse_of_elements
-from . import terms
+from .syntactic import hasse_of_elements
 
 
 def _quote(s: str) -> str:
@@ -63,10 +62,14 @@ def render_json(payload: dict) -> str:
 
 # --- automaton documents ---
 
+def _dfa_labels(dfa):
+    return dfa.state_labels or tuple(f"q{i}" for i in range(dfa.n_states))
+
+
 def automaton_parts(level: str, dfa: Dfa, pt: ProfileTable, automaton):
     """(labels, atomsets, initial, finals, delta, covers) for a level."""
     if level == "dfa":
-        labels = dfa.state_labels or tuple(f"q{i}" for i in range(dfa.n_states))
+        labels = _dfa_labels(dfa)
         atomsets = tuple(residual_atoms(pt, q) for q in range(dfa.n_states))
         return labels, atomsets, dfa.initial, dfa.finals, dfa.delta, ()
     labels = automaton.labels()
@@ -113,108 +116,80 @@ def automaton_dot(level, dfa, pt, automaton) -> str:
 
 # --- algebra documents ---
 
-def _dfa_labels(dfa):
-    return dfa.state_labels or tuple(f"q{i}" for i in range(dfa.n_states))
+def _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress):
+    """(column states, column labels, state → cell label) of an element table.
 
-
-def _column_states(level, dfa, pt, meet_aut, lattice_aut, suppress):
-    """Column atomsets and labels for the element tables."""
-    if suppress:
-        labels = _dfa_labels(dfa)
-        return [
-            (residual_atoms(pt, q), labels[q])
-            for q in range(dfa.n_states)
-            if residual_atoms(pt, q) not in (top(pt), bottom(pt))
-        ]
+    Monoid states are DFA state numbers; the semiring's and the lattice
+    algebra's are AtomSets, labelled by the meet or lattice automaton.
+    """
     if level == "monoid":
-        labels = _dfa_labels(dfa)
-        return [(residual_atoms(pt, q), labels[q]) for q in range(dfa.n_states)]
-    if level == "semiring":
-        return list(zip(meet_aut.states, meet_aut.labels()))
-    return list(zip(lattice_aut.states, lattice_aut.labels()))
+        cell_labels = dict(enumerate(_dfa_labels(dfa)))
+    else:
+        aut = meet_aut if level == "semiring" else lattice_aut
+        cell_labels = dict(zip(aut.states, aut.labels()))
+    if suppress:
+        dfa_labels = _dfa_labels(dfa)
+        qs = [q for q in range(dfa.n_states) if residual_atoms(pt, q) not in (top(pt), bottom(pt))]
+        states = qs if level == "monoid" else [residual_atoms(pt, q) for q in qs]
+        return states, [dfa_labels[q] for q in qs], cell_labels
+    return list(cell_labels), list(cell_labels.values()), cell_labels
 
 
-def _image_label(x, state_labels):
+def _lookup(table, x, message):
     try:
-        return state_labels[x]
+        return table[x]
     except KeyError:
-        raise InconsistencyError("image is not a state of the canonical automaton") from None
+        raise InconsistencyError(message) from None
+
+
+def table_images(level, dfa, algebra, states):
+    """images[e][k]: the state states[k] acted on by element e.
+
+    Each state X is the initial column's image under some element c, and
+    X·e is then the initial column's image under c·e, read off the product
+    table.
+    """
+    initial = [e.mapping[dfa.initial] for e in algebra.elements]
+    mul = algebra.table if level == "monoid" else algebra.mul_table
+    reached = {}
+    for c, x in enumerate(initial):
+        reached.setdefault(x, c)
+    via = [_lookup(reached, x, "column is not an image of the initial column") for x in states]
+    return [[initial[mul[c][e]] for c in via] for e in range(len(initial))]
 
 
 def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
     """(column labels, element row labels, cell labels) of the transformation table."""
-    cols = _column_states(level, dfa, pt, meet_aut, lattice_aut, suppress)
-    dfa_labels = _dfa_labels(dfa)
-    rows = []
-    if level == "monoid":
-        for e in algebra.elements:
-            cells = []
-            for x, _ in cols:
-                q = next(q for q in range(dfa.n_states) if residual_atoms(pt, q) == x)
-                cells.append(dfa_labels[e.mapping[q]])
-            rows.append((terms.word_str(e.witness), cells))
-    elif level == "semiring":
-        state_labels = dict(zip(meet_aut.states, meet_aut.labels()))
-        for e in algebra.elements:
-            cells = [
-                _image_label(extend_semiring_action(pt, e.mapping, x), state_labels)
-                for x, _ in cols
-            ]
-            rows.append((terms.meet_form_str(e.witness), cells))
-    else:
-        state_labels = dict(zip(lattice_aut.states, lattice_aut.labels()))
-        for e in algebra.elements:
-            cells = [
-                _image_label(terms.eval_lattice_form(pt, x, e.witness), state_labels)
-                for x, _ in cols
-            ]
-            rows.append((terms.lattice_form_str(e.witness), cells))
-    return [label for _, label in cols], rows
+    states, col_labels, cell_labels = _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress)
+    rows = [
+        (label, [_lookup(cell_labels, x, "image is not a state of the canonical automaton") for x in images])
+        for label, images in zip(algebra.labels(), table_images(level, dfa, algebra, states))
+    ]
+    return col_labels, rows
 
 
 def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
-    elements = []
+    """The algebra document; its tuples serialize as JSON arrays."""
     if level == "monoid":
-        for i, e in enumerate(algebra.elements):
-            elements.append({
-                "id": i,
-                "witness": e.witness,
-                "images": [list(residual_atoms(pt, q).indices()) for q in e.mapping],
-            })
-        tables = {"mul": [list(r) for r in algebra.table]}
-        covers = []
-    elif level == "semiring":
-        for i, e in enumerate(algebra.elements):
-            elements.append({
-                "id": i,
-                "witness": list(e.witness),
-                "images": [list(x.indices()) for x in e.mapping],
-            })
-        tables = {
-            "mul": [list(r) for r in algebra.mul_table],
-            "meet": [list(r) for r in algebra.meet_table],
-        }
-        covers = hasse_of_elements(algebra).covers
+        images = [[residual_atoms(pt, q) for q in e.mapping] for e in algebra.elements]
+        tables = {"mul": algebra.table}
+        covers = ()
     else:
-        for i, e in enumerate(algebra.elements):
-            elements.append({
-                "id": i,
-                "witness": [list(u) for u in e.witness],
-                "images": [list(x.indices()) for x in e.mapping],
-            })
-        tables = {
-            "mul": [list(r) for r in algebra.mul_table],
-            "meet": [list(r) for r in algebra.meet_table],
-            "join": [list(r) for r in algebra.join_table],
-        }
+        images = [e.mapping for e in algebra.elements]
+        tables = {"mul": algebra.mul_table, "meet": algebra.meet_table}
+        if level == "lattice":
+            tables["join"] = algebra.join_table
         covers = hasse_of_elements(algebra).covers
     return {
         "alphabet": list(alphabet),
         "regex": regex_text,
         "level": level,
-        "elements": elements,
+        "elements": [
+            {"id": i, "witness": e.witness, "images": [x.indices() for x in m]}
+            for i, (e, m) in enumerate(zip(algebra.elements, images))
+        ],
         "tables": tables,
-        "hasse": [list(c) for c in covers],
+        "hasse": covers,
     }
 
 

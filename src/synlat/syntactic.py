@@ -18,14 +18,13 @@ residual relation; its product is composition and it satisfies the laws.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
 from .automata import Dfa
 from .canonical import HasseDiagram, build_lattice_automaton, close, hasse_from_leq
-from .errors import BudgetError, InconsistencyError
+from .errors import InconsistencyError
 from . import terms
 from .terms import LatticeForm, MeetForm
 
@@ -51,6 +50,9 @@ class SyntacticMonoid:
     def __len__(self):
         return len(self.elements)
 
+    def labels(self) -> tuple[str, ...]:
+        return tuple(terms.word_str(e.witness) for e in self.elements)
+
     def element_of_word(self, word: str) -> int:
         e = self.identity
         for a in word:
@@ -59,32 +61,22 @@ class SyntacticMonoid:
 
 
 def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticMonoid:
-    """Transformation monoid of the canonical DFA, BFS over words in shortlex order."""
-    n = dfa.n_states
-    ident = tuple(range(n))
-    elements = [DfaTransformation(ident, "")]
-    index = {ident: 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        t = elements[i]
-        for li, a in enumerate(dfa.alphabet):
-            m = tuple(dfa.delta[q][li] for q in t.mapping)
-            if m not in index:
-                if len(elements) >= budget:
-                    raise BudgetError("monoid elements", budget)
-                index[m] = len(elements)
-                elements.append(DfaTransformation(m, t.witness + a))
-                queue.append(index[m])
-    table = []
-    for e in elements:
-        row = []
-        for f in elements:
-            m = tuple(f.mapping[q] for q in e.mapping)
-            row.append(index[m])
-        table.append(tuple(row))
-    letters = tuple(index[tuple(dfa.delta[q][li] for q in range(n))] for li in range(len(dfa.alphabet)))
-    return SyntacticMonoid(dfa, tuple(elements), 0, tuple(table), letters)
+    """Transformation monoid of the canonical DFA, closed over words in shortlex order.
+
+    close runs breadth first, so a word met again is never shorter than the
+    stored witness, which therefore stays the shortlex-least one.
+    """
+    letter_ops = [
+        (lambda m, li=li: tuple(dfa.delta[q][li] for q in m), lambda w, a=a: w + a)
+        for li, a in enumerate(dfa.alphabet)
+    ]
+    mappings, witnesses, index = close(
+        [(tuple(range(dfa.n_states)), "")], letter_ops, (), len, budget, "monoid elements"
+    )
+    table = _product_table(mappings, index, lambda j, x: mappings[j][x])
+    letters = tuple(index[tuple(row[li] for row in dfa.delta)] for li in range(len(dfa.alphabet)))
+    elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, witnesses))
+    return SyntacticMonoid(dfa, elements, 0, table, letters)
 
 
 def omega_power(m: SyntacticMonoid, e: int) -> int:
@@ -335,8 +327,8 @@ def multiply_lattice_elements(alg: SyntacticLatticeAlgebra, e1: int, e2: int) ->
 
 
 def hasse_of_elements(alg) -> HasseDiagram:
-    """Cover relation of e ≤ f iff e∧f = e, from the meet table."""
-    return _meet_order(alg.meet_table)
+    """Cover relation of e ≤ f iff e∧f = e, computed once by the builder."""
+    return alg.order
 
 
 @dataclass(frozen=True)
@@ -440,27 +432,12 @@ def check_lattice_algebra_axioms(alg: SyntacticLatticeAlgebra, max_violations: i
                 report("mul-right-dist-join", (i, j, p), M[O[i][j]][p], O[M[i][p]][M[j][p]])
 
     # generation: lattice closure of the submonoid generated by P (with bounds)
-    prods = {one}
-    frontier = [one]
-    while frontier:
-        e = frontier.pop()
-        for p in P:
-            f = M[e][p]
-            if f not in prods:
-                prods.add(f)
-                frontier.append(f)
-    span = set(prods) | {tp, bt}
-    grew = True
-    while grew:
-        grew = False
-        for i in list(span):
-            for j in list(span):
-                for v in (A[i][j], O[i][j]):
-                    if v not in span:
-                        span.add(v)
-                        grew = True
+    nil = lambda *_: 0    # witness and witness key alike: no witness is kept
+    prods, _, _ = close([(one, 0)], [(lambda e, p=p: M[e][p], nil) for p in P], (), nil, n, "products")
+    pair_ops = [(lambda i, j: A[i][j], nil), (lambda i, j: O[i][j], nil)]
+    span, _, _ = close([(e, 0) for e in prods + [tp, bt]], (), pair_ops, nil, n, "lattice span")
     checked += 1
-    for e in sorted(set(rng) - span):
+    for e in sorted(set(rng) - set(span)):
         if len(violations) >= max_violations:
             truncated = True
             break

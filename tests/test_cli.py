@@ -193,3 +193,53 @@ def test_algebra_table_rejects_automaton_of_another_table():
     lattice_aut = synlat.build_lattice_automaton(other, dfa, meet_automaton=meet_aut)
     with pytest.raises(InconsistencyError):
         render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, True)
+
+
+def test_parser_reuse_carries_no_state(capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not leak into the next
+    from synlat import cli
+
+    args = ["algebra", "--regex", "a+b+", "--alphabet", "ab", "--level", "semiring", "--format", "table"]
+    assert cli._build_parser() is cli._build_parser()
+    _, suppressed, _ = run_cli(capsys, *args, "--suppress-derivable-columns")
+    _, second, _ = run_cli(capsys, *args)
+    cli._build_parser.cache_clear()
+    _, fresh, _ = run_cli(capsys, *args)
+    assert second == fresh
+    assert suppressed != fresh
+
+
+@pytest.mark.parametrize(
+    "level,fmt,code",
+    [("monoid", "json", EXIT_OK), ("semiring", "table", EXIT_OK), ("lattice", "table", EXIT_BUDGET)],
+)
+def test_state_budget_bounds_only_the_printed_automaton(capsys, level, fmt, code):
+    # (a|b)*abb has a 5-state meet automaton and a 10-state lattice automaton
+    rc, _, _ = run_cli(
+        capsys, "algebra", "--regex", "(a|b)*abb", "--alphabet", "ab",
+        "--level", level, "--format", fmt, "--budget-states", "9",
+    )
+    assert rc == code
+
+
+@pytest.mark.parametrize(
+    "pattern,alphabet", [("a+b+", "ab"), ("(a|bb)*", "ab"), ("ab*a|b", "ab"), ("(a|bc)*(c|%e)", "abc")]
+)
+def test_table_images_match_direct_action(pattern, alphabet):
+    # the product-table cells equal the action computed on each column state
+    _, dfa, pt = build(pattern, alphabet)
+    monoid = synlat.syntactic_monoid(dfa)
+    states = list(range(dfa.n_states))
+    for e, row in zip(monoid.elements, render.table_images("monoid", dfa, monoid, states)):
+        assert row == [e.mapping[q] for q in states]
+
+    semiring = synlat.syntactic_semiring(pt, dfa)
+    states = synlat.build_meet_automaton(pt, dfa).states
+    for e, row in zip(semiring.elements, render.table_images("semiring", dfa, semiring, states)):
+        assert row == [synlat.extend_semiring_action(pt, e.mapping, x) for x in states]
+
+    lattice = synlat.syntactic_lattice_algebra(pt, dfa)
+    states = synlat.build_lattice_automaton(pt, dfa).states
+    for e, row in zip(lattice.elements, render.table_images("lattice", dfa, lattice, states)):
+        assert row == [synlat.eval_lattice_form(pt, x, e.witness) for x in states]

@@ -3,7 +3,8 @@
 The digests pin the exact bytes of the rendered algebras and automata, so a
 refactor of the closures or product tables that changes any element order,
 witness, table cell or cover shows up here.  "suppress" stands for the
-table format with --suppress-derivable-columns.
+table format with --suppress-derivable-columns; reversible takes no level
+or format.
 """
 
 import hashlib
@@ -25,13 +26,29 @@ GOLDEN = [
     ("automaton", "(a|bc)*(c|%e)", "abc", "meet", "json", "a9e80bb8ffac45a67c30f92b4cec24c7424f2ef9506cd099b4774e6f4f244480"),
     ("automaton", "(a|bc)*(c|%e)", "abc", "lattice", "json",
      "946e7b25dbd809939b9e84f360ea289d9a6edfb02aff66b85d223c61d0823ec0"),
+    ("algebra", "a+b+", "ab", "semiring", "table", "8cf257a4110152afb81875f9e4ab756570b8ecd5d7cb1e9093b86733bb4a1b3d"),
+    ("algebra", "a+b+", "ab", "semiring", "suppress", "8289099a286d4865a9818ebbf7049c5c416252e53fcaa8618d4ed05c3cc0f049"),
+    ("algebra", "a+b+", "ab", "semiring", "dot", "35db81d8557871e061ecc7d5631210221d6724752c2640ae06261ff0ff431cd5"),
+    ("algebra", "(a|b)*a(a|b)(a|b)", "ab", "semiring", "table",
+     "f94a82e7c9ce6172977cfcf72ee93e846d08452538c6752f9419b03e166849d6"),
+    ("algebra", "(a|b)*a(a|b)(a|b)", "ab", "semiring", "suppress",
+     "863ca650da95dbc6aa9900259c17a5a8dd86fedaab12c555e734b9905a67def0"),
+    ("algebra", "(a|b)*a(a|b)(a|b)", "ab", "semiring", "dot",
+     "09a0ad6dfe194a8150ea99a3ea0f3944cdcf06bb598830396853985c586a4adc"),
+    ("algebra", "(a|bb)*", "ab", "monoid", "table", "99838da8f6917255dbd2769589f370970fb0d6adc982ff8791a2f4f288959b06"),
+    ("algebra", "(a|bb)*", "ab", "monoid", "json", "464972a36bf4942a573dd950afa0c53192ab752476cfe37c19a586953d7f019e"),
+    ("algebra", "(a|bc)*(c|%e)", "abc", "lattice", "table",
+     "cac2b6447c3eed3fb4b861e11c88f74d856bf9638d21c19540da92ebc240b71a"),
+    ("reversible", "a+b+", "ab", None, None, "c57f9f756bd42aa0ab452db2cbe388a331c0d3b2145d1b11fbf46c8b844e5bd9"),
 ]
 
 
 @pytest.mark.parametrize("command,pattern,alphabet,level,fmt,digest", GOLDEN)
 def test_cli_output_matches_golden_digest(capsys, command, pattern, alphabet, level, fmt, digest):
-    argv = [command, "--regex", pattern, "--alphabet", alphabet, "--level", level]
-    argv += ["--suppress-derivable-columns"] if fmt == "suppress" else ["--format", fmt]
+    argv = [command, "--regex", pattern, "--alphabet", alphabet]
+    if level is not None:
+        argv += ["--level", level]
+        argv += ["--suppress-derivable-columns"] if fmt == "suppress" else ["--format", fmt]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr()
     assert out.err == ""
