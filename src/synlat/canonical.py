@@ -96,6 +96,7 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
     with each j <= i.  A value met again keeps the witness whose key is
     strictly smaller.  Witnesses are read afresh for each letter op and each
     j, since a duplicate hit can replace witnesses[i] partway through a row.
+    Without pair ops the closure is breadth first over the letter ops.
     """
     values = []
     witnesses = []
@@ -120,10 +121,11 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
         vi = values[i]
         for fn, wfn in letter_ops:
             add(fn(vi), wfn(witnesses[i]))
-        for j in range(i + 1):
-            vj, wi, wj = values[j], witnesses[i], witnesses[j]
-            for fn, wfn in pair_ops:
-                add(fn(vi, vj), wfn(wi, wj))
+        if pair_ops:
+            for j in range(i + 1):
+                vj, wi, wj = values[j], witnesses[i], witnesses[j]
+                for fn, wfn in pair_ops:
+                    add(fn(vi, vj), wfn(wi, wj))
         i += 1
     return values, witnesses, index
 

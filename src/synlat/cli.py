@@ -58,6 +58,8 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in ("dot", "json", "table"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.level == "monoid" and self.format == "dot":
+            raise ValueError("the monoid carries no order diagram; use json or table")
 
 
 def _context(cfg: RunConfig):
@@ -96,7 +98,7 @@ def cmd_algebra(cfg: RunConfig) -> str:
     if cfg.format == "json":
         return render.render_json(render.algebra_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, algebra))
     if cfg.format == "dot":
-        return render.algebra_dot(cfg.level, algebra)
+        return render.algebra_dot(algebra)
     # a table labels its cells by the automaton of its level, and needs no other
     meet_aut = lattice_aut = None
     if cfg.level == "semiring":

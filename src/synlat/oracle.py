@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .atoms import ProfileTable, join, meet, residual_atoms, top, bottom
+from .atoms import AtomSet, ProfileTable, join, meet, residual_atoms, top, bottom
 from .automata import Dfa, run
 from .errors import BudgetError
+from .reversible import IdentityCounterexample
+from .syntactic import SyntacticMonoid
 from .terms import multiply_lattice_forms
 
 DEFAULT_SUBSET_BUDGET = 200_000
@@ -163,3 +165,44 @@ def oracle_enumerate_saturated(
             return cur, OracleConfig(length, nodes)
         prev = cur
     raise BudgetError("oracle saturation bounds", max_word_len)
+
+
+def oracle_identity_counterexample(m: SyntacticMonoid, pt: ProfileTable, dfa: Dfa) -> IdentityCounterexample | None:
+    """First failing substitution of the reversibility identity, by brute force.
+
+    Every (p, u, v, w) with v ≠ w and every state is tried in index order,
+    n⁴·Q checks.  Products and ω-powers come from a table composed from the
+    element mappings, not from the monoid's Cayley table.
+    """
+    maps = [e.mapping for e in m.elements]
+    index = {mp: i for i, mp in enumerate(maps)}
+    mul = [[index[tuple(mj[x] for x in mi)] for mj in maps] for mi in maps]
+    sb = [residual_atoms(pt, q).bits for q in range(dfa.n_states)]
+
+    def omega(i):
+        cur = i
+        while mul[cur][cur] != cur:
+            cur = mul[cur][i]
+        return cur
+
+    n = len(maps)
+    for pi in range(n):
+        srow = mul[omega(pi)]
+        for ui in range(n):
+            msu = maps[srow[ui]]
+            for vi in range(n):
+                msv, mv = maps[srow[vi]], maps[vi]
+                for wi in range(n):
+                    if vi == wi:
+                        continue
+                    msw, mw = maps[srow[wi]], maps[wi]
+                    for q in range(dfa.n_states):
+                        lhs = sb[msu[q]] | (sb[msv[q]] & sb[mw[q]])
+                        rhs = sb[msu[q]] | (sb[msw[q]] & sb[mv[q]])
+                        if lhs != rhs:
+                            e = m.elements
+                            return IdentityCounterexample(
+                                e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness,
+                                q, AtomSet(pt, lhs), AtomSet(pt, rhs),
+                            )
+    return None

@@ -69,7 +69,18 @@ class RegexAst:
     alphabet: tuple[str, ...]
 
 
+MAX_NESTING = 100
+DERIVATIVE_PARTS_BUDGET = 10_000
+
+
 def parse_regex(text: str, alphabet) -> RegexAst:
+    """Parse a pattern over an explicit alphabet.
+
+    Groups may nest at most MAX_NESTING deep, and so may the syntax tree
+    (groups, concatenations, unions and postfix operators inside one
+    another); deeper patterns raise RegexSyntaxError, since every later
+    stage recurses on the tree.
+    """
     alphabet = tuple(alphabet)
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
@@ -79,9 +90,21 @@ def parse_regex(text: str, alphabet) -> RegexAst:
         raise RegexSyntaxError('empty pattern (use "%e" for λ, "%0" for ∅)', 0)
 
     pos = 0
+    groups = 0
 
     def peek():
         return text[pos] if pos < len(text) else None
+
+    def checked(height):
+        if height > MAX_NESTING:
+            raise RegexSyntaxError(f"pattern nested more than {MAX_NESTING} deep", pos)
+        return height
+
+    def nested(parts, cls):
+        """(node, height) of a single part, or of cls over several."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(tuple(node for node, _ in parts)), checked(1 + max(h for _, h in parts))
 
     def parse_expr():
         nonlocal pos
@@ -89,10 +112,9 @@ def parse_regex(text: str, alphabet) -> RegexAst:
         while peek() == "|":
             pos += 1
             terms.append(parse_term())
-        return terms[0] if len(terms) == 1 else Union(tuple(terms))
+        return nested(terms, Union)
 
     def parse_term():
-        nonlocal pos
         factors = []
         while True:
             c = peek()
@@ -101,47 +123,52 @@ def parse_regex(text: str, alphabet) -> RegexAst:
             factors.append(parse_factor())
         if not factors:
             raise RegexSyntaxError("expected a letter, escape, or group", pos)
-        return factors[0] if len(factors) == 1 else Concat(tuple(factors))
+        return nested(factors, Concat)
 
     def parse_factor():
         nonlocal pos
-        node = parse_base()
+        node, height = parse_base()
         while peek() in ("*", "+", "?"):
             op = text[pos]
             pos += 1
             node = {"*": Star, "+": Plus, "?": Optional}[op](node)
-        return node
+            height = checked(height + 1)
+        return node, height
 
     def parse_base():
-        nonlocal pos
+        nonlocal pos, groups
         c = peek()
         if c == "(":
+            if groups == MAX_NESTING:
+                raise RegexSyntaxError(f"groups nested more than {MAX_NESTING} deep", pos)
             open_pos = pos
             pos += 1
-            node = parse_expr()
+            groups += 1
+            inner = parse_expr()
+            groups -= 1
             if peek() != ")":
                 raise RegexSyntaxError("unclosed group", open_pos)
             pos += 1
-            return node
+            return inner
         if c == "%":
             if pos + 1 >= len(text):
                 raise RegexSyntaxError("dangling escape", pos)
             esc = text[pos + 1]
             if esc == "e":
                 pos += 2
-                return Epsilon()
+                return Epsilon(), 1
             if esc == "0":
                 pos += 2
-                return Empty()
+                return Empty(), 1
             raise RegexSyntaxError(f"unknown escape %{esc}", pos)
         if c in ("*", "+", "?"):
             raise RegexSyntaxError(f"postfix {c!r} with nothing to repeat", pos)
         if c in alphabet:
             pos += 1
-            return Letter(c)
+            return Letter(c), 1
         raise RegexSyntaxError(f"letter {c!r} is not in the alphabet", pos)
 
-    root = parse_expr()
+    root, _ = parse_expr()
     if pos != len(text):
         raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
     return RegexAst(root, alphabet)
@@ -253,10 +280,19 @@ def derivative(node: Node, letter: str) -> Node:
     if isinstance(node, Star):
         return cat([derivative(node.inner, letter), node])
     if isinstance(node, Concat):
-        head, tail = node.parts[0], cat(node.parts[1:])
-        branches = [cat([derivative(head, letter), tail])]
-        if nullable(head):
-            branches.append(derivative(tail, letter))
+        # d(p1 p2 … pk) = d(p1) p2 … pk ∪ d(p2 … pk) while the head is nullable;
+        # looping over the parts keeps long concatenations off the call stack.
+        # A run of nullable parts makes the branches quadratic in its length,
+        # and the next derivative cubic, so their size is budgeted.
+        branches = []
+        size = 0
+        for k, head in enumerate(node.parts):
+            size += len(node.parts) - k
+            if size > DERIVATIVE_PARTS_BUDGET:
+                raise BudgetError("derivative concatenation parts", DERIVATIVE_PARTS_BUDGET)
+            branches.append(cat([derivative(head, letter), *node.parts[k + 1:]]))
+            if not nullable(head):
+                break
         return alt(branches)
     raise TypeError(f"unnormalized node {node!r}")
 

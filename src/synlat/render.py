@@ -154,8 +154,8 @@ def table_images(level, dfa, algebra, states):
     reached = {}
     for c, x in enumerate(initial):
         reached.setdefault(x, c)
-    via = [_lookup(reached, x, "column is not an image of the initial column") for x in states]
-    return [[initial[mul[c][e]] for c in via] for e in range(len(initial))]
+    rows = [mul[_lookup(reached, x, "column is not an image of the initial column")] for x in states]
+    return [[initial[row[e]] for row in rows] for e in range(len(initial))]
 
 
 def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
@@ -172,7 +172,7 @@ def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
     """The algebra document; its tuples serialize as JSON arrays."""
     if level == "monoid":
         images = [[residual_atoms(pt, q) for q in e.mapping] for e in algebra.elements]
-        tables = {"mul": algebra.table}
+        tables = {"mul": tuple(algebra.table)}
         covers = ()
     else:
         images = [e.mapping for e in algebra.elements]
@@ -199,9 +199,8 @@ def algebra_text(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress) -> st
     return text_table(header, [[label] + cells for label, cells in rows])
 
 
-def algebra_dot(level, algebra) -> str:
-    if level == "monoid":
-        raise ValueError("the monoid carries no order diagram; use json or table")
+def algebra_dot(algebra) -> str:
+    """Order diagram of a semiring or lattice algebra; the monoid has none."""
     labels = algebra.labels()
     return dot_order(labels, hasse_of_elements(algebra).covers)
 

@@ -97,38 +97,45 @@ def evaluate_identity_sides(
 def check_reversibility_identity(
     m: SyntacticMonoid, pt: ProfileTable, dfa: Dfa, quadruple_budget: int | None = None
 ) -> IdentityCounterexample | None:
-    """First failing substitution in (p, u, v, w, state) index order, or None."""
+    """First failing substitution in (p, u, v, w, state) index order, or None.
+
+    Three reductions keep that first counterexample.  Elements p with the
+    same ω-power s pose the same checks, so only the first p of each s is
+    checked.  Swapping v and w swaps the two sides, so a failure at (v, w)
+    is one at (w, v) too and only v < w is checked.  Each element's residual
+    bitmasks are packed into one int, a field of pt.n_profiles bits per
+    state, so one substitution is checked on all states at once and the
+    lowest differing field is the first failing state.  The budget counts
+    the substitutions left, (distinct ω-powers)·n·n(n−1)/2, and is checked
+    before any row of the Cayley table is built.
+    """
     n = len(m.elements)
-    if quadruple_budget is not None and n**4 > quadruple_budget:
+    first = {}  # ω-power -> the first p that has it, in p order
+    for p in range(n):
+        first.setdefault(omega_power(m, p), p)
+    if quadruple_budget is not None and len(first) * n * (n * (n - 1) // 2) > quadruple_budget:
         raise BudgetError("identity-check quadruples", quadruple_budget)
-    sb = [residual_atoms(pt, q).bits for q in range(dfa.n_states)]
-    maps = [e.mapping for e in m.elements]
-    mul = m.table
-    omegas = [omega_power(m, e) for e in range(n)]
-    states = range(dfa.n_states)
-    for pi in range(n):
-        s = omegas[pi]
-        srow = mul[s]
+    width = pt.n_profiles
+    sb = pt.residual_bits
+    packed = [sum(sb[x] << q * width for q, x in enumerate(e.mapping)) for e in m.elements]
+    for s, pi in first.items():
+        spacked = [packed[x] for x in m.table[s]]   # s·x, packed
         for ui in range(n):
-            msu = maps[srow[ui]]
-            for vi in range(n):
-                msv = maps[srow[vi]]
-                mv = maps[vi]
-                for wi in range(n):
-                    if vi == wi:
-                        continue  # sides coincide syntactically
-                    msw = maps[srow[wi]]
-                    mw = maps[wi]
-                    for q in states:
-                        base = sb[msu[q]]
-                        lhs = base | (sb[msv[q]] & sb[mw[q]])
-                        rhs = base | (sb[msw[q]] & sb[mv[q]])
-                        if lhs != rhs:
-                            e = m.elements
-                            return IdentityCounterexample(
-                                e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness,
-                                q, AtomSet(pt, lhs), AtomSet(pt, rhs),
-                            )
+            base = spacked[ui]
+            for vi in range(n - 1):
+                sv, rv = spacked[vi], packed[vi]
+                for wi in range(vi + 1, n):
+                    lhs = base | (sv & packed[wi])
+                    rhs = base | (spacked[wi] & rv)
+                    if lhs != rhs:
+                        diff = lhs ^ rhs
+                        q = ((diff & -diff).bit_length() - 1) // width
+                        mask = (1 << width) - 1
+                        e = m.elements
+                        return IdentityCounterexample(
+                            e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness, q,
+                            AtomSet(pt, lhs >> q * width & mask), AtomSet(pt, rhs >> q * width & mask),
+                        )
     return None
 
 

@@ -18,7 +18,8 @@ residual relation; its product is composition and it satisfies the laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
@@ -39,13 +40,50 @@ class DfaTransformation:
     witness: str
 
 
+class CayleyTable(Sequence):
+    """The monoid's multiplication table, each row built on first access.
+
+    right[i][a] is element i times letter a: the right Cayley graph
+    (Froidure and Pin, "Algorithms for computing finite semigroups", 1997).
+    The elements are numbered breadth first from the identity 0, so every
+    other element j is parent(j)·a for the element and letter that first
+    reach it, with parent(j) < j.  Row i is then filled left to right:
+    i·0 = i and i·j = right[i·parent(j)][a], one list lookup per cell.
+    """
+
+    def __init__(self, right: tuple[tuple[int, ...], ...]):
+        self.right = right
+        tree: list[tuple[int, int] | None] = [None] * len(right)   # j -> (parent(j), a)
+        for i, row in enumerate(right):
+            for a, j in enumerate(row):
+                if j and tree[j] is None:
+                    tree[j] = (i, a)
+        self._tree = tree[1:]
+        self._rows: list[tuple[int, ...] | None] = [None] * len(right)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        row = self._rows[i]
+        if row is None:
+            i = range(len(self._rows))[i]
+            right = self.right
+            cells = [i]
+            for p, a in self._tree:
+                cells.append(right[cells[p]][a])
+            row = self._rows[i] = tuple(cells)
+        return row
+
+
 @dataclass(frozen=True)
 class SyntacticMonoid:
     dfa: Dfa
     elements: tuple[DfaTransformation, ...]
     identity: int
-    table: tuple[tuple[int, ...], ...]       # table[i][j] = class of witness_i · witness_j
-    letter_elements: tuple[int, ...]         # per alphabet position
+    table: CayleyTable = field(compare=False)   # table[i][j] = class of witness_i · witness_j
+    letter_elements: tuple[int, ...]            # per alphabet position
+    index: dict[tuple[int, ...], int] = field(compare=False, repr=False)   # mapping -> element
 
     def __len__(self):
         return len(self.elements)
@@ -56,7 +94,7 @@ class SyntacticMonoid:
     def element_of_word(self, word: str) -> int:
         e = self.identity
         for a in word:
-            e = self.table[e][self.letter_elements[self.dfa.letter_index(a)]]
+            e = self.table.right[e][self.dfa.letter_index(a)]
         return e
 
 
@@ -66,27 +104,31 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     close runs breadth first, so a word met again is never shorter than the
     stored witness, which therefore stays the shortlex-least one.
     """
-    letter_ops = [
-        (lambda m, li=li: tuple(dfa.delta[q][li] for q in m), lambda w, a=a: w + a)
-        for li, a in enumerate(dfa.alphabet)
+    letter_maps = [
+        lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in range(len(dfa.alphabet))
     ]
+    letter_ops = [(f, lambda w, a=a: w + a) for f, a in zip(letter_maps, dfa.alphabet)]
     mappings, witnesses, index = close(
         [(tuple(range(dfa.n_states)), "")], letter_ops, (), len, budget, "monoid elements"
     )
-    table = _product_table(mappings, index, lambda j, x: mappings[j][x])
-    letters = tuple(index[tuple(row[li] for row in dfa.delta)] for li in range(len(dfa.alphabet)))
+    right = tuple(tuple(index[f(m)] for f in letter_maps) for m in mappings)
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, witnesses))
-    return SyntacticMonoid(dfa, elements, 0, table, letters)
+    return SyntacticMonoid(dfa, elements, 0, CayleyTable(right), right[0], index)
 
 
 def omega_power(m: SyntacticMonoid, e: int) -> int:
-    """The unique idempotent among the powers of e."""
-    cur = e
-    for _ in range(2 * len(m.elements) + 2):
-        if m.table[cur][cur] == cur:
-            return cur
-        cur = m.table[cur][e]
-    raise InconsistencyError("no idempotent power found; Cayley table is corrupt")
+    """The unique idempotent among the powers of e.
+
+    The powers are composed as mappings, so no row of the Cayley table is
+    built; a transformation has at most len(m) distinct powers.
+    """
+    p = m.elements[e].mapping
+    cur = p
+    for _ in range(len(m.elements)):
+        if tuple(cur[x] for x in cur) == cur:
+            return m.index[cur]
+        cur = tuple(p[x] for x in cur)
+    raise InconsistencyError("no idempotent power found; the monoid is not closed")
 
 
 @dataclass(frozen=True)

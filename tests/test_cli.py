@@ -110,6 +110,42 @@ def test_reversible_json(capsys):
     assert doc == {"reversible": True, "witness": None, "identity_counterexample": None}
 
 
+def test_reversible_budget_counts_reduced_substitutions(capsys):
+    # (aab|bba)*: 35 elements and 7 idempotents, 145,775 substitutions
+    code, out, _ = run_cli(capsys, "reversible", "--regex", "(aab|bba)*", "--alphabet", "ab")
+    assert code == EXIT_OK
+    assert json.loads(out)["reversible"] is True
+    # 63 elements and 33 idempotents, 4,060,377 substitutions
+    code, out, err = run_cli(capsys, "reversible", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab")
+    assert code == EXIT_BUDGET
+    assert out == "" and "identity-check quadruples" in err
+
+
+def test_monoid_dot_rejected_before_the_monoid_is_built(capsys):
+    code, out, err = run_cli(
+        capsys, "algebra", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab",
+        "--level", "monoid", "--format", "dot", "--budget-elements", "1",
+    )
+    assert code == EXIT_PARSE
+    assert out == "" and "no order diagram" in err
+
+
+@pytest.mark.parametrize(
+    "pattern,code,message",
+    [
+        ("(" * 1200 + "a" + ")" * 1200, EXIT_PARSE, "groups nested more than 100 deep"),
+        ("a" + "*" * 2000, EXIT_PARSE, "pattern nested more than 100 deep"),
+        ("a*" * 2000, EXIT_BUDGET, "derivative concatenation parts"),
+    ],
+    ids=["1200 nested groups", "2000 stars on a letter", "a* 2000 times"],
+)
+def test_deep_or_long_patterns_end_in_an_exit_code(capsys, pattern, code, message):
+    # each of these ended in a RecursionError traceback
+    rc, out, err = run_cli(capsys, "reversible", "--regex", pattern, "--alphabet", "ab")
+    assert (rc, out) == (code, "")
+    assert message in err
+
+
 def test_reversible_lambda_language(capsys):
     code, out, _ = run_cli(capsys, "reversible", "--regex", "%e", "--alphabet", "a")
     assert code == EXIT_OK

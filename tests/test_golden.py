@@ -40,6 +40,12 @@ GOLDEN = [
     ("algebra", "(a|bc)*(c|%e)", "abc", "lattice", "table",
      "cac2b6447c3eed3fb4b861e11c88f74d856bf9638d21c19540da92ebc240b71a"),
     ("reversible", "a+b+", "ab", None, None, "c57f9f756bd42aa0ab452db2cbe388a331c0d3b2145d1b11fbf46c8b844e5bd9"),
+    ("algebra", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab", "monoid", "json",
+     "3e4b55302ceab441c694dd423e04676f56938ee17e3f7519a86e04337d599ca4"),
+    ("algebra", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab", "monoid", "table",
+     "c9a8ae0022414b0af4460ebb5ceec97e38dc4ebf30b07d04fdd163747305f4ed"),
+    ("reversible", "(a|b)*a(a|b)(a|b)(a|b)", "ab", None, None,
+     "29354fad692f6357c9cc120e3c41a661342f6bf0fcb5d1117e32300a2ed6f4db"),
 ]
 
 

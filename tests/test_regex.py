@@ -4,7 +4,7 @@ import synlat
 from synlat import regex as rx
 from synlat.errors import BudgetError, RegexSyntaxError
 
-from conftest import ast_matches, build, words_upto
+from conftest import ast_matches, build, random_regex_corpus, words_upto
 
 
 def test_parse_plus_concat():
@@ -111,3 +111,39 @@ def test_alphabet_matters_for_quotients():
     _, over_a, _ = build("a+", "a")
     assert over_ab.n_states == 3  # a+, a*, ∅
     assert over_a.n_states == 2   # a+, a*
+
+
+def recursive_derivative(node, letter):
+    """The derivative with the concatenation rule d(h·T) = d(h)·T ∪ d(T) applied recursively."""
+    if isinstance(node, rx.Concat):
+        head, tail = node.parts[0], rx.cat(node.parts[1:])
+        branches = [rx.cat([recursive_derivative(head, letter), tail])]
+        if rx.nullable(head):
+            branches.append(recursive_derivative(tail, letter))
+        return rx.alt(branches)
+    if isinstance(node, rx.Union):
+        return rx.alt(recursive_derivative(p, letter) for p in node.parts)
+    if isinstance(node, rx.Star):
+        return rx.cat([recursive_derivative(node.inner, letter), node])
+    return rx.derivative(node, letter)
+
+
+def test_derivative_matches_recursive_rule():
+    # looping over the parts of a concatenation builds the same normalized nodes
+    for ast in random_regex_corpus(seed=5, count=200):
+        frontier = [rx.desugar(ast.root)]
+        for _ in range(3):
+            frontier = [rx.derivative(n, a) for n in frontier for a in ast.alphabet]
+            for n in frontier:
+                for a in ast.alphabet:
+                    assert rx.derivative(n, a) == recursive_derivative(n, a)
+
+
+def test_nesting_limits():
+    depth = rx.MAX_NESTING
+    assert synlat.parse_regex("(" * depth + "a" + ")" * depth, "a").root == rx.Letter("a")
+    with pytest.raises(RegexSyntaxError):
+        synlat.parse_regex("(" * (depth + 1) + "a" + ")" * (depth + 1), "a")
+    assert synlat.compile_canonical_dfa(synlat.parse_regex("a" + "*" * (depth - 1), "a")).n_states == 1
+    with pytest.raises(RegexSyntaxError):
+        synlat.parse_regex("a" + "*" * depth, "a")

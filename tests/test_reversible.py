@@ -2,6 +2,7 @@ import pytest
 
 import synlat
 from synlat.errors import BudgetError
+from synlat.oracle import oracle_identity_counterexample
 from synlat.reversible import (
     check_reversibility_identity,
     evaluate_identity_sides,
@@ -9,6 +10,7 @@ from synlat.reversible import (
     identity_counterexample_from_configuration,
     is_reversible,
 )
+from synlat.syntactic import CayleyTable
 
 from conftest import build, random_regex_corpus
 from test_automata import states_by_name
@@ -134,3 +136,46 @@ def test_equivalence_of_methods_on_random_corpus():
             built = identity_counterexample_from_configuration(pt, dfa, m, fw)
             assert built.lhs != built.rhs
     assert reversible and irreversible  # corpus exercises both verdicts
+
+
+def test_identity_check_matches_brute_force_on_a_plus_b_plus():
+    _, dfa, pt = build("a+b+", "ab")
+    m = synlat.syntactic_monoid(dfa)
+    expected = oracle_identity_counterexample(m, pt, dfa)
+    assert expected is not None
+    assert check_reversibility_identity(m, pt, dfa) == expected
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_identity_check_matches_brute_force_on_random_corpus(seed):
+    # the reduced check reports the n⁴ loop's first counterexample exactly
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        m = synlat.syntactic_monoid(dfa)
+        if len(m) ** 4 > 200_000:
+            continue
+        pt = synlat.build_profile_table(dfa)
+        assert check_reversibility_identity(m, pt, dfa) == oracle_identity_counterexample(m, pt, dfa), ast
+
+
+def test_quadruple_budget_counts_reduced_substitutions():
+    # (aab|bba)*: 35 elements, 7 idempotents, 7·35·(35·34/2) = 145,775 substitutions
+    _, dfa, pt = build("(aab|bba)*", "ab")
+    m = synlat.syntactic_monoid(dfa)
+    assert len(m) == 35
+    assert len({synlat.omega_power(m, e) for e in range(len(m))}) == 7
+    assert check_reversibility_identity(m, pt, dfa, quadruple_budget=145_775) is None
+    with pytest.raises(BudgetError):
+        check_reversibility_identity(m, pt, dfa, quadruple_budget=145_774)
+
+
+def test_quadruple_budget_refusal_builds_no_table_row(monkeypatch):
+    _, dfa, pt = build("(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab")
+    m = synlat.syntactic_monoid(dfa)
+
+    def no_rows(table, i):
+        raise AssertionError("a Cayley table row was built")
+
+    monkeypatch.setattr(CayleyTable, "__getitem__", no_rows)
+    with pytest.raises(BudgetError):
+        check_reversibility_identity(m, pt, dfa, quadruple_budget=1_000_000)

@@ -15,7 +15,7 @@ from synlat.syntactic import (
     omega_power,
 )
 
-from conftest import build
+from conftest import build, random_regex_corpus
 from test_automata import states_by_name
 
 # Reference images of the 11 semiring elements, keyed by canonical witness;
@@ -125,6 +125,43 @@ def test_monoid_cayley_closure(monoid):
     for i, e in enumerate(monoid.elements):
         for j, f in enumerate(monoid.elements):
             assert monoid.table[i][j] == monoid.element_of_word(e.witness + f.witness)
+
+
+def assert_table_composes_mappings(monoid):
+    maps = [e.mapping for e in monoid.elements]
+    index = {m: i for i, m in enumerate(maps)}
+    assert len(monoid.table) == len(maps)
+    for i, row in enumerate(monoid.table):
+        assert row == tuple(index[tuple(mj[x] for x in maps[i])] for mj in maps)
+
+
+def t4_dfa():
+    """The full transformation monoid T4 (256 elements) as the action of three letters on 4 states."""
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0), (0, 0, 2, 3)]
+    delta = tuple(tuple(g[q] for g in gens) for q in range(4))
+    return synlat.minimize(synlat.Dfa(("a", "b", "c"), delta, 0, frozenset({0})))
+
+
+def test_lazy_cayley_table_of_t4():
+    monoid = synlat.syntactic_monoid(t4_dfa())
+    assert len(monoid) == 256
+    assert_table_composes_mappings(monoid)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_lazy_cayley_table_on_random_corpus(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        assert_table_composes_mappings(synlat.syntactic_monoid(synlat.compile_canonical_dfa(ast)))
+
+
+def test_lazy_cayley_rows_in_any_order(monoid):
+    # a row read before or after others, or by a negative index, is the same row
+    last = len(monoid) - 1
+    fresh = synlat.syntactic_monoid(monoid.dfa)
+    assert fresh.table[-1] == monoid.table[last]
+    assert list(reversed(fresh.table)) == list(reversed(list(monoid.table)))
+    with pytest.raises(IndexError):
+        fresh.table[len(monoid)]
 
 
 # --- semiring ---
