@@ -105,22 +105,12 @@ def _reachable(dfa: Dfa) -> list[int]:
     return order
 
 
-def _renumber(dfa: Dfa) -> Dfa:
-    """Canonical BFS numbering from the initial state, letters in alphabet order."""
-    order = _reachable(dfa)
-    new_id = {q: i for i, q in enumerate(order)}
-    delta = tuple(tuple(new_id[dfa.delta[q][i]] for i in range(len(dfa.alphabet))) for q in order)
-    finals = frozenset(new_id[q] for q in dfa.finals if q in new_id)
-    labels = None
-    if dfa.state_labels is not None:
-        labels = tuple(dfa.state_labels[q] for q in order)
-    return Dfa(dfa.alphabet, delta, 0, finals, labels)
-
-
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft partition refinement, then canonical renumbering.
+    """Hopcroft partition refinement, then canonical numbering of the blocks.
 
     The result has no unreachable states and no pair of equivalent states.
+    Blocks are numbered breadth first from the initial state, letters in
+    alphabet order, and each takes the label of its lowest-numbered state.
     """
     reach = _reachable(dfa)
     reach_set = set(reach)
@@ -170,16 +160,15 @@ def minimize(dfa: Dfa) -> Dfa:
                     work.append(smaller)
                     work_set.add(smaller)
 
-    delta = tuple(
-        tuple(block_of[dfa.delta[next(iter(partition[b]))][i]] for i in range(len(dfa.alphabet)))
-        for b in range(len(partition))
-    )
-    new_finals = frozenset(b for b, block in enumerate(partition) if block <= finals)
+    # reach is breadth first, so the blocks in order of first appearance are too
+    order = list(dict.fromkeys(block_of[q] for q in reach))
+    number = {b: i for i, b in enumerate(order)}
+    delta = tuple(tuple(number[block_of[t]] for t in dfa.delta[next(iter(partition[b]))]) for b in order)
+    new_finals = frozenset(i for i, b in enumerate(order) if partition[b] <= finals)
     labels = None
     if dfa.state_labels is not None:
-        labels = tuple(dfa.state_labels[min(partition[b])] for b in range(len(partition)))
-    merged = Dfa(dfa.alphabet, delta, block_of[dfa.initial], new_finals, labels)
-    return _renumber(merged)
+        labels = tuple(dfa.state_labels[min(partition[b])] for b in order)
+    return Dfa(dfa.alphabet, delta, 0, new_finals, labels)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -89,50 +89,60 @@ class LatticeAutomaton:
 
 
 def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
-    """Fixpoint closure in discovery order; returns (values, witnesses, index).
+    """Fixpoint closure in discovery order; returns (values, witnesses, index, right, pairs).
 
     seeds: (value, witness) pairs.  Each value i in turn gets every letter op
     (fn(value), wfn(witness)), then every pair op (fn(vi, vj), wfn(wi, wj))
-    with each j <= i.  A value met again keeps the witness whose key is
-    strictly smaller.  Witnesses are read afresh for each letter op and each
-    j, since a duplicate hit can replace witnesses[i] partway through a row.
-    Without pair ops the closure is breadth first over the letter ops.
+    with each j <= i; right[i][k] and pairs[p][i][j] record the index each
+    op k or p gave.  A value met again keeps the witness whose key (computed
+    once per stored witness) is strictly smaller.  Witnesses are read afresh
+    for each letter op and each j, since a duplicate hit can replace
+    witnesses[i] partway through a row.  Without pair ops the closure is
+    breadth first over the letter ops.
     """
     values = []
     witnesses = []
+    keys = []
     index = {}
 
     def add(v, w):
         i = index.get(v)
         if i is not None:
-            if key(w) < key(witnesses[i]):
+            k = key(w)
+            if k < keys[i]:
                 witnesses[i] = w
-            return
+                keys[i] = k
+            return i
         if len(values) >= budget:
             raise BudgetError(what, budget)
-        index[v] = len(values)
+        i = index[v] = len(values)
         values.append(v)
         witnesses.append(w)
+        keys.append(key(w))
+        return i
 
     for v, w in seeds:
         add(v, w)
+    right = []
+    pairs = [[] for _ in pair_ops]
     i = 0
     while i < len(values):
         vi = values[i]
-        for fn, wfn in letter_ops:
-            add(fn(vi), wfn(witnesses[i]))
+        right.append(tuple(add(fn(vi), wfn(witnesses[i])) for fn, wfn in letter_ops))
         if pair_ops:
+            for table in pairs:
+                table.append([])
             for j in range(i + 1):
                 vj, wi, wj = values[j], witnesses[i], witnesses[j]
-                for fn, wfn in pair_ops:
-                    add(fn(vi, vj), wfn(wi, wj))
+                for table, (fn, wfn) in zip(pairs, pair_ops):
+                    table[i].append(add(fn(vi, vj), wfn(wi, wj)))
         i += 1
-    return values, witnesses, index
+    return values, witnesses, index, right, pairs
 
 
 def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key):
     """Close the seed states (bits, witness) under op and assemble the automaton."""
-    values, witnesses, index = close(seeds, (), [(op, wop)], key, budget, "canonical automaton states")
+    values, witnesses, index, _, _ = close(seeds, (), [(op, wop)], key, budget, "canonical automaton states")
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)

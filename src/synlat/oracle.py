@@ -27,7 +27,6 @@ DEFAULT_SUBSET_BUDGET = 200_000
 class OracleConfig:
     max_word_len: int = 3
     max_term_nodes: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_word_len < 1 or self.max_term_nodes < 1:

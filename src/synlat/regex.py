@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, minimize
+from .automata import DEFAULT_STATE_BUDGET, Dfa, minimize
 from .errors import BudgetError, RegexSyntaxError
 
 
@@ -297,12 +297,6 @@ def derivative(node: Node, letter: str) -> Node:
     raise TypeError(f"unnormalized node {node!r}")
 
 
-def derivative_by_word(node: Node, word: str) -> Node:
-    for a in word:
-        node = derivative(node, a)
-    return node
-
-
 def regex_to_str(node: Node) -> str:
     """Render a normalized node; used for residual state labels."""
 
@@ -338,7 +332,8 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
     """Minimal complete DFA whose states are the left quotients of the language.
 
     The initial state is the language itself; a state is final exactly when
-    its residual contains λ.  State labels render the residual regexes.
+    its residual contains λ.  State labels render the residual regexes: minimize
+    keeps each class's lowest-numbered derivative, the one along its shortlex-least word.
     """
     root = desugar(ast.root)
     states: dict[Node, int] = {root: 0}
@@ -359,7 +354,5 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
         delta.append(row)
         i += 1
     finals = frozenset(states[n] for n in order if nullable(n))
-    raw = Dfa(ast.alphabet, tuple(tuple(r) for r in delta), 0, finals)
-    small = minimize(raw)
-    labels = tuple(regex_to_str(derivative_by_word(root, w)) for w in access_words(small))
-    return Dfa(small.alphabet, small.delta, small.initial, small.finals, labels)
+    labels = tuple(map(regex_to_str, order))
+    return minimize(Dfa(ast.alphabet, tuple(tuple(r) for r in delta), 0, finals, labels))

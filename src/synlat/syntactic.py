@@ -104,16 +104,15 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     close runs breadth first, so a word met again is never shorter than the
     stored witness, which therefore stays the shortlex-least one.
     """
-    letter_maps = [
-        lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in range(len(dfa.alphabet))
+    letter_ops = [
+        (lambda m, li=li: tuple(dfa.delta[q][li] for q in m), lambda w, a=a: w + a)
+        for li, a in enumerate(dfa.alphabet)
     ]
-    letter_ops = [(f, lambda w, a=a: w + a) for f, a in zip(letter_maps, dfa.alphabet)]
-    mappings, witnesses, index = close(
+    mappings, witnesses, index, right, _ = close(
         [(tuple(range(dfa.n_states)), "")], letter_ops, (), len, budget, "monoid elements"
     )
-    right = tuple(tuple(index[f(m)] for f in letter_maps) for m in mappings)
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, witnesses))
-    return SyntacticMonoid(dfa, elements, 0, CayleyTable(right), right[0], index)
+    return SyntacticMonoid(dfa, elements, 0, CayleyTable(tuple(right)), right[0], index)
 
 
 def omega_power(m: SyntacticMonoid, e: int) -> int:
@@ -181,8 +180,9 @@ def _meet_order(meet_table) -> HasseDiagram:
     return hasse_from_leq(len(meet_table), lambda i, j: meet_table[i][j] == i)
 
 
-def _pointwise_table(mappings, index, op):
-    return tuple(tuple(index[tuple(map(op, mi, mj))] for mj in mappings) for mi in mappings)
+def _square(lower, upper):
+    """t[i][j] = lower[i][j] for j <= i and upper[j][i] for j > i, from close's triangles."""
+    return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
 
 
 def _product_table(mappings, index, act):
@@ -229,9 +229,11 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
         (product, terms.mf_mul),
         (lambda mi, mj: product(mj, mi), lambda wi, wj: terms.mf_mul(wj, wi)),
     ]
-    mappings, witnesses, index = close(seeds, (), pair_ops, terms.meet_form_key, budget, "semiring elements")
-    meet_table = _pointwise_table(mappings, index, and_)
-    mul_table = _product_table(mappings, index, lambda j, x: semiring_action_bits(pt, mappings[j], x))
+    mappings, witnesses, index, _, (meets, muls, swapped) = close(
+        seeds, (), pair_ops, terms.meet_form_key, budget, "semiring elements"
+    )
+    meet_table = _square(meets, meets)
+    mul_table = _square(muls, swapped)
     elements = tuple(SemiringElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses))
     return SyntacticSemiring(
         pt, dfa, elements, index[one_map], index[top_map],
@@ -312,11 +314,11 @@ def _lattice_algebra(
         (lambda mi, mj: tuple(map(and_, mi, mj)), terms.lf_meet),
         (lambda mi, mj: tuple(map(or_, mi, mj)), terms.lf_join),
     ]
-    mappings, witnesses, index = close(
+    mappings, witnesses, index, _, (meets, joins) = close(
         seeds, letter_ops, pair_ops, terms.lattice_form_key, budget, "lattice algebra elements"
     )
-    meet_table = _pointwise_table(mappings, index, and_)
-    join_table = _pointwise_table(mappings, index, or_)
+    meet_table = _square(meets, meets)
+    join_table = _square(joins, joins)
     mul_table = None
     if with_tables:
         mul_table = _product_table(mappings, index, lambda j, x: terms.eval_lattice_bits(pt, x, witnesses[j]))
@@ -475,9 +477,9 @@ def check_lattice_algebra_axioms(alg: SyntacticLatticeAlgebra, max_violations: i
 
     # generation: lattice closure of the submonoid generated by P (with bounds)
     nil = lambda *_: 0    # witness and witness key alike: no witness is kept
-    prods, _, _ = close([(one, 0)], [(lambda e, p=p: M[e][p], nil) for p in P], (), nil, n, "products")
+    prods, *_ = close([(one, 0)], [(lambda e, p=p: M[e][p], nil) for p in P], (), nil, n, "products")
     pair_ops = [(lambda i, j: A[i][j], nil), (lambda i, j: O[i][j], nil)]
-    span, _, _ = close([(e, 0) for e in prods + [tp, bt]], (), pair_ops, nil, n, "lattice span")
+    span, *_ = close([(e, 0) for e in prods + [tp, bt]], (), pair_ops, nil, n, "lattice span")
     checked += 1
     for e in sorted(set(rng) - set(span)):
         if len(violations) >= max_violations:

@@ -100,6 +100,48 @@ def random_dfa(rng, max_states=6):
     return Dfa(("a", "b"), delta, 0, finals)
 
 
+def reference_minimize(dfa):
+    """Minimal DFA by brute force, numbered breadth first from the initial state.
+
+    Reachable states are classed by the words of length < n they accept; each
+    class is labelled by its lowest-numbered member.
+    """
+    reach = [dfa.initial]
+    for q in reach:
+        reach += [t for t in set(dfa.delta[q]) if t not in reach]
+    words = words_upto(dfa.alphabet, dfa.n_states)
+    cls = {q: tuple(synlat.accepts(dfa, w, q) for w in words) for q in reach}
+    order = [cls[dfa.initial]]
+    delta = []
+    for c in order:
+        rep = next(q for q in reach if cls[q] == c)
+        for t in dfa.delta[rep]:
+            if cls[t] not in order:
+                order.append(cls[t])
+        delta.append(tuple(order.index(cls[t]) for t in dfa.delta[rep]))
+    finals = frozenset(i for i, c in enumerate(order) if c[0])
+    labels = tuple(dfa.state_labels[min(q for q in reach if cls[q] == c)] for c in order)
+    return Dfa(dfa.alphabet, tuple(delta), 0, finals, labels)
+
+
+def test_minimize_numbers_blocks_breadth_first_and_keeps_lowest_labels():
+    rng = random.Random(3)
+    for _ in range(200):
+        base = random_dfa(rng, max_states=7)
+        n, extra = base.n_states, rng.randint(0, 3)
+        # unreachable states may point anywhere; then the numbers are shuffled
+        rows = list(base.delta) + [tuple(rng.randrange(n + extra) for _ in range(2)) for _ in range(extra)]
+        finals = set(base.finals) | {q for q in range(n, n + extra) if rng.random() < 0.5}
+        perm = list(range(n + extra))
+        rng.shuffle(perm)
+        delta = [None] * len(perm)
+        for q, row in enumerate(rows):
+            delta[perm[q]] = tuple(perm[t] for t in row)
+        labels = tuple(f"s{q}" for q in range(len(perm)))
+        dfa = Dfa(("a", "b"), tuple(delta), perm[0], frozenset(perm[q] for q in finals), labels)
+        assert synlat.minimize(dfa) == reference_minimize(dfa)
+
+
 def test_equivalent_examples():
     _, dab, _ = build("a+b+", "ab")
     _, dstar, _ = build("a*b+", "ab")

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 import synlat
 from synlat import regex as rx
+from synlat.automata import access_words
 from synlat.errors import BudgetError, RegexSyntaxError
 
 from conftest import ast_matches, build, random_regex_corpus, words_upto
@@ -147,3 +150,40 @@ def test_nesting_limits():
     assert synlat.compile_canonical_dfa(synlat.parse_regex("a" + "*" * (depth - 1), "a")).n_states == 1
     with pytest.raises(RegexSyntaxError):
         synlat.parse_regex("a" + "*" * depth, "a")
+
+
+def test_state_labels_render_the_derivative_along_each_access_word():
+    # the reference derives each residual again, along the state's shortlex-least word
+    for ast in random_regex_corpus(seed=5, count=200):
+        dfa = synlat.compile_canonical_dfa(ast)
+        root = rx.desugar(ast.root)
+        for q, word in enumerate(access_words(dfa)):
+            node = root
+            for a in word:
+                node = rx.derivative(node, a)
+            assert dfa.state_labels[q] == rx.regex_to_str(node)
+
+
+def stdlib_pattern(node):
+    """The surface AST in Python's re syntax."""
+    if isinstance(node, rx.Empty):
+        return "(?!)"
+    if isinstance(node, rx.Epsilon):
+        return "(?:)"
+    if isinstance(node, rx.Letter):
+        return re.escape(node.char)
+    if isinstance(node, rx.Concat):
+        return "".join(f"(?:{stdlib_pattern(p)})" for p in node.parts)
+    if isinstance(node, rx.Union):
+        return "|".join(f"(?:{stdlib_pattern(p)})" for p in node.parts)
+    postfix = {rx.Star: "*", rx.Plus: "+", rx.Optional: "?"}[type(node)]
+    return f"(?:{stdlib_pattern(node.inner)}){postfix}"
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_compiled_dfa_agrees_with_stdlib_re(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        pattern = re.compile(stdlib_pattern(ast.root))
+        for w in words_upto(ast.alphabet, 5):
+            assert synlat.accepts(dfa, w) == (pattern.fullmatch(w) is not None), (pattern.pattern, w)

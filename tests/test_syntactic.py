@@ -609,3 +609,50 @@ def test_budgets():
         synlat.syntactic_lattice_algebra(pt, dfa, budget=3)
     with pytest.raises(synlat.BudgetError):
         synlat.transition_lattice_algebra(pt, dfa, budget=32)
+
+
+# --- the op tables close records, against the operations computed directly ---
+
+LATTICE_TABLE_BUDGET = 100   # larger lattice quotients are skipped: their builds take seconds each
+
+
+def op_table(maps, op):
+    """table[i][j] = the element whose mapping is op(maps[i], maps[j])."""
+    index = {m: i for i, m in enumerate(maps)}
+    return tuple(tuple(index[op(mi, mj)] for mj in maps) for mi in maps)
+
+
+def assert_recorded_tables_match_direct_operations(dfa, pt):
+    monoid = synlat.syntactic_monoid(dfa)
+    index = {e.mapping: i for i, e in enumerate(monoid.elements)}
+    letters = range(len(dfa.alphabet))
+    assert monoid.table.right == tuple(
+        tuple(index[tuple(dfa.delta[q][a] for q in e.mapping)] for a in letters) for e in monoid.elements
+    )
+
+    semiring = synlat.syntactic_semiring(pt, dfa)
+    maps = [e.mapping for e in semiring.elements]
+    assert semiring.meet_table == op_table(maps, lambda mi, mj: tuple(map(synlat.meet, mi, mj)))
+    assert semiring.mul_table == op_table(
+        maps, lambda mi, mj: tuple(extend_semiring_action(pt, mj, x) for x in mi)
+    )
+
+    for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
+        try:
+            alg = build_algebra(pt, dfa, budget=LATTICE_TABLE_BUDGET)
+        except synlat.BudgetError:
+            continue
+        maps = [e.mapping for e in alg.elements]
+        assert alg.meet_table == op_table(maps, lambda mi, mj: tuple(map(synlat.meet, mi, mj)))
+        assert alg.join_table == op_table(maps, lambda mi, mj: tuple(map(synlat.join, mi, mj)))
+
+
+def test_recorded_tables_of_a_plus_b_plus(apb):
+    assert_recorded_tables_match_direct_operations(*apb)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_recorded_tables_on_random_corpus(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        assert_recorded_tables_match_direct_operations(dfa, synlat.build_profile_table(dfa))
