@@ -34,6 +34,7 @@ from .canonical import (
 from .errors import (
     BudgetError,
     InconsistencyError,
+    InputError,
     RegexSyntaxError,
     SignatureError,
     SynlatError,

@@ -140,23 +140,25 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
     return values, witnesses, index, right, pairs
 
 
-def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key):
-    """Close the seed states (bits, witness) under op and assemble the automaton."""
+def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key, form):
+    """Close the seed states (bits, witness) under op and assemble the automaton;
+    form turns an interned witness (terms.FormInterner) into the tuple form stored."""
     values, witnesses, index, _, _ = close(seeds, (), [(op, wop)], key, budget, "canonical automaton states")
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
     initial = index[pt.residual_bits[dfa.initial]]
-    return cls(pt, states, tuple(witnesses), delta, initial, finals, hasse(states))
+    return cls(pt, states, tuple(map(form, witnesses)), delta, initial, finals, hasse(states))
 
 
 def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> MeetAutomaton:
     """Residual states in DFA order, then ⊤, then new meets in discovery order."""
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    seeds = [(bits, terms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
-    seeds.append((top(pt).bits, terms.meet_form([])))
-    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, terms.mf_meet, terms.meet_form_key)
+    forms = terms.FormInterner()
+    seeds = [(bits, forms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
+    seeds.append((top(pt).bits, forms.meet_form([])))
+    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, forms.mf_meet, forms.meet_key, forms.words_of)
 
 
 def build_lattice_automaton(
@@ -164,6 +166,9 @@ def build_lattice_automaton(
 ) -> LatticeAutomaton:
     """Join closure of the meet automaton's states, with ⊥; meet states first."""
     ma = meet_automaton if meet_automaton is not None else build_meet_automaton(pt, dfa, budget)
-    seeds = [(v.bits, terms.lattice_form([w])) for v, w in zip(ma.states, ma.witnesses)]
-    seeds.append((bottom(pt).bits, terms.lattice_form([])))
-    return _automaton(LatticeAutomaton, pt, dfa, seeds, budget, or_, terms.lf_join, terms.lattice_form_key)
+    forms = terms.FormInterner()
+    seeds = [(v.bits, forms.lattice((w,))) for v, w in zip(ma.states, ma.witnesses)]
+    seeds.append((bottom(pt).bits, forms.lattice([])))
+    return _automaton(
+        LatticeAutomaton, pt, dfa, seeds, budget, or_, forms.lf_join, forms.lattice_key, forms.lattice_form
+    )

@@ -4,7 +4,8 @@
     synlat algebra    --regex PAT --alphabet LETTERS --level monoid|semiring|lattice --format dot|json|table
     synlat reversible --regex PAT --alphabet LETTERS
 
-Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 internal inconsistency.
+Exit codes: 0 ok, 2 invalid input (pattern, alphabet, budget or format), 3 budget exceeded,
+4 internal inconsistency (including any ValueError past input validation).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     EXIT_PARSE,
     BudgetError,
     InconsistencyError,
+    InputError,
     RegexSyntaxError,
     TermSyntaxError,
 )
@@ -43,7 +45,7 @@ class Budgets:
     def __post_init__(self):
         for name in ("profiles", "states", "elements", "quadruples"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"budget {name} must be positive")
+                raise InputError(f"budget {name} must be positive")
 
 
 @dataclass
@@ -57,9 +59,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.format not in ("dot", "json", "table"):
-            raise ValueError(f"unknown format {self.format!r}")
+            raise InputError(f"unknown format {self.format!r}")
         if self.level == "monoid" and self.format == "dot":
-            raise ValueError("the monoid carries no order diagram; use json or table")
+            raise InputError("the monoid carries no order diagram; use json or table")
 
 
 def _context(cfg: RunConfig):
@@ -77,7 +79,7 @@ def cmd_automaton(cfg: RunConfig) -> str:
     elif cfg.level == "lattice":
         automaton = build_lattice_automaton(pt, dfa, budget=cfg.budgets.states)
     elif cfg.level != "dfa":
-        raise ValueError(f"unknown automaton level {cfg.level!r}")
+        raise InputError(f"unknown automaton level {cfg.level!r}")
     if cfg.format == "json":
         return render.render_json(render.automaton_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, automaton))
     if cfg.format == "dot":
@@ -94,7 +96,7 @@ def cmd_algebra(cfg: RunConfig) -> str:
     elif cfg.level == "lattice":
         algebra = syntactic_lattice_algebra(pt, dfa, budget=cfg.budgets.elements)
     else:
-        raise ValueError(f"unknown algebra level {cfg.level!r}")
+        raise InputError(f"unknown algebra level {cfg.level!r}")
     if cfg.format == "json":
         return render.render_json(render.algebra_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, algebra))
     if cfg.format == "dot":
@@ -172,13 +174,13 @@ def main(argv=None) -> int:
             out = cmd_algebra(cfg)
         else:
             out = cmd_reversible(cfg)
-    except (RegexSyntaxError, TermSyntaxError, ValueError) as exc:
+    except (RegexSyntaxError, TermSyntaxError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InconsistencyError as exc:
+    except (InconsistencyError, ValueError) as exc:   # a ValueError past input validation is a bug
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     sys.stdout.write(out)

@@ -10,6 +10,10 @@ class SynlatError(Exception):
     pass
 
 
+class InputError(SynlatError, ValueError):
+    """Invalid user input outside the pattern syntax: budgets, formats, alphabets."""
+
+
 class RegexSyntaxError(SynlatError):
     """Malformed pattern; carries the offending position."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import DEFAULT_STATE_BUDGET, Dfa, minimize
-from .errors import BudgetError, RegexSyntaxError
+from .errors import BudgetError, InputError, RegexSyntaxError
 
 
 class Node:
@@ -83,9 +83,9 @@ def parse_regex(text: str, alphabet) -> RegexAst:
     """
     alphabet = tuple(alphabet)
     if not alphabet:
-        raise ValueError("alphabet must be non-empty")
+        raise InputError("alphabet must be non-empty")
     if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet letters must be distinct")
+        raise InputError("alphabet letters must be distinct")
     if text == "":
         raise RegexSyntaxError('empty pattern (use "%e" for λ, "%0" for ∅)', 0)
 

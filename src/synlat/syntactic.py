@@ -210,6 +210,21 @@ def _atomset_mappings(pt: ProfileTable, mappings):
     return [tuple(map(atoms.__getitem__, m)) for m in mappings]
 
 
+class _Action(dict):
+    """One semiring element's action, image -> result, each evaluated once on first use."""
+
+    __slots__ = ("pt", "mapping")
+
+    def __init__(self, pt: ProfileTable, mapping: tuple[int, ...]):
+        super().__init__()
+        self.pt = pt
+        self.mapping = mapping
+
+    def __missing__(self, x: int) -> int:
+        y = self[x] = semiring_action_bits(self.pt, self.mapping, x)
+        return y
+
+
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
     """Fixpoint closure of {1, letters, ⊤} under pointwise meet and extension product."""
     if pt.dfa is not dfa:
@@ -217,24 +232,31 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     one_map = pt.residual_bits
     letter_maps = [tuple(one_map[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
     top_map = (top(pt).bits,) * dfa.n_states
-    seeds = [(one_map, terms.meet_form([""]))]
-    seeds += [(m, terms.meet_form([a])) for m, a in zip(letter_maps, dfa.alphabet)]
-    seeds.append((top_map, terms.meet_form([])))
+    forms = terms.FormInterner()
+    seeds = [(one_map, forms.meet_form([""]))]
+    seeds += [(m, forms.meet_form([a])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds.append((top_map, forms.meet_form([])))
+    actions: dict[tuple[int, ...], _Action] = {}
 
     def product(mi, mj):
-        return tuple(semiring_action_bits(pt, mj, x) for x in mi)
+        act = actions.get(mj)
+        if act is None:
+            act = actions[mj] = _Action(pt, mj)
+        return tuple(map(act.__getitem__, mi))
 
     pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.mf_meet),
-        (product, terms.mf_mul),
-        (lambda mi, mj: product(mj, mi), lambda wi, wj: terms.mf_mul(wj, wi)),
+        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet),
+        (product, forms.mf_mul),
+        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi)),
     ]
     mappings, witnesses, index, _, (meets, muls, swapped) = close(
-        seeds, (), pair_ops, terms.meet_form_key, budget, "semiring elements"
+        seeds, (), pair_ops, forms.meet_key, budget, "semiring elements"
     )
     meet_table = _square(meets, meets)
     mul_table = _square(muls, swapped)
-    elements = tuple(SemiringElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses))
+    elements = tuple(
+        SemiringElement(m, forms.words_of(w)) for m, w in zip(_atomset_mappings(pt, mappings), witnesses)
+    )
     return SyntacticSemiring(
         pt, dfa, elements, index[one_map], index[top_map],
         tuple(index[m] for m in letter_maps), meet_table, mul_table, _meet_order(meet_table),
@@ -302,21 +324,22 @@ def _lattice_algebra(
     letter_maps = [tuple(quotient_bits(pt, x, a) for x in cols) for a in dfa.alphabet]
     top_map = (top(pt).bits,) * len(cols)
     bot_map = (0,) * len(cols)
-    seeds = [(cols, terms.lattice_form([[""]]))]
-    seeds += [(m, terms.lattice_form([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
-    seeds += [(top_map, terms.TOP_FORM), (bot_map, terms.BOT_FORM)]
+    forms = terms.FormInterner()
+    seeds = [(cols, forms.lattice([[""]]))]
+    seeds += [(m, forms.lattice([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds += [(top_map, forms.lattice(terms.TOP_FORM)), (bot_map, forms.lattice(terms.BOT_FORM))]
     letter_ops = [
-        (lambda m, a=a: tuple(quotient_bits(pt, x, a) for x in m),
-         lambda w, a=a: terms.multiply_lattice_forms(w, ((a,),)))
+        (lambda m, a=a: tuple(quotient_bits(pt, x, a) for x in m), lambda w, a=a: forms.lf_mul_letter(w, a))
         for a in dfa.alphabet
     ]
     pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.lf_meet),
-        (lambda mi, mj: tuple(map(or_, mi, mj)), terms.lf_join),
+        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.lf_meet),
+        (lambda mi, mj: tuple(map(or_, mi, mj)), forms.lf_join),
     ]
-    mappings, witnesses, index, _, (meets, joins) = close(
-        seeds, letter_ops, pair_ops, terms.lattice_form_key, budget, "lattice algebra elements"
+    mappings, form_ids, index, _, (meets, joins) = close(
+        seeds, letter_ops, pair_ops, forms.lattice_key, budget, "lattice algebra elements"
     )
+    witnesses = [forms.lattice_form(f) for f in form_ids]
     meet_table = _square(meets, meets)
     join_table = _square(joins, joins)
     mul_table = None

@@ -262,6 +262,156 @@ def multiply_lattice_forms(f: LatticeForm, g: LatticeForm) -> LatticeForm:
     return out
 
 
+def _minimal(items, masks) -> list:
+    """The items whose word set contains no earlier kept one; subsets must come first."""
+    keep, kept = [], []
+    for u, m in zip(items, masks):
+        for b in kept:
+            if b & m == b:
+                break
+        else:
+            keep.append(u)
+            kept.append(m)
+    return keep
+
+
+class FormInterner:
+    """Words and witness forms on ints for the closures (hash-consing).
+
+    Words get int ids in order of first use, each with its word_key cached.
+    A meet form is the tuple of its word ids in shortlex order; meet_key is
+    its meet_form_key.  The meet automaton and the semiring keep these tuples
+    as they are: nearly every semiring product is a new word set, so
+    interning them would keep one entry per pair op.  The lattice closures
+    intern them further: an inner set is the bitmask of its word ids,
+    interned to an inner id whose word tuple and key are computed once, and a
+    lattice form is a tuple of inner ids in the order of their keys, the
+    order lattice_form sorts into.
+
+    Each op gives exactly the form of its tuple normalizer above (mf_meet,
+    mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each key
+    compares as meet_form_key or lattice_form_key does, so the closures keep
+    the same witnesses and tie-breaks; words_of and lattice_form give the
+    tuple forms back at the API boundary.
+    """
+
+    def __init__(self):
+        self.words: list[str] = []                 # word id -> word
+        self._word_keys: list[tuple[int, str]] = []   # word id -> word_key
+        self._word_ids: dict[str, int] = {}
+        self._inner_ids: dict[int, int] = {}      # bitmask -> inner id
+        self.masks: list[int] = []                 # inner id -> bitmask over word ids
+        self.forms: list[MeetForm] = []            # inner id -> shortlex-sorted word tuple
+        self.keys: list[tuple] = []                # inner id -> meet_form_key
+        self._letters: dict[tuple[int, str], int] = {}
+
+    def word(self, w: str) -> int:
+        k = self._word_ids.get(w)
+        if k is None:
+            k = self._word_ids[w] = len(self.words)
+            self.words.append(w)
+            self._word_keys.append(word_key(w))
+        return k
+
+    # --- meet forms as word-id tuples ---
+
+    def meet_form(self, words) -> tuple[int, ...]:
+        return self._sorted(map(self.word, words))
+
+    def _sorted(self, ids) -> tuple[int, ...]:
+        return tuple(sorted(set(ids), key=self._word_keys.__getitem__))
+
+    def meet_key(self, u: tuple[int, ...]):
+        return (len(u), tuple(map(self._word_keys.__getitem__, u)))
+
+    def mf_meet(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        return self._sorted(u + v)
+
+    def mf_mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        """All concatenations x·y; ⊤ (no words) annihilates."""
+        words, word = self.words, self.word
+        return self._sorted([word(words[x] + words[y]) for x in u for y in v])
+
+    def words_of(self, u: tuple[int, ...]) -> MeetForm:
+        return tuple(map(self.words.__getitem__, u))
+
+    # --- lattice forms as tuples of interned inner sets ---
+
+    def _intern(self, mask: int) -> int:
+        """Inner id of the word set with the given bitmask."""
+        u = self._inner_ids.get(mask)
+        if u is None:
+            ids, rest = [], mask
+            while rest:
+                low = rest & -rest
+                ids.append(low.bit_length() - 1)
+                rest ^= low
+            ids = self._sorted(ids)
+            u = self._inner_ids[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.forms.append(self.words_of(ids))
+            self.keys.append(self.meet_key(ids))
+        return u
+
+    def inner(self, words) -> int:
+        """Inner id of the meet of the given words."""
+        mask = 0
+        for k in map(self.word, words):
+            mask |= 1 << k
+        return self._intern(mask)
+
+    def _mul_letter(self, u: int, a: str) -> int:
+        w = self._letters.get((u, a))
+        if w is None:
+            w = self._letters[u, a] = self.inner(x + a for x in self.forms[u])
+        return w
+
+    def antichain(self, inners) -> tuple[int, ...]:
+        """lattice_form on inner ids.  In key order a strict subset, having
+        fewer words, comes before its supersets, so each set is kept unless a
+        kept one lies inside it."""
+        inners = sorted(set(inners), key=self.keys.__getitem__)
+        return tuple(_minimal(inners, map(self.masks.__getitem__, inners)))
+
+    def lf_join(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+        """The antichain of both forms' inner sets."""
+        if f == g or not g:
+            return f
+        return self.antichain(f + g) if f else g
+
+    def lf_meet(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+        """The antichain of the pairwise unions; f ∧ f = f, since each u ∪ v contains u.
+
+        The unions are filtered as bitmasks in increasing order, which puts
+        subsets first (a strict subset's bitmask is a smaller int), and only
+        the kept ones are interned.
+        """
+        if f == g:
+            return f
+        masks = self.masks
+        if len(f) == 1 and len(g) == 1:
+            return (self._intern(masks[f[0]] | masks[g[0]]),)
+        gm = [masks[v] for v in g]
+        unions = sorted({masks[u] | b for u in f for b in gm})
+        return tuple(sorted(map(self._intern, _minimal(unions, unions)), key=self.keys.__getitem__))
+
+    def lf_mul_letter(self, f: tuple[int, ...], a: str) -> tuple[int, ...]:
+        """multiply_lattice_forms(f, ((a,),)).  Appending a letter is injective and
+        keeps shortlex order, so the inner sets stay an antichain in key order."""
+        return tuple(self._mul_letter(u, a) for u in f)
+
+    def lattice_key(self, f: tuple[int, ...]):
+        """lattice_form_key of the form f."""
+        return (len(f), tuple(map(self.keys.__getitem__, f)))
+
+    def lattice(self, inners) -> tuple[int, ...]:
+        """lattice_form(inners) as inner ids."""
+        return self.antichain(self.inner(u) for u in inners)
+
+    def lattice_form(self, f: tuple[int, ...]) -> LatticeForm:
+        return tuple(map(self.forms.__getitem__, f))
+
+
 # --- normalization of terms to the free structures ---
 
 def normalize_monoid(t: Term) -> str:

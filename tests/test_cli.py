@@ -5,7 +5,7 @@ import pytest
 import synlat
 from synlat import render
 from synlat.cli import main
-from synlat.errors import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, InconsistencyError
+from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_PARSE, InconsistencyError
 
 from conftest import build
 
@@ -182,6 +182,22 @@ def test_letter_outside_alphabet_exit_code(capsys):
         capsys, "automaton", "--regex", "abc", "--alphabet", "ab", "--level", "dfa", "--format", "table"
     )
     assert code == EXIT_PARSE
+
+
+def test_repeated_alphabet_letter_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "automaton", "--regex", "a", "--alphabet", "aa", "--level", "dfa")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "alphabet letters must be distinct" in err
+
+
+def test_internal_value_error_exits_4_without_traceback(capsys, monkeypatch):
+    def not_deduplicated(states):
+        raise ValueError("states must be deduplicated")
+
+    monkeypatch.setattr(synlat.canonical, "hasse", not_deduplicated)
+    code, out, err = run_cli(capsys, "automaton", "--regex", "a+b+", "--alphabet", "ab", "--level", "meet")
+    assert (code, out) == (EXIT_INCONSISTENT, "")
+    assert err == "internal inconsistency: states must be deduplicated\n"
 
 
 def test_budget_exit_code(capsys):
