@@ -14,11 +14,9 @@ states.  Complements are deliberately not representable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import Dfa
-from .errors import BudgetError
+from .automata import Dfa, close_values
 
 DEFAULT_PROFILE_BUDGET = 1 << 16
 
@@ -73,14 +71,6 @@ class ProfileTable:
                 bits |= 1 << i
         return bits
 
-    def atom_set(self, profile_indices) -> AtomSet:
-        bits = 0
-        for i in profile_indices:
-            if not 0 <= i < self.n_profiles:
-                raise ValueError(f"profile index {i} out of range")
-            bits |= 1 << i
-        return AtomSet(self, bits)
-
     def word_profile(self, word: str) -> int:
         """Index of profile(word)."""
         idx = self.lambda_profile
@@ -91,31 +81,11 @@ class ProfileTable:
 
 def build_profile_table(dfa: Dfa, budget: int = DEFAULT_PROFILE_BUDGET) -> ProfileTable:
     """Fixpoint closure of {finals} under letter preimages, BFS numbering."""
-    n = dfa.n_states
-    finals_mask = 0
-    for q in dfa.finals:
-        finals_mask |= 1 << q
-    index = {finals_mask: 0}
-    profiles = [finals_mask]
-    queue = deque([finals_mask])
-    pre_maps: dict[int, list[int]] = {}  # filled after closure
-    while queue:
-        p = queue.popleft()
-        for li in range(len(dfa.alphabet)):
-            pp = 0
-            for q in range(n):
-                if p >> dfa.delta[q][li] & 1:
-                    pp |= 1 << q
-            if pp not in index:
-                if len(profiles) >= budget:
-                    raise BudgetError("realized profiles", budget)
-                index[pp] = len(profiles)
-                profiles.append(pp)
-                queue.append(pp)
-            pre_maps.setdefault(li, []).append(index[pp])
-    # pre_maps rows were appended in BFS pop order == profile index order
-    pre = [pre_maps.get(li, []) for li in range(len(dfa.alphabet))]
-    return ProfileTable(dfa, profiles, pre, 0)
+    finals_mask = sum(1 << q for q in dfa.finals)
+    columns = [tuple(row[li] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    letter_ops = [lambda p, col=col: sum(1 << q for q, t in enumerate(col) if p >> t & 1) for col in columns]
+    profiles, _, pre, _ = close_values([finals_mask], letter_ops, (), budget, "realized profiles")
+    return ProfileTable(dfa, profiles, zip(*pre), 0)
 
 
 def _same_table(x: AtomSet, y: AtomSet):

@@ -75,20 +75,118 @@ def accepts(dfa: Dfa, word: str, state: int | None = None) -> bool:
     return run(dfa, start, word) in dfa.finals
 
 
+def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
+    """Fixpoint closure in discovery order, on values only; returns (values, index, right, pairs).
+
+    Seeds are deduplicated in order.  Each value i in turn gets every letter
+    op fn(vi), then, for each j <= i, every pair op fn(vi, vj) in op order;
+    right[i][k] and pairs[p][i][j] record the index each op k or p gave.
+    A value beyond the first budget raises BudgetError(what, budget).
+    Without pair ops the closure is breadth first over the letter ops.
+    """
+    values = []
+    index = {}
+
+    def add(v):
+        i = index.get(v)
+        if i is None:
+            if len(values) >= budget:
+                raise BudgetError(what, budget)
+            i = index[v] = len(values)
+            values.append(v)
+        return i
+
+    for v in seeds:
+        add(v)
+    right = []
+    pairs = [[] for _ in pair_ops]
+    for i, vi in enumerate(values):   # values grows as it is visited
+        right.append(tuple([add(fn(vi)) for fn in letter_ops]))
+        if pair_ops:
+            rows = [[] for _ in pair_ops]
+            for table, row in zip(pairs, rows):
+                table.append(row)
+            for vj in values[:i + 1]:
+                for row, fn in zip(rows, pair_ops):
+                    row.append(add(fn(vi, vj)))
+    return values, index, right, pairs
+
+
+def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
+    """close_values with witnesses; returns (values, witnesses, index, right, pairs).
+
+    seeds: (value, witness) pairs; ops: (fn, wfn) pairs, fn on values as in
+    close_values and wfn on witnesses.  The values are closed first, so a
+    BudgetError comes before any witness op runs.  The witness ops are then
+    replayed in the closure's order onto the targets its tables recorded:
+    a value keeps the first witness that reaches it, unless a later one has
+    a strictly smaller key (computed once per stored witness).  Witnesses
+    are read afresh for each letter op and each j, since a replacement can
+    change witnesses[i] partway through a row.
+    """
+    seeds = list(seeds)
+    values, index, right, pairs = close_values(
+        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [fn for fn, _ in pair_ops], budget, what
+    )
+    witnesses = []
+    keys = []
+
+    def put(t, w):
+        if t == len(witnesses):   # values are numbered in the order the replay first reaches them
+            witnesses.append(w)
+            keys.append(key(w))
+        else:
+            k = key(w)
+            if k < keys[t]:
+                witnesses[t] = w
+                keys[t] = k
+
+    for v, w in seeds:
+        put(index[v], w)
+    letter_wfns = [wfn for _, wfn in letter_ops]
+    pair_wfns = [wfn for _, wfn in pair_ops]
+    for i, row in enumerate(right):
+        for t, wfn in zip(row, letter_wfns):
+            put(t, wfn(witnesses[i]))
+        if pair_wfns:
+            rows = [table[i] for table in pairs]
+            for j in range(i + 1):
+                wi, wj = witnesses[i], witnesses[j]
+                for cells, wfn in zip(rows, pair_wfns):
+                    put(cells[j], wfn(wi, wj))
+    return values, witnesses, index, right, pairs
+
+
+def spanning_tree(right) -> list[tuple[int, int]]:
+    """(parent, letter) of values 1, 2, ... in a breadth-first closure from value 0.
+
+    right is close_values' letter table.  Value j is first reached as
+    right[i][a] for (i, a) = tree[j - 1], and i < j.
+    """
+    tree: list[tuple[int, int] | None] = [None] * len(right)
+    for i, row in enumerate(right):
+        for a, j in enumerate(row):
+            if tree[j] is None:
+                tree[j] = (i, a)
+    return tree[1:]
+
+
+def tree_words(tree, alphabet) -> list[str]:
+    """The word along the spanning tree to each value; value 0's is λ."""
+    words = [""]
+    for i, a in tree:
+        words.append(words[i] + alphabet[a])
+    return words
+
+
 def access_words(dfa: Dfa) -> tuple[str, ...]:
     """Shortlex-least word reaching each state (all states must be reachable)."""
-    words: dict[int, str] = {dfa.initial: ""}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        for i, _ in enumerate(dfa.alphabet):
-            t = dfa.delta[q][i]
-            if t not in words:
-                words[t] = words[q] + dfa.alphabet[i]
-                queue.append(t)
-    if len(words) != dfa.n_states:
+    letter_ops = [lambda q, a=a: dfa.delta[q][a] for a in range(len(dfa.alphabet))]
+    states, index, right, _ = close_values([dfa.initial], letter_ops, (), dfa.n_states, "states")
+    if len(states) != dfa.n_states:
         raise ValueError("automaton has unreachable states")
-    return tuple(words[q] for q in range(dfa.n_states))
+    words = tree_words(spanning_tree(right), dfa.alphabet)
+    return tuple(words[index[q]] for q in range(dfa.n_states))
 
 
 def _reachable(dfa: Dfa) -> list[int]:

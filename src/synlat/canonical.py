@@ -6,7 +6,7 @@ lattice automaton additionally closes under union and contains the empty
 union.  Transitions are letter quotients, finals are the states containing λ,
 and the inclusion order is carried as a Hasse diagram (the dashed edges in
 the usual drawing convention).  Both closures run on the states' bitmasks
-through close, the closure engine the syntactic algebras share.
+through automata.close, the closure engine the syntactic algebras share.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bottom, quotient_bits, top
-from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words
-from .errors import BudgetError
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close
 from . import terms
 
 
@@ -27,17 +26,27 @@ class HasseDiagram:
     covers: tuple[tuple[int, int], ...]
 
 
-def hasse_from_leq(n: int, le) -> HasseDiagram:
-    """Transitive reduction of the order given by the predicate le(i, j)."""
-    strict = [[le(i, j) and not le(j, i) for j in range(n)] for i in range(n)]
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def hasse_from_leq(up) -> HasseDiagram:
+    """Transitive reduction of a partial order given by up-sets: bit j of up[i] is set iff i ≤ j.
+
+    j covers i when it is above i but above no k strictly above i.  Covers
+    are listed by i, then j, ascending.
+    """
+    strict = [u & ~(1 << i) for i, u in enumerate(up)]
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if not strict[i][j]:
-                continue
-            if any(strict[i][k] and strict[k][j] for k in range(n)):
-                continue
-            covers.append((i, j))
+    for i, s in enumerate(strict):
+        covered = s
+        for k in _bits(s):
+            covered &= ~strict[k]
+        covers.extend((i, j) for j in _bits(covered))
     return HasseDiagram(tuple(covers))
 
 
@@ -49,7 +58,7 @@ def hasse(states) -> HasseDiagram:
     if len({id(s.table) for s in states}) > 1:
         raise ValueError("AtomSets belong to different profile tables")
     bits = [s.bits for s in states]
-    return hasse_from_leq(len(bits), lambda i, j: bits[i] | bits[j] == bits[j])
+    return hasse_from_leq([sum(1 << j for j, y in enumerate(bits) if x | y == y) for x in bits])
 
 
 @dataclass(frozen=True)
@@ -88,58 +97,6 @@ class LatticeAutomaton:
         return tuple(terms.lattice_form_str(w) for w in self.witnesses)
 
 
-def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
-    """Fixpoint closure in discovery order; returns (values, witnesses, index, right, pairs).
-
-    seeds: (value, witness) pairs.  Each value i in turn gets every letter op
-    (fn(value), wfn(witness)), then every pair op (fn(vi, vj), wfn(wi, wj))
-    with each j <= i; right[i][k] and pairs[p][i][j] record the index each
-    op k or p gave.  A value met again keeps the witness whose key (computed
-    once per stored witness) is strictly smaller.  Witnesses are read afresh
-    for each letter op and each j, since a duplicate hit can replace
-    witnesses[i] partway through a row.  Without pair ops the closure is
-    breadth first over the letter ops.
-    """
-    values = []
-    witnesses = []
-    keys = []
-    index = {}
-
-    def add(v, w):
-        i = index.get(v)
-        if i is not None:
-            k = key(w)
-            if k < keys[i]:
-                witnesses[i] = w
-                keys[i] = k
-            return i
-        if len(values) >= budget:
-            raise BudgetError(what, budget)
-        i = index[v] = len(values)
-        values.append(v)
-        witnesses.append(w)
-        keys.append(key(w))
-        return i
-
-    for v, w in seeds:
-        add(v, w)
-    right = []
-    pairs = [[] for _ in pair_ops]
-    i = 0
-    while i < len(values):
-        vi = values[i]
-        right.append(tuple(add(fn(vi), wfn(witnesses[i])) for fn, wfn in letter_ops))
-        if pair_ops:
-            for table in pairs:
-                table.append([])
-            for j in range(i + 1):
-                vj, wi, wj = values[j], witnesses[i], witnesses[j]
-                for table, (fn, wfn) in zip(pairs, pair_ops):
-                    table[i].append(add(fn(vi, vj), wfn(wi, wj)))
-        i += 1
-    return values, witnesses, index, right, pairs
-
-
 def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key, form):
     """Close the seed states (bits, witness) under op and assemble the automaton;
     form turns an interned witness (terms.FormInterner) into the tuple form stored."""
@@ -161,11 +118,9 @@ def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE
     return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, forms.mf_meet, forms.meet_key, forms.words_of)
 
 
-def build_lattice_automaton(
-    pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET, meet_automaton: MeetAutomaton | None = None
-) -> LatticeAutomaton:
+def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> LatticeAutomaton:
     """Join closure of the meet automaton's states, with ⊥; meet states first."""
-    ma = meet_automaton if meet_automaton is not None else build_meet_automaton(pt, dfa, budget)
+    ma = build_meet_automaton(pt, dfa, budget)
     forms = terms.FormInterner()
     seeds = [(v.bits, forms.lattice((w,))) for v, w in zip(ma.states, ma.witnesses)]
     seeds.append((bottom(pt).bits, forms.lattice([])))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import DEFAULT_STATE_BUDGET, Dfa, minimize
+from .automata import DEFAULT_STATE_BUDGET, Dfa, close_values, minimize
 from .errors import BudgetError, InputError, RegexSyntaxError
 
 
@@ -86,6 +86,9 @@ def parse_regex(text: str, alphabet) -> RegexAst:
         raise InputError("alphabet must be non-empty")
     if len(set(alphabet)) != len(alphabet):
         raise InputError("alphabet letters must be distinct")
+    clash = set("|()*+?%") & set(alphabet)
+    if clash:
+        raise InputError(f"alphabet letters {sorted(clash)} clash with pattern syntax")
     if text == "":
         raise RegexSyntaxError('empty pattern (use "%e" for λ, "%0" for ∅)', 0)
 
@@ -335,24 +338,8 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
     its residual contains λ.  State labels render the residual regexes: minimize
     keeps each class's lowest-numbered derivative, the one along its shortlex-least word.
     """
-    root = desugar(ast.root)
-    states: dict[Node, int] = {root: 0}
-    order = [root]
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        node = order[i]
-        row = []
-        for a in ast.alphabet:
-            d = derivative(node, a)
-            if d not in states:
-                if len(states) >= state_budget:
-                    raise BudgetError("derivative states", state_budget)
-                states[d] = len(order)
-                order.append(d)
-            row.append(states[d])
-        delta.append(row)
-        i += 1
-    finals = frozenset(states[n] for n in order if nullable(n))
+    letter_ops = [lambda node, a=a: derivative(node, a) for a in ast.alphabet]
+    order, _, delta, _ = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
+    finals = frozenset(i for i, n in enumerate(order) if nullable(n))
     labels = tuple(map(regex_to_str, order))
-    return minimize(Dfa(ast.alphabet, tuple(tuple(r) for r in delta), 0, finals, labels))
+    return minimize(Dfa(ast.alphabet, tuple(delta), 0, finals, labels))

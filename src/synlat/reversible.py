@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .atoms import AtomSet, ProfileTable, join, meet, residual_atoms
+from .atoms import AtomSet, ProfileTable, build_profile_table, join, meet, residual_atoms
 from .automata import Dfa, run
 from .errors import BudgetError, InconsistencyError
 from .syntactic import SyntacticMonoid, omega_power, syntactic_monoid
@@ -190,8 +190,6 @@ def is_reversible(
     quadruple_budget: int | None = None,
 ) -> ReversibilityReport:
     """Condition-(6) verdict, cross-checked against the identity verdict."""
-    from .atoms import build_profile_table
-
     m = monoid if monoid is not None else syntactic_monoid(dfa)
     table = pt if pt is not None else build_profile_table(dfa)
     fw = find_forbidden_configuration(dfa, m)

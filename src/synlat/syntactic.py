@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
-from .automata import Dfa
-from .canonical import HasseDiagram, build_lattice_automaton, close, hasse_from_leq
+from .automata import Dfa, close, close_values, spanning_tree, tree_words
+from .canonical import HasseDiagram, build_lattice_automaton, hasse_from_leq
 from .errors import InconsistencyError
 from . import terms
 from .terms import LatticeForm, MeetForm
@@ -53,12 +53,7 @@ class CayleyTable(Sequence):
 
     def __init__(self, right: tuple[tuple[int, ...], ...]):
         self.right = right
-        tree: list[tuple[int, int] | None] = [None] * len(right)   # j -> (parent(j), a)
-        for i, row in enumerate(right):
-            for a, j in enumerate(row):
-                if j and tree[j] is None:
-                    tree[j] = (i, a)
-        self._tree = tree[1:]
+        self.tree = spanning_tree(right)   # (parent(j), a) for j = 1, 2, ...
         self._rows: list[tuple[int, ...] | None] = [None] * len(right)
 
     def __len__(self):
@@ -70,7 +65,7 @@ class CayleyTable(Sequence):
             i = range(len(self._rows))[i]
             right = self.right
             cells = [i]
-            for p, a in self._tree:
+            for p, a in self.tree:
                 cells.append(right[cells[p]][a])
             row = self._rows[i] = tuple(cells)
         return row
@@ -99,20 +94,18 @@ class SyntacticMonoid:
 
 
 def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticMonoid:
-    """Transformation monoid of the canonical DFA, closed over words in shortlex order.
+    """Transformation monoid of the canonical DFA, closed breadth first over the letters.
 
-    close runs breadth first, so a word met again is never shorter than the
-    stored witness, which therefore stays the shortlex-least one.
+    Each element's witness is its word along the breadth-first spanning
+    tree, which is its shortlex-least word.
     """
-    letter_ops = [
-        (lambda m, li=li: tuple(dfa.delta[q][li] for q in m), lambda w, a=a: w + a)
-        for li, a in enumerate(dfa.alphabet)
-    ]
-    mappings, witnesses, index, right, _ = close(
-        [(tuple(range(dfa.n_states)), "")], letter_ops, (), len, budget, "monoid elements"
+    letter_ops = [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in range(len(dfa.alphabet))]
+    mappings, index, right, _ = close_values(
+        [tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements"
     )
-    elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, witnesses))
-    return SyntacticMonoid(dfa, elements, 0, CayleyTable(tuple(right)), right[0], index)
+    table = CayleyTable(tuple(right))
+    elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
+    return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
 
 
 def omega_power(m: SyntacticMonoid, e: int) -> int:
@@ -177,7 +170,7 @@ def extend_semiring_action(pt: ProfileTable, mapping, x: AtomSet) -> AtomSet:
 
 def _meet_order(meet_table) -> HasseDiagram:
     """Cover relation of e ≤ f iff e∧f = e: the pointwise order of the mappings."""
-    return hasse_from_leq(len(meet_table), lambda i, j: meet_table[i][j] == i)
+    return hasse_from_leq([sum(1 << j for j, k in enumerate(row) if k == i) for i, row in enumerate(meet_table)])
 
 
 def _square(lower, upper):
@@ -312,7 +305,7 @@ def _lattice_algebra(
 ) -> SyntacticLatticeAlgebra:
     """Fixpoint closure of {1, letters, ⊤, ⊥} under right multiplication by
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
-    the residuals), with witnesses maintained throughout; then the tables.
+    the residuals), then the witnesses replayed on it; then the tables.
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
@@ -499,10 +492,8 @@ def check_lattice_algebra_axioms(alg: SyntacticLatticeAlgebra, max_violations: i
                 report("mul-right-dist-join", (i, j, p), M[O[i][j]][p], O[M[i][p]][M[j][p]])
 
     # generation: lattice closure of the submonoid generated by P (with bounds)
-    nil = lambda *_: 0    # witness and witness key alike: no witness is kept
-    prods, *_ = close([(one, 0)], [(lambda e, p=p: M[e][p], nil) for p in P], (), nil, n, "products")
-    pair_ops = [(lambda i, j: A[i][j], nil), (lambda i, j: O[i][j], nil)]
-    span, *_ = close([(e, 0) for e in prods + [tp, bt]], (), pair_ops, nil, n, "lattice span")
+    prods, *_ = close_values([one], [lambda e, p=p: M[e][p] for p in P], (), n, "products")
+    span, *_ = close_values(prods + [tp, bt], (), [lambda i, j: A[i][j], lambda i, j: O[i][j]], n, "lattice span")
     checked += 1
     for e in sorted(set(rng) - set(span)):
         if len(violations) >= max_violations:

@@ -33,7 +33,7 @@ from .atoms import (
     top,
 )
 from .automata import dfa_of_finite_language
-from .errors import SignatureError, TermSyntaxError
+from .errors import InputError, SignatureError, TermSyntaxError
 
 MeetForm = tuple[str, ...]
 LatticeForm = tuple[MeetForm, ...]
@@ -89,7 +89,7 @@ def parse_term(text: str, alphabet) -> Term:
     alphabet = tuple(alphabet)
     clash = _RESERVED & set(alphabet)
     if clash:
-        raise ValueError(f"alphabet letters {sorted(clash)} clash with term syntax")
+        raise InputError(f"alphabet letters {sorted(clash)} clash with term syntax")
     pos = 0
 
     def skip_ws():

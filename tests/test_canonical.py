@@ -4,8 +4,10 @@ import synlat
 from synlat.automata import Dfa
 from synlat.canonical import build_lattice_automaton, build_meet_automaton, hasse
 
-from conftest import build
+from conftest import build, random_regex_corpus
 from test_automata import states_by_name
+
+ORDER_BUDGET = 600   # skips only the lattice quotients over 2,000 elements, whose builds take 30 s and more
 
 
 def reference_atoms(pt, dfa):
@@ -134,11 +136,37 @@ def test_hasse_chain_and_antichain():
         hasse([ra["L"], ra["L"]])
 
 
+def brute_force_covers(n, le):
+    """Cover pairs of the order le: i below j with nothing strictly between, by i, then j."""
+    above = [{j for j in range(n) if j != i and le(i, j)} for i in range(n)]
+    below = [{i for i in range(n) if i != j and le(i, j)} for j in range(n)]
+    return tuple((i, j) for i in range(n) for j in sorted(above[i]) if not above[i] & below[j])
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_orders_match_brute_force_reduction(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        pt = synlat.build_profile_table(dfa)
+        for aut in (build_meet_automaton(pt, dfa), build_lattice_automaton(pt, dfa)):
+            bits = [s.bits for s in aut.states]
+            assert aut.order.covers == brute_force_covers(len(bits), lambda i, j: bits[i] | bits[j] == bits[j])
+        algebras = [synlat.syntactic_semiring(pt, dfa)]
+        for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
+            try:
+                algebras.append(build_algebra(pt, dfa, budget=ORDER_BUDGET))
+            except synlat.BudgetError:
+                pass
+        for alg in algebras:
+            meet = alg.meet_table
+            assert alg.order.covers == brute_force_covers(len(meet), lambda i, j: meet[i][j] == i)
+
+
 @pytest.mark.parametrize("pattern,alphabet", [("a+b+", "ab"), ("a*", "ab"), ("a(b|c)*", "abc"), ("(a|bb)*", "ab")])
 def test_closure_totality_finals_and_sizes(pattern, alphabet):
     _, dfa, pt = build(pattern, alphabet)
     ma = build_meet_automaton(pt, dfa)
-    la = build_lattice_automaton(pt, dfa, meet_automaton=ma)
+    la = build_lattice_automaton(pt, dfa)
     mstates, lstates = set(ma.states), set(la.states)
     # meet/join closure
     for x in ma.states:

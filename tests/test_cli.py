@@ -184,6 +184,13 @@ def test_letter_outside_alphabet_exit_code(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("alphabet", ["a|b", "a("])
+def test_alphabet_letter_of_pattern_syntax_exits_2(capsys, alphabet):
+    code, out, err = run_cli(capsys, "automaton", "--regex", "a", "--alphabet", alphabet, "--level", "dfa")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "clash with pattern syntax" in err
+
+
 def test_repeated_alphabet_letter_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "automaton", "--regex", "a", "--alphabet", "aa", "--level", "dfa")
     assert (code, out) == (EXIT_PARSE, "")
@@ -242,7 +249,7 @@ def test_algebra_table_rejects_automaton_of_another_table():
     other = synlat.build_profile_table(dfa)
     semiring = synlat.syntactic_semiring(pt, dfa)
     meet_aut = synlat.build_meet_automaton(other, dfa)
-    lattice_aut = synlat.build_lattice_automaton(other, dfa, meet_automaton=meet_aut)
+    lattice_aut = synlat.build_lattice_automaton(other, dfa)
     with pytest.raises(InconsistencyError):
         render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, True)
 

@@ -87,7 +87,7 @@ def assert_interned_witnesses_match_reference(dfa, pt):
     ma = synlat.build_meet_automaton(pt, dfa)
     assert ([s.bits for s in ma.states], list(ma.witnesses)) == reference_meet_automaton(pt, dfa)
 
-    la = synlat.build_lattice_automaton(pt, dfa, meet_automaton=ma)
+    la = synlat.build_lattice_automaton(pt, dfa)
     assert ([s.bits for s in la.states], list(la.witnesses)) == reference_lattice_automaton(pt, ma)
 
     sr = synlat.syntactic_semiring(pt, dfa)

@@ -5,7 +5,7 @@ import pytest
 import synlat
 from synlat import regex as rx
 from synlat.automata import access_words
-from synlat.errors import BudgetError, RegexSyntaxError
+from synlat.errors import BudgetError, InputError, RegexSyntaxError
 
 from conftest import ast_matches, build, random_regex_corpus, words_upto
 
@@ -51,6 +51,13 @@ def test_parse_errors_have_positions(bad):
 def test_letter_outside_alphabet():
     with pytest.raises(RegexSyntaxError):
         synlat.parse_regex("ab", "a")
+
+
+@pytest.mark.parametrize("letter", "|()*+?%")
+def test_alphabet_letter_of_pattern_syntax_is_an_input_error(letter):
+    # no pattern can ever write such a letter
+    with pytest.raises(InputError, match="clash with pattern syntax"):
+        synlat.parse_regex("a", "a" + letter)
 
 
 def count_residuals_bruteforce(ast, alphabet, depth=6):

@@ -467,7 +467,7 @@ def chain_algebra(pt):
     mul = tuple(tuple(i if j == 1 else j for j in range(3)) for i in range(3))
     from synlat.canonical import hasse_from_leq
 
-    order = hasse_from_leq(3, lambda i, j: mn(i, j) == i)
+    order = hasse_from_leq([sum(1 << j for j in range(3) if mn(i, j) == i) for i in range(3)])
     return SyntacticLatticeAlgebra(
         pt, pt.dfa, elements, 1, 2, 0, (1,), meet, join, mul, order
     )

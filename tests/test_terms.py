@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import synlat
 from synlat import terms as tm
-from synlat.errors import SignatureError, TermSyntaxError
+from synlat.errors import InputError, SignatureError, TermSyntaxError
 
 from conftest import build, random_lattice_form
 from test_automata import states_by_name
@@ -31,7 +31,7 @@ def test_parse_term_errors():
     for bad in ["", "a^", "(a", "a)", "%x", "c"]:
         with pytest.raises(TermSyntaxError):
             T(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="clash with term syntax"):
         synlat.parse_term("a", "av")  # reserved letter in alphabet
 
 
