@@ -79,6 +79,14 @@ class ProfileTable:
         return idx
 
 
+def bit_indices(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def build_profile_table(dfa: Dfa, budget: int = DEFAULT_PROFILE_BUDGET) -> ProfileTable:
     """Fixpoint closure of {finals} under letter preimages, BFS numbering."""
     finals_mask = sum(1 << q for q in dfa.finals)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_, or_
 
-from .atoms import AtomSet, ProfileTable, bottom, quotient_bits, top
+from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
 from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close
 from . import terms
 
@@ -24,14 +24,6 @@ class HasseDiagram:
     """Cover pairs (lower, upper) of a partial order on an indexed node set."""
 
     covers: tuple[tuple[int, int], ...]
-
-
-def _bits(x: int):
-    """Indices of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def hasse_from_leq(up) -> HasseDiagram:
@@ -44,9 +36,9 @@ def hasse_from_leq(up) -> HasseDiagram:
     covers = []
     for i, s in enumerate(strict):
         covered = s
-        for k in _bits(s):
+        for k in bit_indices(s):
             covered &= ~strict[k]
-        covers.extend((i, j) for j in _bits(covered))
+        covers.extend((i, j) for j in bit_indices(covered))
     return HasseDiagram(tuple(covers))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .atoms import (
     AtomSet,
     ProfileTable,
+    bit_indices,
     bottom,
     build_profile_table,
     contains_lambda,
@@ -262,17 +263,30 @@ def multiply_lattice_forms(f: LatticeForm, g: LatticeForm) -> LatticeForm:
     return out
 
 
-def _minimal(items, masks) -> list:
-    """The items whose word set contains no earlier kept one; subsets must come first."""
-    keep, kept = [], []
-    for u, m in zip(items, masks):
-        for b in kept:
-            if b & m == b:
-                break
-        else:
-            keep.append(u)
-            kept.append(m)
-    return keep
+class _LatticeKey:
+    """lattice_form_key of an interned lattice form, compared lazily.
+
+    A form with fewer inner sets comes first; only forms with as many inner
+    sets compare their sorted inner keys, which each form computes once.
+    """
+
+    __slots__ = ("count", "form", "forms")
+
+    def __init__(self, forms: FormInterner, form: int):
+        self.count = form.bit_count()
+        self.form = form
+        self.forms = forms
+
+    def _ties(self):
+        return self.forms._tie_key(self.form)
+
+    def __lt__(self, other: _LatticeKey) -> bool:
+        if self.count != other.count:
+            return self.count < other.count
+        return self._ties() < other._ties()
+
+    def __eq__(self, other) -> bool:
+        return self.count == other.count and self._ties() == other._ties()
 
 
 class FormInterner:
@@ -282,11 +296,18 @@ class FormInterner:
     A meet form is the tuple of its word ids in shortlex order; meet_key is
     its meet_form_key.  The meet automaton and the semiring keep these tuples
     as they are: nearly every semiring product is a new word set, so
-    interning them would keep one entry per pair op.  The lattice closures
-    intern them further: an inner set is the bitmask of its word ids,
-    interned to an inner id whose word tuple and key are computed once, and a
-    lattice form is a tuple of inner ids in the order of their keys, the
-    order lattice_form sorts into.
+    interning them would keep one entry per pair op.
+
+    The lattice closures intern them further.  An inner set is the bitmask of
+    its word ids, interned to an inner id whose word tuple and key are
+    computed once, together with sup[u], the bitmask of the inner ids whose
+    word sets strictly contain u's.  A lattice form is the bitmask of its
+    inner ids (0 is ⊥), and the antichain of a set s of inner ids is
+    s & ~(OR of sup[u] for u in s): a join is an OR and one such reduction,
+    and a meet ORs the antichains of {u ∪ v : v ∈ g}, memoized per inner set
+    u of f and form g, then reduces; the minimal elements of a union are the
+    minimal elements of the union of the parts' minimal elements.  Keys
+    compare by inner-set count first (see _LatticeKey).
 
     Each op gives exactly the form of its tuple normalizer above (mf_meet,
     mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each key
@@ -301,9 +322,13 @@ class FormInterner:
         self._word_ids: dict[str, int] = {}
         self._inner_ids: dict[int, int] = {}      # bitmask -> inner id
         self.masks: list[int] = []                 # inner id -> bitmask over word ids
+        self.sup: list[int] = []                   # inner id -> bitmask of its strict supersets' ids
         self.forms: list[MeetForm] = []            # inner id -> shortlex-sorted word tuple
         self.keys: list[tuple] = []                # inner id -> meet_form_key
         self._letters: dict[tuple[int, str], int] = {}
+        self._meets: dict[tuple[int, int], int] = {}   # (inner id, form) -> their meet
+        self._up: dict[int, int] = {}              # form -> OR of sup over its ids, until the next intern
+        self._ties: dict[int, tuple] = {}          # form -> its sorted inner keys
 
     def word(self, w: str) -> int:
         k = self._word_ids.get(w)
@@ -335,22 +360,31 @@ class FormInterner:
     def words_of(self, u: tuple[int, ...]) -> MeetForm:
         return tuple(map(self.words.__getitem__, u))
 
-    # --- lattice forms as tuples of interned inner sets ---
+    # --- lattice forms as bitmasks over interned inner sets ---
 
     def _intern(self, mask: int) -> int:
-        """Inner id of the word set with the given bitmask."""
+        """Inner id of the word set with the given bitmask.
+
+        A new id is entered in sup: one AND with each existing id's bitmask
+        tells whether that set lies strictly inside the new one or strictly
+        around it.  The memoized sup-ORs are dropped, as they may now miss it.
+        """
         u = self._inner_ids.get(mask)
         if u is None:
-            ids, rest = [], mask
-            while rest:
-                low = rest & -rest
-                ids.append(low.bit_length() - 1)
-                rest ^= low
-            ids = self._sorted(ids)
             u = self._inner_ids[mask] = len(self.masks)
+            bit, above, sup = 1 << u, 0, self.sup
+            for v, m in enumerate(self.masks):
+                common = m & mask
+                if common == m:
+                    sup[v] |= bit
+                elif common == mask:
+                    above |= 1 << v
+            ids = self._sorted(bit_indices(mask))
             self.masks.append(mask)
+            sup.append(above)
             self.forms.append(self.words_of(ids))
             self.keys.append(self.meet_key(ids))
+            self._up.clear()
         return u
 
     def inner(self, words) -> int:
@@ -366,50 +400,86 @@ class FormInterner:
             w = self._letters[u, a] = self.inner(x + a for x in self.forms[u])
         return w
 
-    def antichain(self, inners) -> tuple[int, ...]:
-        """lattice_form on inner ids.  In key order a strict subset, having
-        fewer words, comes before its supersets, so each set is kept unless a
-        kept one lies inside it."""
-        inners = sorted(set(inners), key=self.keys.__getitem__)
-        return tuple(_minimal(inners, map(self.masks.__getitem__, inners)))
+    def _above(self, f: int) -> int:
+        """OR of sup over the inner ids in f, memoized: f & ~_above(f) is f's antichain."""
+        up = self._up.get(f)
+        if up is None:
+            up, sup, rest = 0, self.sup, f
+            while rest:
+                low = rest & -rest
+                up |= sup[low.bit_length() - 1]
+                rest ^= low
+            self._up[f] = up
+        return up
 
-    def lf_join(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    def lf_join(self, f: int, g: int) -> int:
         """The antichain of both forms' inner sets."""
-        if f == g or not g:
-            return f
-        return self.antichain(f + g) if f else g
+        s = f | g
+        if s == f or s == g:
+            return s
+        return s & ~(self._above(f) | self._above(g))
 
-    def lf_meet(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        """The antichain of the pairwise unions; f ∧ f = f, since each u ∪ v contains u.
+    def _meet_inner(self, u: int, g: int) -> int:
+        """The antichain of {u ∪ v : v ∈ g}, memoized per (u, g)."""
+        key = (u, g)
+        m = self._meets.get(key)
+        if m is None:
+            mu, masks, intern = self.masks[u], self.masks, self._intern
+            m = 0
+            while g:
+                low = g & -g
+                m |= 1 << intern(mu | masks[low.bit_length() - 1])
+                g ^= low
+            m = self._meets[key] = m & ~self._above(m)
+        return m
 
-        The unions are filtered as bitmasks in increasing order, which puts
-        subsets first (a strict subset's bitmask is a smaller int), and only
-        the kept ones are interned.
-        """
+    def lf_meet(self, f: int, g: int) -> int:
+        """The antichain of the pairwise unions; f ∧ f = f, since each u ∪ v contains u."""
         if f == g:
             return f
-        masks = self.masks
-        if len(f) == 1 and len(g) == 1:
-            return (self._intern(masks[f[0]] | masks[g[0]]),)
-        gm = [masks[v] for v in g]
-        unions = sorted({masks[u] | b for u in f for b in gm})
-        return tuple(sorted(map(self._intern, _minimal(unions, unions)), key=self.keys.__getitem__))
+        if f & (f - 1) == 0:
+            return self._meet_inner(f.bit_length() - 1, g) if f else 0
+        parts = []
+        while f:
+            low = f & -f
+            parts.append(self._meet_inner(low.bit_length() - 1, g))
+            f ^= low
+        out = up = 0
+        for m in parts:   # after the last intern, so that each sup-OR sees every id in out
+            out |= m
+            up |= self._above(m)
+        return out & ~up
 
-    def lf_mul_letter(self, f: tuple[int, ...], a: str) -> tuple[int, ...]:
+    def lf_mul_letter(self, f: int, a: str) -> int:
         """multiply_lattice_forms(f, ((a,),)).  Appending a letter is injective and
-        keeps shortlex order, so the inner sets stay an antichain in key order."""
-        return tuple(self._mul_letter(u, a) for u in f)
+        keeps ⊆ both ways, so the inner sets stay an antichain."""
+        out = 0
+        while f:
+            low = f & -f
+            out |= 1 << self._mul_letter(low.bit_length() - 1, a)
+            f ^= low
+        return out
 
-    def lattice_key(self, f: tuple[int, ...]):
-        """lattice_form_key of the form f."""
-        return (len(f), tuple(map(self.keys.__getitem__, f)))
+    def _tie_key(self, f: int) -> tuple:
+        """The inner keys of f in order, memoized: lattice_form_key(f) without its count."""
+        t = self._ties.get(f)
+        if t is None:
+            t = self._ties[f] = tuple(sorted(map(self.keys.__getitem__, bit_indices(f))))
+        return t
 
-    def lattice(self, inners) -> tuple[int, ...]:
-        """lattice_form(inners) as inner ids."""
-        return self.antichain(self.inner(u) for u in inners)
+    def lattice_key(self, f: int) -> _LatticeKey:
+        """A key that compares as lattice_form_key of the form f."""
+        return _LatticeKey(self, f)
 
-    def lattice_form(self, f: tuple[int, ...]) -> LatticeForm:
-        return tuple(map(self.forms.__getitem__, f))
+    def lattice(self, inners) -> int:
+        """lattice_form(inners) as a form."""
+        s = 0
+        for u in inners:
+            s |= 1 << self.inner(u)
+        return s & ~self._above(s)
+
+    def lattice_form(self, f: int) -> LatticeForm:
+        return tuple(map(self.forms.__getitem__, sorted(bit_indices(f), key=self.keys.__getitem__)))
 
 
 # --- normalization of terms to the free structures ---

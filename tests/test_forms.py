@@ -126,19 +126,29 @@ def test_interned_witnesses_on_random_corpus(seed):
 def test_interner_ops_match_reference_normalizers():
     forms = terms.FormInterner()
     rng = random.Random(7)
-    for _ in range(300):
-        f, g = random_lattice_form(rng, "ab"), random_lattice_form(rng, "ab")
+    specials = [terms.TOP_FORM, terms.BOT_FORM]
+    ties = 0
+    for _ in range(400):
+        f, g = (rng.choice(specials) if rng.random() < 0.15 else random_lattice_form(rng, "ab") for _ in "fg")
         fi, gi = forms.lattice(f), forms.lattice(g)
         assert forms.lattice_form(fi) == f
-        assert forms.lattice_form(forms.lf_meet(fi, gi)) == terms.lf_meet(f, g)
-        assert forms.lattice_form(forms.lf_join(fi, gi)) == terms.lf_join(f, g)
-        assert forms.lattice_form(forms.lf_mul_letter(fi, "b")) == terms.multiply_lattice_forms(f, (("b",),))
-        assert (forms.lattice_key(fi) < forms.lattice_key(gi)) == (
-            terms.lattice_form_key(f) < terms.lattice_form_key(g)
-        )
+        for x, y, xi, yi in ((f, g, fi, gi), (g, f, gi, fi), (f, f, fi, fi)):
+            assert forms.lattice_form(forms.lf_meet(xi, yi)) == terms.lf_meet(x, y)
+            assert forms.lattice_form(forms.lf_join(xi, yi)) == terms.lf_join(x, y)
+            kx, ky = forms.lattice_key(xi), forms.lattice_key(yi)
+            rx, ry = terms.lattice_form_key(x), terms.lattice_form_key(y)
+            assert (kx < ky, kx > ky, kx == ky) == (rx < ry, rx > ry, rx == ry)
+        ties += len(f) == len(g) and f != g
+        for a in "ab":
+            assert forms.lattice_form(forms.lf_mul_letter(fi, a)) == terms.multiply_lattice_forms(f, ((a,),))
         for u, v in zip(f, g):
             ui, vi = forms.meet_form(u), forms.meet_form(v)
             assert forms.words_of(forms.mf_meet(ui, vi)) == terms.mf_meet(u, v)
             assert forms.words_of(forms.mf_mul(ui, vi)) == terms.mf_mul(u, v)
             assert forms.meet_key(ui) == terms.meet_form_key(u)
             assert forms.keys[forms.inner(u)] == terms.meet_form_key(u)
+    assert ties > 50   # the keys' tie path, equal inner-set counts, was compared
+    masks = forms.masks
+    for u, mu in enumerate(masks):
+        brute = sum(1 << v for v, mv in enumerate(masks) if mu & mv == mu and mu != mv)
+        assert forms.sup[u] == brute

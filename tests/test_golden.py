@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+import synlat
 from synlat.cli import main
 from synlat.errors import EXIT_OK
 
@@ -46,6 +47,7 @@ GOLDEN = [
      "c9a8ae0022414b0af4460ebb5ceec97e38dc4ebf30b07d04fdd163747305f4ed"),
     ("reversible", "(a|b)*a(a|b)(a|b)(a|b)", "ab", None, None,
      "29354fad692f6357c9cc120e3c41a661342f6bf0fcb5d1117e32300a2ed6f4db"),
+    ("algebra", "(a|b)*abb", "ab", "lattice", "json", "1ea5f88a31d2f3927849470021742b845b024e80db03e8de50c6d9c8ba727ecd"),
 ]
 
 
@@ -59,3 +61,12 @@ def test_cli_output_matches_golden_digest(capsys, command, pattern, alphabet, le
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+def test_513_element_lattice_algebra_matches_golden_digest():
+    """The largest pinned lattice algebra: witnesses and meet and join tables of (ab|ba)* over ab."""
+    dfa = synlat.compile_canonical_dfa(synlat.parse_regex("(ab|ba)*", "ab"))
+    alg = synlat.syntactic_lattice_algebra(synlat.build_profile_table(dfa), dfa, with_tables=False)
+    assert len(alg) == 513
+    blob = repr(([e.witness for e in alg.elements], alg.meet_table, alg.join_table)).encode()
+    assert hashlib.sha256(blob).hexdigest() == "b119e1e872b22d45e743a2717f1fa15256d65da9d923e00ba4f405cc8dd3dedf"
