@@ -49,7 +49,11 @@ def hasse(states) -> HasseDiagram:
         raise ValueError("states must be deduplicated")
     if len({id(s.table) for s in states}) > 1:
         raise ValueError("AtomSets belong to different profile tables")
-    bits = [s.bits for s in states]
+    return _inclusion_order([s.bits for s in states])
+
+
+def _inclusion_order(bits) -> HasseDiagram:
+    """Cover relation of ⊆ on distinct bitmasks."""
     return hasse_from_leq([sum(1 << j for j, y in enumerate(bits) if x | y == y) for x in bits])
 
 
@@ -97,7 +101,7 @@ def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
     initial = index[pt.residual_bits[dfa.initial]]
-    return cls(pt, states, tuple(map(form, witnesses)), delta, initial, finals, hasse(states))
+    return cls(pt, states, tuple(map(form, witnesses)), delta, initial, finals, _inclusion_order(values))
 
 
 def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> MeetAutomaton:

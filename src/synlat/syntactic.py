@@ -59,7 +59,9 @@ class CayleyTable(Sequence):
     def __len__(self):
         return len(self._rows)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self._rows))[i]]
         row = self._rows[i]
         if row is None:
             i = range(len(self._rows))[i]

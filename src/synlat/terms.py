@@ -263,51 +263,55 @@ def multiply_lattice_forms(f: LatticeForm, g: LatticeForm) -> LatticeForm:
     return out
 
 
-class _LatticeKey:
-    """lattice_form_key of an interned lattice form, compared lazily.
+class _Key:
+    """The key of an int form: its member count first, then its sorted member keys.
 
-    A form with fewer inner sets comes first; only forms with as many inner
-    sets compare their sorted inner keys, which each form computes once.
+    Forms are canonical, so two keys are equal exactly when their forms are.
+    Only distinct forms with as many members compare their member keys,
+    which each key computes once, as members(form).
     """
 
-    __slots__ = ("count", "form", "forms")
+    __slots__ = ("count", "form", "members", "_sorted")
 
-    def __init__(self, forms: FormInterner, form: int):
+    def __init__(self, form: int, members):
         self.count = form.bit_count()
         self.form = form
-        self.forms = forms
+        self.members = members
+        self._sorted = None
 
-    def _ties(self):
-        return self.forms._tie_key(self.form)
+    def sorted_keys(self) -> tuple:
+        t = self._sorted
+        if t is None:
+            t = self._sorted = self.members(self.form)
+        return t
 
-    def __lt__(self, other: _LatticeKey) -> bool:
+    def __lt__(self, other: _Key) -> bool:
         if self.count != other.count:
             return self.count < other.count
-        return self._ties() < other._ties()
+        return self.form != other.form and self.sorted_keys() < other.sorted_keys()
 
     def __eq__(self, other) -> bool:
-        return self.count == other.count and self._ties() == other._ties()
+        return self.form == other.form
 
 
 class FormInterner:
     """Words and witness forms on ints for the closures (hash-consing).
 
     Words get int ids in order of first use, each with its word_key cached.
-    A meet form is the tuple of its word ids in shortlex order; meet_key is
-    its meet_form_key.  The meet automaton and the semiring keep these tuples
-    as they are: nearly every semiring product is a new word set, so
-    interning them would keep one entry per pair op.
+    A meet form is the bitmask of its word ids (0 is ⊤), not interned, since
+    nearly every semiring product is a new word set: a meet is an OR and a
+    product ORs the ids of the word-by-word concatenations.
 
-    The lattice closures intern them further.  An inner set is the bitmask of
-    its word ids, interned to an inner id whose word tuple and key are
-    computed once, together with sup[u], the bitmask of the inner ids whose
-    word sets strictly contain u's.  A lattice form is the bitmask of its
-    inner ids (0 is ⊥), and the antichain of a set s of inner ids is
+    The lattice closures intern meet forms as inner sets, each with its word
+    tuple and key computed once and sup[u], the bitmask of the inner ids
+    whose word sets strictly contain u's.  A lattice form is the bitmask of
+    its inner ids (0 is ⊥), and the antichain of a set s of inner ids is
     s & ~(OR of sup[u] for u in s): a join is an OR and one such reduction,
     and a meet ORs the antichains of {u ∪ v : v ∈ g}, memoized per inner set
     u of f and form g, then reduces; the minimal elements of a union are the
-    minimal elements of the union of the parts' minimal elements.  Keys
-    compare by inner-set count first (see _LatticeKey).
+    minimal elements of the union of the parts' minimal elements.  Keys of
+    both levels compare by member count first (see _Key); a lattice form's
+    sorted inner keys are also memoized per form.
 
     Each op gives exactly the form of its tuple normalizer above (mf_meet,
     mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each key
@@ -320,8 +324,8 @@ class FormInterner:
         self.words: list[str] = []                 # word id -> word
         self._word_keys: list[tuple[int, str]] = []   # word id -> word_key
         self._word_ids: dict[str, int] = {}
-        self._inner_ids: dict[int, int] = {}      # bitmask -> inner id
-        self.masks: list[int] = []                 # inner id -> bitmask over word ids
+        self._inner_ids: dict[int, int] = {}      # meet form -> inner id
+        self.masks: list[int] = []                 # inner id -> meet form
         self.sup: list[int] = []                   # inner id -> bitmask of its strict supersets' ids
         self.forms: list[MeetForm] = []            # inner id -> shortlex-sorted word tuple
         self.keys: list[tuple] = []                # inner id -> meet_form_key
@@ -338,27 +342,37 @@ class FormInterner:
             self._word_keys.append(word_key(w))
         return k
 
-    # --- meet forms as word-id tuples ---
+    # --- meet forms as bitmasks over word ids ---
 
-    def meet_form(self, words) -> tuple[int, ...]:
-        return self._sorted(map(self.word, words))
+    def meet_form(self, words) -> int:
+        u = 0
+        for k in map(self.word, words):
+            u |= 1 << k
+        return u
 
-    def _sorted(self, ids) -> tuple[int, ...]:
-        return tuple(sorted(set(ids), key=self._word_keys.__getitem__))
+    def _word_key_tuple(self, u: int) -> tuple:
+        return tuple(sorted(map(self._word_keys.__getitem__, bit_indices(u))))
 
-    def meet_key(self, u: tuple[int, ...]):
-        return (len(u), tuple(map(self._word_keys.__getitem__, u)))
+    def meet_key(self, u: int) -> _Key:
+        """A key that compares as meet_form_key of the meet form u."""
+        return _Key(u, self._word_key_tuple)
 
-    def mf_meet(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return self._sorted(u + v)
+    def mf_meet(self, u: int, v: int) -> int:
+        return u | v
 
-    def mf_mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    def mf_mul(self, u: int, v: int) -> int:
         """All concatenations x·y; ⊤ (no words) annihilates."""
         words, word = self.words, self.word
-        return self._sorted([word(words[x] + words[y]) for x in u for y in v])
+        right = [words[y] for y in bit_indices(v)]
+        out = 0
+        for x in bit_indices(u):
+            wx = words[x]
+            for wy in right:
+                out |= 1 << word(wx + wy)
+        return out
 
-    def words_of(self, u: tuple[int, ...]) -> MeetForm:
-        return tuple(map(self.words.__getitem__, u))
+    def words_of(self, u: int) -> MeetForm:
+        return tuple(map(self.words.__getitem__, sorted(bit_indices(u), key=self._word_keys.__getitem__)))
 
     # --- lattice forms as bitmasks over interned inner sets ---
 
@@ -379,20 +393,17 @@ class FormInterner:
                     sup[v] |= bit
                 elif common == mask:
                     above |= 1 << v
-            ids = self._sorted(bit_indices(mask))
+            form = self.words_of(mask)
             self.masks.append(mask)
             sup.append(above)
-            self.forms.append(self.words_of(ids))
-            self.keys.append(self.meet_key(ids))
+            self.forms.append(form)
+            self.keys.append(meet_form_key(form))
             self._up.clear()
         return u
 
     def inner(self, words) -> int:
         """Inner id of the meet of the given words."""
-        mask = 0
-        for k in map(self.word, words):
-            mask |= 1 << k
-        return self._intern(mask)
+        return self._intern(self.meet_form(words))
 
     def _mul_letter(self, u: int, a: str) -> int:
         w = self._letters.get((u, a))
@@ -467,9 +478,9 @@ class FormInterner:
             t = self._ties[f] = tuple(sorted(map(self.keys.__getitem__, bit_indices(f))))
         return t
 
-    def lattice_key(self, f: int) -> _LatticeKey:
+    def lattice_key(self, f: int) -> _Key:
         """A key that compares as lattice_form_key of the form f."""
-        return _LatticeKey(self, f)
+        return _Key(f, self._tie_key)
 
     def lattice(self, inners) -> int:
         """lattice_form(inners) as a form."""

@@ -198,13 +198,13 @@ def test_repeated_alphabet_letter_is_an_input_error(capsys):
 
 
 def test_internal_value_error_exits_4_without_traceback(capsys, monkeypatch):
-    def not_deduplicated(states):
-        raise ValueError("states must be deduplicated")
+    def not_an_order(up):
+        raise ValueError("up-sets are not a partial order")
 
-    monkeypatch.setattr(synlat.canonical, "hasse", not_deduplicated)
+    monkeypatch.setattr(synlat.canonical, "hasse_from_leq", not_an_order)
     code, out, err = run_cli(capsys, "automaton", "--regex", "a+b+", "--alphabet", "ab", "--level", "meet")
     assert (code, out) == (EXIT_INCONSISTENT, "")
-    assert err == "internal inconsistency: states must be deduplicated\n"
+    assert err == "internal inconsistency: up-sets are not a partial order\n"
 
 
 def test_budget_exit_code(capsys):

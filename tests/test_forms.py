@@ -127,7 +127,7 @@ def test_interner_ops_match_reference_normalizers():
     forms = terms.FormInterner()
     rng = random.Random(7)
     specials = [terms.TOP_FORM, terms.BOT_FORM]
-    ties = 0
+    ties = meet_ties = 0
     for _ in range(400):
         f, g = (rng.choice(specials) if rng.random() < 0.15 else random_lattice_form(rng, "ab") for _ in "fg")
         fi, gi = forms.lattice(f), forms.lattice(g)
@@ -143,11 +143,17 @@ def test_interner_ops_match_reference_normalizers():
             assert forms.lattice_form(forms.lf_mul_letter(fi, a)) == terms.multiply_lattice_forms(f, ((a,),))
         for u, v in zip(f, g):
             ui, vi = forms.meet_form(u), forms.meet_form(v)
+            assert forms.words_of(ui) == u
             assert forms.words_of(forms.mf_meet(ui, vi)) == terms.mf_meet(u, v)
             assert forms.words_of(forms.mf_mul(ui, vi)) == terms.mf_mul(u, v)
-            assert forms.meet_key(ui) == terms.meet_form_key(u)
+            for x, y, xi, yi in ((u, v, ui, vi), (v, u, vi, ui), (u, u, ui, ui)):
+                kx, ky = forms.meet_key(xi), forms.meet_key(yi)
+                rx, ry = terms.meet_form_key(x), terms.meet_form_key(y)
+                assert (kx < ky, kx > ky, kx == ky) == (rx < ry, rx > ry, rx == ry)
+            meet_ties += len(u) == len(v) and u != v
             assert forms.keys[forms.inner(u)] == terms.meet_form_key(u)
-    assert ties > 50   # the keys' tie path, equal inner-set counts, was compared
+    assert ties > 50   # the lattice keys' tie path, equal inner-set counts, was compared
+    assert meet_ties > 50   # and the meet keys' one, equal word counts
     masks = forms.masks
     for u, mu in enumerate(masks):
         brute = sum(1 << v for v, mv in enumerate(masks) if mu & mv == mu and mu != mv)

@@ -48,6 +48,8 @@ GOLDEN = [
     ("reversible", "(a|b)*a(a|b)(a|b)(a|b)", "ab", None, None,
      "29354fad692f6357c9cc120e3c41a661342f6bf0fcb5d1117e32300a2ed6f4db"),
     ("algebra", "(a|b)*abb", "ab", "lattice", "json", "1ea5f88a31d2f3927849470021742b845b024e80db03e8de50c6d9c8ba727ecd"),
+    ("algebra", "(a|b)*a(a|b)(a|b)(a|b)", "ab", "semiring", "json",
+     "e5d7227aaf45c3c9c74eb262d9fe1c645811d004ead8b47dfef174d9580f399f"),
 ]
 
 

@@ -164,6 +164,14 @@ def test_lazy_cayley_rows_in_any_order(monoid):
         fresh.table[len(monoid)]
 
 
+def test_cayley_table_slices_are_built_rows(apb):
+    dfa, _ = apb
+    table = synlat.syntactic_monoid(dfa).table
+    assert table[0:2] == [table[0], table[1]]
+    assert table[::-1] == list(reversed(table))
+    assert table[len(table):] == []
+
+
 # --- semiring ---
 
 def test_semiring_of_a_plus_b_plus_matches_reference_images(semiring, apb):
