@@ -123,10 +123,17 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
     a strictly smaller key (computed once per stored witness).  Witnesses
     are read afresh for each letter op and each j, since a replacement can
     change witnesses[i] partway through a row.
+
+    A pair op may carry a third element lb, with lb(wi, wj) a lower bound on
+    the member count of wfn(wi, wj).  Keys compare their count (key.count)
+    first, so when lb exceeds the count of the target's stored key the op
+    cannot win and is skipped.  A target not yet reached is never skipped,
+    which keeps the numbering; an equal count is not skipped, since the
+    key's tie-break may still prefer the new witness.
     """
     seeds = list(seeds)
     values, index, right, pairs = close_values(
-        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [fn for fn, _ in pair_ops], budget, what
+        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [op[0] for op in pair_ops], budget, what
     )
     witnesses = []
     keys = []
@@ -144,7 +151,7 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
     for v, w in seeds:
         put(index[v], w)
     letter_wfns = [wfn for _, wfn in letter_ops]
-    pair_wfns = [wfn for _, wfn in pair_ops]
+    pair_wfns = [(op[1], op[2] if len(op) > 2 else None) for op in pair_ops]
     for i, row in enumerate(right):
         for t, wfn in zip(row, letter_wfns):
             put(t, wfn(witnesses[i]))
@@ -152,8 +159,11 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
             rows = [table[i] for table in pairs]
             for j in range(i + 1):
                 wi, wj = witnesses[i], witnesses[j]
-                for cells, wfn in zip(rows, pair_wfns):
-                    put(cells[j], wfn(wi, wj))
+                for cells, (wfn, lb) in zip(rows, pair_wfns):
+                    t = cells[j]
+                    if lb is not None and t < len(witnesses) and lb(wi, wj) > keys[t].count:
+                        continue
+                    put(t, wfn(wi, wj))
     return values, witnesses, index, right, pairs
 
 

@@ -56,8 +56,38 @@ def text_table(header, rows) -> str:
     return "\n".join([fmt(header), sep] + [fmt(r) for r in rows]) + "\n"
 
 
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    """json.dumps(payload, ensure_ascii=False, indent=2) and a newline, byte for byte.
+
+    With indent the stdlib runs its pure-Python encoder.  This writer joins
+    each list of plain ints in one step and leaves every other scalar to the
+    encoder without indent, which runs in C.  Keys must be strings, as in
+    every payload here.
+    """
+    return _json(payload, "\n") + "\n"
+
+
+def _json(obj, nl: str) -> str:
+    """obj as indented JSON; nl is a newline followed by obj's own indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = (_encode_scalar(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, obj)) == {int}:   # not bools, which print as true and false
+            items = map(str, obj)
+        else:
+            items = (_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return _encode_scalar(obj)
 
 
 # --- automaton documents ---

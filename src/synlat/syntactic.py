@@ -239,10 +239,17 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
             act = actions[mj] = _Action(pt, mj)
         return tuple(map(act.__getitem__, mi))
 
+    def meet_lb(u, v):
+        return max(u.bit_count(), v.bit_count())
+
+    def mul_lb(u, v):   # x·y is injective in y for fixed x and in x for fixed y; ⊤ (0) annihilates
+        return max(u.bit_count(), v.bit_count()) if u and v else 0
+
+    # lb: the fewest words the witness op can give, so the replay skips ops that cannot win
     pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet),
-        (product, forms.mf_mul),
-        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi)),
+        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet, meet_lb),
+        (product, forms.mf_mul, mul_lb),
+        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi), mul_lb),
     ]
     mappings, witnesses, index, _, (meets, muls, swapped) = close(
         seeds, (), pair_ops, forms.meet_key, budget, "semiring elements"

@@ -5,6 +5,8 @@ the witness ops on the tables that closure recorded.  reference_close is
 the engine as it was before that split: it builds and compares witnesses
 while it discovers the values.  Every witness closure of the builders must
 come out identical under both, and a refused closure must run no witness op.
+The semiring's count bounds, which let the replay skip witness ops, must
+change nothing either: made exact or dropped, the closure is the same.
 """
 
 import pytest
@@ -55,7 +57,7 @@ def reference_close(seeds, letter_ops, pair_ops, key, budget, what):
                 table.append([])
             for j in range(i + 1):
                 vj, wi, wj = values[j], witnesses[i], witnesses[j]
-                for table, (fn, wfn) in zip(pairs, pair_ops):
+                for table, (fn, wfn, *_) in zip(pairs, pair_ops):   # a count bound, if any, is ignored
                     table[i].append(add(fn(vi, vj), wfn(wi, wj)))
         i += 1
     return values, witnesses, index, right, pairs
@@ -104,6 +106,62 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         assert_engine_matches_reference(monkeypatch, dfa, synlat.build_profile_table(dfa))
+
+
+def bound_variants(runs):
+    """close, asserted equal with each pair op's bound made exact and with no bound at all.
+
+    An exact bound is the member count of the witness op's result, so it
+    skips exactly the ops whose result has more members than the stored
+    witness; an op with as many members must still run, for the key's
+    tie-break.
+    """
+
+    def run(seeds, letter_ops, pair_ops, key, budget, what):
+        seeds = list(seeds)
+        got = close(seeds, letter_ops, pair_ops, key, budget, what)
+        exact = [(fn, wfn, lambda wi, wj, wfn=wfn: wfn(wi, wj).bit_count()) for fn, wfn, *_ in pair_ops]
+        unbounded = [(fn, wfn) for fn, wfn, *_ in pair_ops]
+        assert close(seeds, letter_ops, exact, key, budget, what) == got
+        assert close(seeds, letter_ops, unbounded, key, budget, what) == got
+        runs.append(what)
+        return got
+
+    return run
+
+
+def assert_bounds_change_nothing(monkeypatch, dfa, pt):
+    runs = []
+    monkeypatch.setattr(synlat.syntactic, "close", bound_variants(runs))
+    synlat.syntactic_semiring(pt, dfa)
+    assert runs == ["semiring elements"]
+
+
+def test_semiring_bounds_change_nothing_on_a_plus_b_plus(monkeypatch):
+    _, dfa, pt = build("a+b+", "ab")
+    assert_bounds_change_nothing(monkeypatch, dfa, pt)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_semiring_bounds_change_nothing_on_random_corpus(monkeypatch, seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        assert_bounds_change_nothing(monkeypatch, dfa, synlat.build_profile_table(dfa))
+
+
+def test_semiring_bound_skips_witness_products(monkeypatch):
+    # without the bound the replay runs all 1,980 products of the 44-element semiring
+    _, dfa, pt = build("(a|b)*a(a|b)(a|b)", "ab")
+    calls = []
+    mf_mul = terms.FormInterner.mf_mul
+
+    def counted(self, u, v):
+        calls.append(None)
+        return mf_mul(self, u, v)
+
+    monkeypatch.setattr(terms.FormInterner, "mf_mul", counted)
+    assert len(synlat.syntactic_semiring(pt, dfa)) == 44
+    assert len(calls) < 1980
 
 
 def test_close_values_order_and_tables():

@@ -50,6 +50,8 @@ GOLDEN = [
     ("algebra", "(a|b)*abb", "ab", "lattice", "json", "1ea5f88a31d2f3927849470021742b845b024e80db03e8de50c6d9c8ba727ecd"),
     ("algebra", "(a|b)*a(a|b)(a|b)(a|b)", "ab", "semiring", "json",
      "e5d7227aaf45c3c9c74eb262d9fe1c645811d004ead8b47dfef174d9580f399f"),
+    ("algebra", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab", "semiring", "json",
+     "fb60b384e014770e67ca2bd52620cf5c9d89ae65ccaf41bb910f3c1e574c4df0"),
 ]
 
 
