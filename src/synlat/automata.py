@@ -112,41 +112,34 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
     return values, index, right, pairs
 
 
-def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
+def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
     """close_values with witnesses; returns (values, witnesses, index, right, pairs).
 
     seeds: (value, witness) pairs; ops: (fn, wfn) pairs, fn on values as in
     close_values and wfn on witnesses.  The values are closed first, so a
     BudgetError comes before any witness op runs.  The witness ops are then
     replayed in the closure's order onto the targets its tables recorded:
-    a value keeps the first witness that reaches it, unless a later one has
-    a strictly smaller key (computed once per stored witness).  Witnesses
-    are read afresh for each letter op and each j, since a replacement can
-    change witnesses[i] partway through a row.
+    a value keeps the first witness that reaches it, unless a later one is
+    strictly before it, less(new, old).  Witnesses are read afresh for each
+    letter op and each j, since a replacement can change witnesses[i]
+    partway through a row.
 
-    A pair op may carry a third element lb, with lb(wi, wj) a lower bound on
-    the member count of wfn(wi, wj).  Keys compare their count (key.count)
-    first, so when lb exceeds the count of the target's stored key the op
-    cannot win and is skipped.  A target not yet reached is never skipped,
-    which keeps the numbering; an equal count is not skipped, since the
-    key's tie-break may still prefer the new witness.
+    A pair op may carry a third element may_win(wi, wj, old), false only
+    when wfn(wi, wj) cannot be strictly before the witness old; the replay
+    then skips the op at a target already reached.  A target not yet
+    reached is never skipped, which keeps the numbering.
     """
     seeds = list(seeds)
     values, index, right, pairs = close_values(
         [v for v, _ in seeds], [fn for fn, _ in letter_ops], [op[0] for op in pair_ops], budget, what
     )
     witnesses = []
-    keys = []
 
     def put(t, w):
         if t == len(witnesses):   # values are numbered in the order the replay first reaches them
             witnesses.append(w)
-            keys.append(key(w))
-        else:
-            k = key(w)
-            if k < keys[t]:
-                witnesses[t] = w
-                keys[t] = k
+        elif less(w, witnesses[t]):
+            witnesses[t] = w
 
     for v, w in seeds:
         put(index[v], w)
@@ -159,9 +152,9 @@ def close(seeds, letter_ops, pair_ops, key, budget: int, what: str):
             rows = [table[i] for table in pairs]
             for j in range(i + 1):
                 wi, wj = witnesses[i], witnesses[j]
-                for cells, (wfn, lb) in zip(rows, pair_wfns):
+                for cells, (wfn, may_win) in zip(rows, pair_wfns):
                     t = cells[j]
-                    if lb is not None and t < len(witnesses) and lb(wi, wj) > keys[t].count:
+                    if may_win is not None and t < len(witnesses) and not may_win(wi, wj, witnesses[t]):
                         continue
                     put(t, wfn(wi, wj))
     return values, witnesses, index, right, pairs

@@ -93,10 +93,10 @@ class LatticeAutomaton:
         return tuple(terms.lattice_form_str(w) for w in self.witnesses)
 
 
-def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, key, form):
+def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, less, form):
     """Close the seed states (bits, witness) under op and assemble the automaton;
     form turns an interned witness (terms.FormInterner) into the tuple form stored."""
-    values, witnesses, index, _, _ = close(seeds, (), [(op, wop)], key, budget, "canonical automaton states")
+    values, witnesses, index, _, _ = close(seeds, (), [(op, wop)], less, budget, "canonical automaton states")
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
@@ -111,7 +111,7 @@ def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE
     forms = terms.FormInterner()
     seeds = [(bits, forms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
     seeds.append((top(pt).bits, forms.meet_form([])))
-    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, forms.mf_meet, forms.meet_key, forms.words_of)
+    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, forms.mf_meet, forms.meet_less, forms.words_of)
 
 
 def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> LatticeAutomaton:
@@ -121,5 +121,5 @@ def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ST
     seeds = [(v.bits, forms.lattice((w,))) for v, w in zip(ma.states, ma.witnesses)]
     seeds.append((bottom(pt).bits, forms.lattice([])))
     return _automaton(
-        LatticeAutomaton, pt, dfa, seeds, budget, or_, forms.lf_join, forms.lattice_key, forms.lattice_form
+        LatticeAutomaton, pt, dfa, seeds, budget, or_, forms.lf_join, forms.lattice_less, forms.lattice_form
     )

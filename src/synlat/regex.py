@@ -76,16 +76,20 @@ DERIVATIVE_PARTS_BUDGET = 10_000
 def parse_regex(text: str, alphabet) -> RegexAst:
     """Parse a pattern over an explicit alphabet.
 
-    Groups may nest at most MAX_NESTING deep, and so may the syntax tree
-    (groups, concatenations, unions and postfix operators inside one
-    another); deeper patterns raise RegexSyntaxError, since every later
-    stage recurses on the tree.
+    Letters are printable, non-space ASCII characters, so that none reads
+    as a symbol of the outputs (λ, ⊤, ⊥, ∧, ∨).  Groups may nest at most
+    MAX_NESTING deep, and so may the syntax tree (groups, concatenations,
+    unions and postfix operators inside one another); deeper patterns raise
+    RegexSyntaxError, since every later stage recurses on the tree.
     """
     alphabet = tuple(alphabet)
     if not alphabet:
         raise InputError("alphabet must be non-empty")
     if len(set(alphabet)) != len(alphabet):
         raise InputError("alphabet letters must be distinct")
+    odd = [a for a in alphabet if not (len(a) == 1 and "!" <= a <= "~")]
+    if odd:
+        raise InputError(f"alphabet letters {odd} are not printable non-space ASCII characters")
     clash = set("|()*+?%") & set(alphabet)
     if clash:
         raise InputError(f"alphabet letters {sorted(clash)} clash with pattern syntax")

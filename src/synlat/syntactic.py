@@ -239,20 +239,13 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
             act = actions[mj] = _Action(pt, mj)
         return tuple(map(act.__getitem__, mi))
 
-    def meet_lb(u, v):
-        return max(u.bit_count(), v.bit_count())
-
-    def mul_lb(u, v):   # x·y is injective in y for fixed x and in x for fixed y; ⊤ (0) annihilates
-        return max(u.bit_count(), v.bit_count()) if u and v else 0
-
-    # lb: the fewest words the witness op can give, so the replay skips ops that cannot win
     pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet, meet_lb),
-        (product, forms.mf_mul, mul_lb),
-        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi), mul_lb),
+        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet, forms.mf_meet_may_win),
+        (product, forms.mf_mul, forms.mf_mul_may_win),
+        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi), forms.mf_mul_may_win),
     ]
     mappings, witnesses, index, _, (meets, muls, swapped) = close(
-        seeds, (), pair_ops, forms.meet_key, budget, "semiring elements"
+        seeds, (), pair_ops, forms.meet_less, budget, "semiring elements"
     )
     meet_table = _square(meets, meets)
     mul_table = _square(muls, swapped)
@@ -339,7 +332,7 @@ def _lattice_algebra(
         (lambda mi, mj: tuple(map(or_, mi, mj)), forms.lf_join),
     ]
     mappings, form_ids, index, _, (meets, joins) = close(
-        seeds, letter_ops, pair_ops, forms.lattice_key, budget, "lattice algebra elements"
+        seeds, letter_ops, pair_ops, forms.lattice_less, budget, "lattice algebra elements"
     )
     witnesses = [forms.lattice_form(f) for f in form_ids]
     meet_table = _square(meets, meets)

@@ -35,6 +35,7 @@ from .atoms import (
 )
 from .automata import dfa_of_finite_language
 from .errors import InputError, SignatureError, TermSyntaxError
+from .regex import MAX_NESTING
 
 MeetForm = tuple[str, ...]
 LatticeForm = tuple[MeetForm, ...]
@@ -83,15 +84,18 @@ class Join(Term):
 
 
 _RESERVED = set("^v.T_()% ")
+MAX_TERM_HEIGHT = 600   # normalization and evaluation recurse once per level; a word is a chain of Cats
 
 
 def parse_term(text: str, alphabet) -> Term:
-    """Parse the ASCII term syntax over the given alphabet."""
+    """Parse the ASCII term syntax over the given alphabet.  Groups nested more than
+    MAX_NESTING deep or trees higher than MAX_TERM_HEIGHT raise TermSyntaxError."""
     alphabet = tuple(alphabet)
     clash = _RESERVED & set(alphabet)
     if clash:
         raise InputError(f"alphabet letters {sorted(clash)} clash with term syntax")
     pos = 0
+    groups = 0
 
     def skip_ws():
         nonlocal pos
@@ -102,12 +106,18 @@ def parse_term(text: str, alphabet) -> Term:
         skip_ws()
         return text[pos] if pos < len(text) else None
 
+    def binary(cls, left, right):   # parts and result are (node, height) pairs
+        height = 1 + max(left[1], right[1])
+        if height > MAX_TERM_HEIGHT:
+            raise TermSyntaxError(f"term nested more than {MAX_TERM_HEIGHT} deep", pos)
+        return cls(left[0], right[0]), height
+
     def parse_join():
         nonlocal pos
         node = parse_meet()
         while peek() == "v":
             pos += 1
-            node = Join(node, parse_meet())
+            node = binary(Join, node, parse_meet())
         return node
 
     def parse_meet():
@@ -115,7 +125,7 @@ def parse_term(text: str, alphabet) -> Term:
         node = parse_cat()
         while peek() == "^":
             pos += 1
-            node = Meet(node, parse_cat())
+            node = binary(Meet, node, parse_cat())
         return node
 
     def parse_cat():
@@ -125,21 +135,25 @@ def parse_term(text: str, alphabet) -> Term:
             c = peek()
             if c == ".":
                 pos += 1
-                node = Cat(node, parse_atom())
+                node = binary(Cat, node, parse_atom())
             elif c is not None and (c in alphabet or c in "T_(%"):
-                node = Cat(node, parse_atom())
+                node = binary(Cat, node, parse_atom())
             else:
                 return node
 
     def parse_atom():
-        nonlocal pos
+        nonlocal pos, groups
         c = peek()
         if c is None:
             raise TermSyntaxError("unexpected end of term", pos)
         if c == "(":
+            if groups == MAX_NESTING:
+                raise TermSyntaxError(f"groups nested more than {MAX_NESTING} deep", pos)
             open_pos = pos
             pos += 1
+            groups += 1
             node = parse_join()
+            groups -= 1
             if peek() != ")":
                 raise TermSyntaxError("unclosed group", open_pos)
             pos += 1
@@ -147,20 +161,20 @@ def parse_term(text: str, alphabet) -> Term:
         if c == "%":
             if pos + 1 < len(text) and text[pos + 1] == "e":
                 pos += 2
-                return Lam()
+                return Lam(), 1
             raise TermSyntaxError("unknown escape", pos)
         if c == "T":
             pos += 1
-            return TopT()
+            return TopT(), 1
         if c == "_":
             pos += 1
-            return BotT()
+            return BotT(), 1
         if c in alphabet:
             pos += 1
-            return Sym(c)
+            return Sym(c), 1
         raise TermSyntaxError(f"unexpected {c!r}", pos)
 
-    node = parse_join()
+    node, _ = parse_join()
     skip_ws()
     if pos != len(text):
         raise TermSyntaxError(f"unexpected {text[pos]!r}", pos)
@@ -263,37 +277,6 @@ def multiply_lattice_forms(f: LatticeForm, g: LatticeForm) -> LatticeForm:
     return out
 
 
-class _Key:
-    """The key of an int form: its member count first, then its sorted member keys.
-
-    Forms are canonical, so two keys are equal exactly when their forms are.
-    Only distinct forms with as many members compare their member keys,
-    which each key computes once, as members(form).
-    """
-
-    __slots__ = ("count", "form", "members", "_sorted")
-
-    def __init__(self, form: int, members):
-        self.count = form.bit_count()
-        self.form = form
-        self.members = members
-        self._sorted = None
-
-    def sorted_keys(self) -> tuple:
-        t = self._sorted
-        if t is None:
-            t = self._sorted = self.members(self.form)
-        return t
-
-    def __lt__(self, other: _Key) -> bool:
-        if self.count != other.count:
-            return self.count < other.count
-        return self.form != other.form and self.sorted_keys() < other.sorted_keys()
-
-    def __eq__(self, other) -> bool:
-        return self.form == other.form
-
-
 class FormInterner:
     """Words and witness forms on ints for the closures (hash-consing).
 
@@ -309,15 +292,17 @@ class FormInterner:
     s & ~(OR of sup[u] for u in s): a join is an OR and one such reduction,
     and a meet ORs the antichains of {u ∪ v : v ∈ g}, memoized per inner set
     u of f and form g, then reduces; the minimal elements of a union are the
-    minimal elements of the union of the parts' minimal elements.  Keys of
-    both levels compare by member count first (see _Key); a lattice form's
-    sorted inner keys are also memoized per form.
+    minimal elements of the union of the parts' minimal elements.
+
+    The witness orders that close takes, meet_less and lattice_less, compare
+    member counts (bit_count) first and sorted member keys only on a tie; a
+    lattice form's are memoized.  The may_win bounds use the same counts.
 
     Each op gives exactly the form of its tuple normalizer above (mf_meet,
-    mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each key
-    compares as meet_form_key or lattice_form_key does, so the closures keep
-    the same witnesses and tie-breaks; words_of and lattice_form give the
-    tuple forms back at the API boundary.
+    mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each
+    order compares as meet_form_key or lattice_form_key does, so the
+    closures keep the same witnesses and tie-breaks; words_of and
+    lattice_form give the tuple forms back at the API boundary.
     """
 
     def __init__(self):
@@ -353,9 +338,21 @@ class FormInterner:
     def _word_key_tuple(self, u: int) -> tuple:
         return tuple(sorted(map(self._word_keys.__getitem__, bit_indices(u))))
 
-    def meet_key(self, u: int) -> _Key:
-        """A key that compares as meet_form_key of the meet form u."""
-        return _Key(u, self._word_key_tuple)
+    def meet_less(self, u: int, v: int) -> bool:
+        """meet_form_key(u) < meet_form_key(v) for the meet forms u and v."""
+        cu, cv = u.bit_count(), v.bit_count()
+        if cu != cv:
+            return cu < cv
+        return u != v and self._word_key_tuple(u) < self._word_key_tuple(v)
+
+    def mf_meet_may_win(self, u: int, v: int, old: int) -> bool:
+        """Whether mf_meet(u, v) can be before old: it has as many words as u and v at least."""
+        return max(u.bit_count(), v.bit_count()) <= old.bit_count()
+
+    def mf_mul_may_win(self, u: int, v: int, old: int) -> bool:
+        """Whether mf_mul(u, v) can be before old.  Unless ⊤ (0) annihilates, it has as many
+        words as u and v at least: x·y is injective in y for fixed x and in x for fixed y."""
+        return not (u and v) or max(u.bit_count(), v.bit_count()) <= old.bit_count()
 
     def mf_meet(self, u: int, v: int) -> int:
         return u | v
@@ -478,9 +475,12 @@ class FormInterner:
             t = self._ties[f] = tuple(sorted(map(self.keys.__getitem__, bit_indices(f))))
         return t
 
-    def lattice_key(self, f: int) -> _Key:
-        """A key that compares as lattice_form_key of the form f."""
-        return _Key(f, self._tie_key)
+    def lattice_less(self, f: int, g: int) -> bool:
+        """lattice_form_key(f) < lattice_form_key(g) for the lattice forms f and g."""
+        cf, cg = f.bit_count(), g.bit_count()
+        if cf != cg:
+            return cf < cg
+        return f != g and self._tie_key(f) < self._tie_key(g)
 
     def lattice(self, inners) -> int:
         """lattice_form(inners) as a form."""

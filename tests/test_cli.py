@@ -191,6 +191,19 @@ def test_alphabet_letter_of_pattern_syntax_exits_2(capsys, alphabet):
     assert "clash with pattern syntax" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["algebra", "--level", "monoid", "--regex", "λa", "--alphabet", "aλ", "--format", "table"],
+        ["automaton", "--level", "meet", "--regex", "a⊤", "--alphabet", "a⊤"],
+    ],
+)
+def test_alphabet_letter_read_as_an_output_symbol_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "not printable non-space ASCII" in err
+
+
 def test_repeated_alphabet_letter_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "automaton", "--regex", "a", "--alphabet", "aa", "--level", "dfa")
     assert (code, out) == (EXIT_PARSE, "")

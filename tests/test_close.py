@@ -5,9 +5,11 @@ the witness ops on the tables that closure recorded.  reference_close is
 the engine as it was before that split: it builds and compares witnesses
 while it discovers the values.  Every witness closure of the builders must
 come out identical under both, and a refused closure must run no witness op.
-The semiring's count bounds, which let the replay skip witness ops, must
+The semiring's may_win bounds, which let the replay skip witness ops, must
 change nothing either: made exact or dropped, the closure is the same.
 """
+
+from operator import lt
 
 import pytest
 
@@ -21,27 +23,23 @@ from conftest import build, random_regex_corpus
 LATTICE_BUDGET = 200   # larger lattice quotients are skipped: their reference closures take seconds each
 
 
-def reference_close(seeds, letter_ops, pair_ops, key, budget, what):
+def reference_close(seeds, letter_ops, pair_ops, less, budget, what):
     """Closure with witnesses maintained throughout; returns (values, witnesses, index, right, pairs)."""
     values = []
     witnesses = []
-    keys = []
     index = {}
 
     def add(v, w):
         i = index.get(v)
         if i is not None:
-            k = key(w)
-            if k < keys[i]:
+            if less(w, witnesses[i]):
                 witnesses[i] = w
-                keys[i] = k
             return i
         if len(values) >= budget:
             raise BudgetError(what, budget)
         i = index[v] = len(values)
         values.append(v)
         witnesses.append(w)
-        keys.append(key(w))
         return i
 
     for v, w in seeds:
@@ -57,7 +55,7 @@ def reference_close(seeds, letter_ops, pair_ops, key, budget, what):
                 table.append([])
             for j in range(i + 1):
                 vj, wi, wj = values[j], witnesses[i], witnesses[j]
-                for table, (fn, wfn, *_) in zip(pairs, pair_ops):   # a count bound, if any, is ignored
+                for table, (fn, wfn, *_) in zip(pairs, pair_ops):   # a may_win bound, if any, is ignored
                     table[i].append(add(fn(vi, vj), wfn(wi, wj)))
         i += 1
     return values, witnesses, index, right, pairs
@@ -66,15 +64,15 @@ def reference_close(seeds, letter_ops, pair_ops, key, budget, what):
 def checked_close(whats):
     """close, asserted equal to reference_close on the same arguments; records each closure's name."""
 
-    def run(seeds, letter_ops, pair_ops, key, budget, what):
+    def run(seeds, letter_ops, pair_ops, less, budget, what):
         seeds = list(seeds)
         try:
-            got = close(seeds, letter_ops, pair_ops, key, budget, what)
+            got = close(seeds, letter_ops, pair_ops, less, budget, what)
         except BudgetError:
             with pytest.raises(BudgetError):
-                reference_close(seeds, letter_ops, pair_ops, key, budget, what)
+                reference_close(seeds, letter_ops, pair_ops, less, budget, what)
             raise
-        assert got == reference_close(seeds, letter_ops, pair_ops, key, budget, what)
+        assert got == reference_close(seeds, letter_ops, pair_ops, less, budget, what)
         whats.append(what)
         return got
 
@@ -109,21 +107,24 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
 
 
 def bound_variants(runs):
-    """close, asserted equal with each pair op's bound made exact and with no bound at all.
+    """close, asserted equal with each pair op's may_win made exact and with none at all.
 
-    An exact bound is the member count of the witness op's result, so it
-    skips exactly the ops whose result has more members than the stored
-    witness; an op with as many members must still run, for the key's
-    tie-break.
+    An exact may_win compares the member count of the witness op's result,
+    so it skips exactly the ops whose result has more members than the
+    stored witness; an op with as many members must still run, for the
+    order's tie-break.
     """
 
-    def run(seeds, letter_ops, pair_ops, key, budget, what):
+    def run(seeds, letter_ops, pair_ops, less, budget, what):
         seeds = list(seeds)
-        got = close(seeds, letter_ops, pair_ops, key, budget, what)
-        exact = [(fn, wfn, lambda wi, wj, wfn=wfn: wfn(wi, wj).bit_count()) for fn, wfn, *_ in pair_ops]
+        got = close(seeds, letter_ops, pair_ops, less, budget, what)
+        exact = [
+            (fn, wfn, lambda wi, wj, old, wfn=wfn: wfn(wi, wj).bit_count() <= old.bit_count())
+            for fn, wfn, *_ in pair_ops
+        ]
         unbounded = [(fn, wfn) for fn, wfn, *_ in pair_ops]
-        assert close(seeds, letter_ops, exact, key, budget, what) == got
-        assert close(seeds, letter_ops, unbounded, key, budget, what) == got
+        assert close(seeds, letter_ops, exact, less, budget, what) == got
+        assert close(seeds, letter_ops, unbounded, less, budget, what) == got
         runs.append(what)
         return got
 
@@ -179,13 +180,40 @@ def test_close_values_order_and_tables():
         close_values([0, 1], [lambda v: min(v + 1, 4)], (), 4, "values")
 
 
+def test_close_replaces_a_witness_only_by_a_strictly_earlier_one():
+    # witnesses ordered by length: op b's tie with op a's and never replace them; the
+    # pair op's "sp" ties with "sa" at value 1 and is shorter than "saa" at value 2
+    succ = lambda v: min(v + 1, 2)
+    letter_ops = [(succ, lambda w: w + "a"), (succ, lambda w: w + "b")]
+    pair_ops = [(lambda a, b: min(a + b, 2), lambda wi, wj: wi[:1] + "p")]
+    shorter = lambda x, y: len(x) < len(y)
+    values, witnesses, *_ = close([(0, "s")], letter_ops, pair_ops, shorter, 10, "values")
+    assert values == [0, 1, 2]
+    assert witnesses == ["s", "sa", "sp"]
+
+
+def test_close_skips_only_reached_targets_when_may_win_is_false():
+    # value 2 is first reached by the pair op on (1, 1) and value 3 by the one on (2, 1)
+    calls = []
+
+    def wfn(wi, wj):
+        calls.append((wi, wj))
+        return wi + wj
+
+    pair_ops = [(lambda a, b: min(a + b, 3), wfn, lambda wi, wj, old: False)]
+    values, witnesses, *_ = close([(0, "s"), (1, "t")], [(lambda v: v, lambda w: w + "a")], pair_ops, lt, 10, "values")
+    assert values == [0, 1, 2, 3]
+    assert witnesses == ["s", "t", "tt", "ttt"]
+    assert calls == [("t", "t"), ("tt", "t")]
+
+
 def no_witness_op(*_):
     raise AssertionError("a witness op ran")
 
 
 def test_refused_close_runs_no_witness_op():
     with pytest.raises(BudgetError):
-        close([(0, "")], [(lambda v: (v + 1) % 5, no_witness_op)], [(max, no_witness_op)], len, 4, "values")
+        close([(0, "")], [(lambda v: (v + 1) % 5, no_witness_op)], [(max, no_witness_op)], lt, 4, "values")
 
 
 def test_refused_builders_run_no_witness_op(monkeypatch):

@@ -53,11 +53,14 @@ def test_letter_outside_alphabet():
         synlat.parse_regex("ab", "a")
 
 
-@pytest.mark.parametrize("letter", "|()*+?%")
+@pytest.mark.parametrize("letter", [*"|()*+?%", "λ", "⊤", "⊥", "∧", "∨", " ", "\t", "\x7f", "é", "ab", ""])
 def test_alphabet_letter_of_pattern_syntax_is_an_input_error(letter):
-    # no pattern can ever write such a letter
-    with pytest.raises(InputError, match="clash with pattern syntax"):
-        synlat.parse_regex("a", "a" + letter)
+    # no pattern can ever write a metacharacter, and a letter outside printable ASCII
+    # could read as a symbol the outputs print (λ, ⊤, ⊥, ∧, ∨)
+    metacharacter = len(letter) == 1 and letter in "|()*+?%"
+    message = "clash with pattern syntax" if metacharacter else "not printable non-space ASCII"
+    with pytest.raises(InputError, match=message):
+        synlat.parse_regex("a", ("a", letter))
 
 
 def count_residuals_bruteforce(ast, alphabet, depth=6):

@@ -33,6 +33,15 @@ def test_parse_term_errors():
             T(bad)
     with pytest.raises(InputError, match="clash with term syntax"):
         synlat.parse_term("a", "av")  # reserved letter in alphabet
+    # normalization and evaluation recurse on the tree, so deep terms are refused when parsed
+    for deep in ["(" * 1500 + "a" + ")" * 1500, "(" * 101 + "a" + ")" * 101, "a" * 1500, "a^" * 700 + "a"]:
+        with pytest.raises(TermSyntaxError, match="deep"):
+            T(deep)
+    _, dfa, pt = build("a+b+", "ab")
+    word = T("(" * 100 + "a" * 500 + ")" * 100)
+    assert synlat.normalize_monoid(word) == "a" * 500
+    assert synlat.normalize_lattice(word) == (("a" * 500,),)
+    assert synlat.eval_term(pt, synlat.residual_atoms(pt, dfa.initial), word) == synlat.residual_atoms(pt, 1)   # a*bb*
 
 
 # --- normal forms ---
