@@ -35,10 +35,12 @@ class SignatureError(SynlatError):
 class BudgetError(SynlatError):
     """A configured size cap was exceeded."""
 
-    def __init__(self, what, limit):
-        super().__init__(f"{what} exceeded budget of {limit}")
+    def __init__(self, what, limit, needed=None):
+        needs = "" if needed is None else f" (needs {needed})"
+        super().__init__(f"{what} exceeded budget of {limit}{needs}")
         self.what = what
         self.limit = limit
+        self.needed = needed
 
 
 class InconsistencyError(SynlatError):

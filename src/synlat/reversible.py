@@ -94,49 +94,95 @@ def evaluate_identity_sides(
     return lhs, rhs
 
 
+def _omega_powers(m: SyntacticMonoid, idempotent: list[bool]) -> list[int]:
+    """The ω-power of every element, from the idempotent flags.
+
+    Every power p^k of p has the ω-power of p, so the walk p, p², … stops at
+    the first element whose ω-power is known (an idempotent is its own) and
+    hands it to every element it passed.  Each element is passed once, so
+    the walks compose at most n mappings in all and build no Cayley row.
+    """
+    omega = [e if flag else -1 for e, flag in enumerate(idempotent)]
+    for p, e in enumerate(m.elements):
+        f = cur = e.mapping
+        x, walk = p, []
+        while omega[x] < 0:
+            walk.append(x)
+            cur = tuple(f[q] for q in cur)
+            x = m.index[cur]
+        for y in walk:
+            omega[y] = omega[x]
+    return omega
+
+
 def check_reversibility_identity(
     m: SyntacticMonoid, pt: ProfileTable, dfa: Dfa, quadruple_budget: int | None = None
 ) -> IdentityCounterexample | None:
     """First failing substitution in (p, u, v, w, state) index order, or None.
 
-    Three reductions keep that first counterexample.  Elements p with the
-    same ω-power s pose the same checks, so only the first p of each s is
-    checked.  Swapping v and w swaps the two sides, so a failure at (v, w)
-    is one at (w, v) too and only v < w is checked.  Each element's residual
+    The result is the first counterexample of the full n⁴ search, found in
+    n(n−1)/2 pair steps per idempotent.  Elements p with the same ω-power s
+    pose the same checks, so only the first p of each s is checked, and the
+    distinct ω-powers are exactly the idempotents.  Swapping v and w swaps
+    the two sides, so only v < w is checked.  Each element's residual
     bitmasks are packed into one int, a field of pt.n_profiles bits per
     state, so one substitution is checked on all states at once and the
-    lowest differing field is the first failing state.  The budget counts
-    the substitutions left, (distinct ω-powers)·n·n(n−1)/2, and is checked
-    before any row of the Cayley table is built.
+    lowest differing field is the first failing state.
+
+    With x^ω = s, the sides differ exactly in the bits of
+    diff(v, w) = (s·v ∧ w) ⊕ (s·w ∧ v) outside s·u.  So D_s, the OR of diff
+    over all pairs, decides every u at once: u fails exactly when
+    D_s & ~(s·u) != 0.  Only for the first failing u are the pairs scanned
+    again, in order, for the first failing (v, w) and state.
+
+    The budget counts these pair steps, (idempotents + 1)·n(n−1)/2: one pass
+    per idempotent and the witness scan.  It is checked once the idempotents
+    are flagged from their mappings, before any row of the Cayley table is
+    built.
     """
     n = len(m.elements)
+    idempotent = [all(f[x] == x for x in f) for f in (e.mapping for e in m.elements)]
+    needed = (sum(idempotent) + 1) * (n * (n - 1) // 2)
+    if quadruple_budget is not None and needed > quadruple_budget:
+        raise BudgetError("identity-check quadruples", quadruple_budget, needed)
     first = {}  # ω-power -> the first p that has it, in p order
-    for p in range(n):
-        first.setdefault(omega_power(m, p), p)
-    if quadruple_budget is not None and len(first) * n * (n * (n - 1) // 2) > quadruple_budget:
-        raise BudgetError("identity-check quadruples", quadruple_budget)
+    for p, s in enumerate(_omega_powers(m, idempotent)):
+        first.setdefault(s, p)
     width = pt.n_profiles
     sb = pt.residual_bits
     packed = [sum(sb[x] << q * width for q, x in enumerate(e.mapping)) for e in m.elements]
     for s, pi in first.items():
         spacked = [packed[x] for x in m.table[s]]   # s·x, packed
-        for ui in range(n):
-            base = spacked[ui]
-            for vi in range(n - 1):
-                sv, rv = spacked[vi], packed[vi]
-                for wi in range(vi + 1, n):
-                    lhs = base | (sv & packed[wi])
-                    rhs = base | (spacked[wi] & rv)
-                    if lhs != rhs:
-                        diff = lhs ^ rhs
-                        q = ((diff & -diff).bit_length() - 1) // width
-                        mask = (1 << width) - 1
-                        e = m.elements
-                        return IdentityCounterexample(
-                            e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness, q,
-                            AtomSet(pt, lhs >> q * width & mask), AtomSet(pt, rhs >> q * width & mask),
-                        )
+        d = 0
+        for vi in range(n - 1):
+            sv, rv = spacked[vi], packed[vi]
+            for sw, rw in zip(spacked[vi + 1:], packed[vi + 1:]):
+                d |= (sv & rw) ^ (sw & rv)
+        ui = next((ui for ui in range(n) if d & ~spacked[ui]), None)
+        if ui is not None:
+            return _first_failing_pair(m, pt, spacked, packed, pi, ui)
     return None
+
+
+def _first_failing_pair(m, pt, spacked, packed, pi, ui) -> IdentityCounterexample:
+    """The first pair v < w, and its first state, at which substitution (p, u) fails."""
+    width = pt.n_profiles
+    base = spacked[ui]
+    for vi in range(len(packed) - 1):
+        sv, rv = spacked[vi], packed[vi]
+        for wi in range(vi + 1, len(packed)):
+            lhs = base | (sv & packed[wi])
+            rhs = base | (spacked[wi] & rv)
+            if lhs != rhs:
+                diff = lhs ^ rhs
+                q = ((diff & -diff).bit_length() - 1) // width
+                mask = (1 << width) - 1
+                e = m.elements
+                return IdentityCounterexample(
+                    e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness, q,
+                    AtomSet(pt, lhs >> q * width & mask), AtomSet(pt, rhs >> q * width & mask),
+                )
+    raise InconsistencyError("identity check: the OR of the pair differences fails a u that no pair fails")
 
 
 def identity_counterexample_from_configuration(

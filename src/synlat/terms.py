@@ -65,20 +65,62 @@ class BotT(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Cat(Term):
+class _Binary(Term):
+    """Cat, Meet and Join: equality, hash and repr walk the tree on an explicit
+    stack, since a term as high as MAX_TERM_HEIGHT (a word is a chain of Cats)
+    would exhaust the interpreter's stack if they recursed."""
+
+    __slots__ = ()
+
+    def _preorder(self) -> tuple:
+        """The classes of the inner nodes and the leaves, in preorder; since
+        each class has a fixed arity, this sequence determines the term."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, _Binary):
+                out.append(t.__class__)
+                stack += (t.right, t.left)
+            else:
+                out.append(t)
+        return tuple(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def __repr__(self):
+        out = []
+        stack = [self]   # terms and literal text, in reverse order of output
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, _Binary):
+                stack += (")", t.right, ", right=", t.left, f"{t.__class__.__name__}(left=")
+            else:
+                out.append(repr(t))
+        return "".join(out)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Cat(_Binary):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Meet(Term):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Meet(_Binary):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Join(Term):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Join(_Binary):
     left: Term
     right: Term
 

@@ -167,13 +167,11 @@ def test_criterion_7_reversibility_equivalence():
             try:
                 dfa = synlat.compile_canonical_dfa(ast, state_budget=512)
                 monoid = synlat.syntactic_monoid(dfa, budget=4096)
-                if len(monoid) ** 4 > quadruple_budget:
-                    continue
                 pt = synlat.build_profile_table(dfa, budget=4096)
+                ic = check_reversibility_identity(monoid, pt, dfa, quadruple_budget)
             except synlat.BudgetError:
                 continue
             fw = find_forbidden_configuration(dfa, monoid)
-            ic = check_reversibility_identity(monoid, pt, dfa)
             if (fw is None) != (ic is None):
                 disagreements += 1
             if fw is None:

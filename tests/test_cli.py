@@ -111,14 +111,18 @@ def test_reversible_json(capsys):
 
 
 def test_reversible_budget_counts_reduced_substitutions(capsys):
-    # (aab|bba)*: 35 elements and 7 idempotents, 145,775 substitutions
+    # (aab|bba)*: 35 elements and 7 idempotents, 4,760 pair steps
     code, out, _ = run_cli(capsys, "reversible", "--regex", "(aab|bba)*", "--alphabet", "ab")
     assert code == EXIT_OK
     assert json.loads(out)["reversible"] is True
-    # 63 elements and 33 idempotents, 4,060,377 substitutions
-    code, out, err = run_cli(capsys, "reversible", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab")
+    # 63 elements and 33 idempotents, 66,402 pair steps
+    code, out, _ = run_cli(capsys, "reversible", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab")
+    assert code == EXIT_OK
+    assert json.loads(out)["reversible"] is False
+    # 255 elements and 129 idempotents, 4,210,050 pair steps
+    code, out, err = run_cli(capsys, "reversible", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab")
     assert code == EXIT_BUDGET
-    assert out == "" and "identity-check quadruples" in err
+    assert out == "" and "identity-check quadruples exceeded budget of 1000000 (needs 4210050)" in err
 
 
 def test_monoid_dot_rejected_before_the_monoid_is_built(capsys):

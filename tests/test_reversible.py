@@ -4,6 +4,8 @@ import synlat
 from synlat.errors import BudgetError
 from synlat.oracle import oracle_identity_counterexample
 from synlat.reversible import (
+    DEFAULT_QUADRUPLE_BUDGET,
+    _omega_powers,
     check_reversibility_identity,
     evaluate_identity_sides,
     find_forbidden_configuration,
@@ -123,11 +125,12 @@ def test_equivalence_of_methods_on_random_corpus():
     for ast in random_regex_corpus(seed=2024, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         m = synlat.syntactic_monoid(dfa)
-        if len(m) ** 4 > 200_000:
-            continue
         pt = synlat.build_profile_table(dfa)
+        try:
+            ic = check_reversibility_identity(m, pt, dfa, quadruple_budget=200_000)
+        except BudgetError:
+            continue
         fw = find_forbidden_configuration(dfa, m)
-        ic = check_reversibility_identity(m, pt, dfa)
         assert (fw is None) == (ic is None), ast
         if fw is None:
             reversible += 1
@@ -136,6 +139,13 @@ def test_equivalence_of_methods_on_random_corpus():
             built = identity_counterexample_from_configuration(pt, dfa, m, fw)
             assert built.lhs != built.rhs
     assert reversible and irreversible  # corpus exercises both verdicts
+
+
+def test_omega_powers_from_idempotent_flags_match_omega_power():
+    for ast in random_regex_corpus(seed=7, count=60):
+        m = synlat.syntactic_monoid(synlat.compile_canonical_dfa(ast))
+        idempotent = [synlat.omega_power(m, e) == e for e in range(len(m))]
+        assert _omega_powers(m, idempotent) == [synlat.omega_power(m, e) for e in range(len(m))], ast
 
 
 def test_identity_check_matches_brute_force_on_a_plus_b_plus():
@@ -159,23 +169,58 @@ def test_identity_check_matches_brute_force_on_random_corpus(seed):
 
 
 def test_quadruple_budget_counts_reduced_substitutions():
-    # (aab|bba)*: 35 elements, 7 idempotents, 7·35·(35·34/2) = 145,775 substitutions
+    # (aab|bba)*: 35 elements, 7 idempotents, (7 + 1)·(35·34/2) = 4,760 pair steps
     _, dfa, pt = build("(aab|bba)*", "ab")
     m = synlat.syntactic_monoid(dfa)
     assert len(m) == 35
     assert len({synlat.omega_power(m, e) for e in range(len(m))}) == 7
-    assert check_reversibility_identity(m, pt, dfa, quadruple_budget=145_775) is None
+    assert check_reversibility_identity(m, pt, dfa, quadruple_budget=4_760) is None
     with pytest.raises(BudgetError):
-        check_reversibility_identity(m, pt, dfa, quadruple_budget=145_774)
+        check_reversibility_identity(m, pt, dfa, quadruple_budget=4_759)
 
 
-def test_quadruple_budget_refusal_builds_no_table_row(monkeypatch):
-    _, dfa, pt = build("(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab")
-    m = synlat.syntactic_monoid(dfa)
-
+def _no_rows(monkeypatch):
     def no_rows(table, i):
         raise AssertionError("a Cayley table row was built")
 
     monkeypatch.setattr(CayleyTable, "__getitem__", no_rows)
-    with pytest.raises(BudgetError):
+
+
+def test_quadruple_budget_refusal_builds_no_table_row(monkeypatch):
+    # 255 elements, 129 idempotents: 130·(255·254/2) = 4,210,050 pair steps
+    _, dfa, pt = build("(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)", "ab")
+    m = synlat.syntactic_monoid(dfa)
+    _no_rows(monkeypatch)
+    with pytest.raises(BudgetError) as exc:
         check_reversibility_identity(m, pt, dfa, quadruple_budget=1_000_000)
+    assert exc.value.needed == 4_210_050
+    assert str(exc.value) == "identity-check quadruples exceeded budget of 1000000 (needs 4210050)"
+
+
+def _symmetric_group_dfa(q):
+    """Minimal DFA of S_q acting on 0..q-1 by a transposition (a) and a q-cycle (b)."""
+    gens = ((1, 0) + tuple(range(2, q)), tuple((i + 1) % q for i in range(q)))
+    delta = tuple(tuple(g[s] for g in gens) for s in range(q))
+    return synlat.minimize(synlat.Dfa(("a", "b"), delta, 0, frozenset({0})))
+
+
+def test_s6_verdict_within_default_budget():
+    # 720 elements, one idempotent: 2·(720·719/2) = 517,680 pair steps
+    dfa = _symmetric_group_dfa(6)
+    m = synlat.syntactic_monoid(dfa)
+    assert len(m) == 720
+    report = is_reversible(dfa, monoid=m, quadruple_budget=DEFAULT_QUADRUPLE_BUDGET)
+    assert report.reversible
+    assert report.forbidden is None and report.identity_counterexample is None
+
+
+def test_s7_refused_before_any_table_row(monkeypatch):
+    # 5,040 elements, one idempotent: 2·(5040·5039/2) = 25,396,560 pair steps
+    dfa = _symmetric_group_dfa(7)
+    pt = synlat.build_profile_table(dfa)
+    m = synlat.syntactic_monoid(dfa)
+    assert len(m) == 5040
+    _no_rows(monkeypatch)
+    with pytest.raises(BudgetError) as exc:
+        check_reversibility_identity(m, pt, dfa, quadruple_budget=DEFAULT_QUADRUPLE_BUDGET)
+    assert exc.value.needed == 25_396_560

@@ -44,6 +44,18 @@ def test_parse_term_errors():
     assert synlat.eval_term(pt, synlat.residual_atoms(pt, dfa.initial), word) == synlat.residual_atoms(pt, 1)   # a*bb*
 
 
+def test_terms_at_the_height_bound_compare_hash_and_repr():
+    # a word of MAX_TERM_HEIGHT letters is a chain of that many Cats
+    n = tm.MAX_TERM_HEIGHT
+    a, b = T("a" * n), T("a" * n)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == repr(b) == "Cat(left=" * (n - 1) + "Sym(char='a')" + ", right=Sym(char='a'))" * (n - 1)
+    other = T("a" * (n - 1) + "b")
+    assert a != other and len({a, other}) == 2
+    assert tm.Cat(tm.Sym("a"), tm.Sym("b")) != tm.Meet(tm.Sym("a"), tm.Sym("b"))
+
+
 # --- normal forms ---
 
 def test_normalize_monoid_unit_laws():
