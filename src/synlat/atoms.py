@@ -46,7 +46,7 @@ class AtomSet:
         return leq(self, other)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.table.n_profiles) if self.bits >> i & 1)
+        return tuple(bit_indices(self.bits))
 
 
 class ProfileTable:

@@ -4,8 +4,10 @@
     synlat algebra    --regex PAT --alphabet LETTERS --level monoid|semiring|lattice --format dot|json|table
     synlat reversible --regex PAT --alphabet LETTERS
 
-Exit codes: 0 ok, 2 invalid input (pattern, alphabet, budget or format), 3 budget exceeded,
-4 internal inconsistency (including any ValueError past input validation).
+Exit codes: 0 ok, 2 invalid input (pattern, alphabet, budget, level or format), 3 budget
+exceeded, 4 internal inconsistency (including any ValueError past input validation).  argparse
+alone checks levels and formats: an unknown one exits 2 with a usage line on stderr.  It reads
+a value starting with '-' as an option, so write such a letter as --alphabet=-a, --regex=-a.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import render
 from .atoms import DEFAULT_PROFILE_BUDGET, build_profile_table
@@ -48,74 +50,54 @@ class Budgets:
                 raise InputError(f"budget {name} must be positive")
 
 
-@dataclass
-class RunConfig:
-    regex: str
-    alphabet: tuple[str, ...]
-    level: str = "dfa"
-    format: str = "table"
-    budgets: Budgets = field(default_factory=Budgets)
-    suppress_derivable_columns: bool = False
-
-    def __post_init__(self):
-        if self.format not in ("dot", "json", "table"):
-            raise InputError(f"unknown format {self.format!r}")
-        if self.level == "monoid" and self.format == "dot":
-            raise InputError("the monoid carries no order diagram; use json or table")
-
-
-def _context(cfg: RunConfig):
-    ast = parse_regex(cfg.regex, cfg.alphabet)
-    dfa = compile_canonical_dfa(ast, state_budget=cfg.budgets.states)
-    pt = build_profile_table(dfa, budget=cfg.budgets.profiles)
+def _context(args: argparse.Namespace, budgets: Budgets):
+    ast = parse_regex(args.regex, args.alphabet)
+    dfa = compile_canonical_dfa(ast, state_budget=budgets.states)
+    pt = build_profile_table(dfa, budget=budgets.profiles)
     return dfa, pt
 
 
-def cmd_automaton(cfg: RunConfig) -> str:
-    dfa, pt = _context(cfg)
+def cmd_automaton(args: argparse.Namespace, budgets: Budgets) -> str:
+    dfa, pt = _context(args, budgets)
     automaton = None
-    if cfg.level == "meet":
-        automaton = build_meet_automaton(pt, dfa, budget=cfg.budgets.states)
-    elif cfg.level == "lattice":
-        automaton = build_lattice_automaton(pt, dfa, budget=cfg.budgets.states)
-    elif cfg.level != "dfa":
-        raise InputError(f"unknown automaton level {cfg.level!r}")
-    if cfg.format == "json":
-        return render.render_json(render.automaton_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, automaton))
-    if cfg.format == "dot":
-        return render.automaton_dot(cfg.level, dfa, pt, automaton)
-    return render.automaton_text(cfg.level, dfa, pt, automaton)
+    if args.level == "meet":
+        automaton = build_meet_automaton(pt, dfa, budget=budgets.states)
+    elif args.level == "lattice":
+        automaton = build_lattice_automaton(pt, dfa, budget=budgets.states)
+    if args.format == "json":
+        return render.render_json(render.automaton_payload(args.regex, args.alphabet, args.level, dfa, pt, automaton))
+    if args.format == "dot":
+        return render.automaton_dot(args.level, dfa, pt, automaton)
+    return render.automaton_text(args.level, dfa, pt, automaton)
 
 
-def cmd_algebra(cfg: RunConfig) -> str:
-    dfa, pt = _context(cfg)
-    if cfg.level == "monoid":
-        algebra = syntactic_monoid(dfa, budget=cfg.budgets.elements)
-    elif cfg.level == "semiring":
-        algebra = syntactic_semiring(pt, dfa, budget=cfg.budgets.elements)
-    elif cfg.level == "lattice":
-        algebra = syntactic_lattice_algebra(pt, dfa, budget=cfg.budgets.elements)
+def cmd_algebra(args: argparse.Namespace, budgets: Budgets) -> str:
+    if args.level == "monoid" and args.format == "dot":
+        raise InputError("the monoid carries no order diagram; use json or table")
+    dfa, pt = _context(args, budgets)
+    if args.level == "monoid":
+        algebra = syntactic_monoid(dfa, budget=budgets.elements)
+    elif args.level == "semiring":
+        algebra = syntactic_semiring(pt, dfa, budget=budgets.elements)
     else:
-        raise InputError(f"unknown algebra level {cfg.level!r}")
-    if cfg.format == "json":
-        return render.render_json(render.algebra_payload(cfg.regex, cfg.alphabet, cfg.level, dfa, pt, algebra))
-    if cfg.format == "dot":
+        algebra = syntactic_lattice_algebra(pt, dfa, budget=budgets.elements)
+    if args.format == "json":
+        return render.render_json(render.algebra_payload(args.regex, args.alphabet, args.level, dfa, pt, algebra))
+    if args.format == "dot":
         return render.algebra_dot(algebra)
     # a table labels its cells by the automaton of its level, and needs no other
     meet_aut = lattice_aut = None
-    if cfg.level == "semiring":
-        meet_aut = build_meet_automaton(pt, dfa, budget=cfg.budgets.states)
-    elif cfg.level == "lattice":
-        lattice_aut = build_lattice_automaton(pt, dfa, budget=cfg.budgets.states)
-    return render.algebra_text(
-        cfg.level, dfa, pt, algebra, meet_aut, lattice_aut, cfg.suppress_derivable_columns
-    )
+    if args.level == "semiring":
+        meet_aut = build_meet_automaton(pt, dfa, budget=budgets.states)
+    elif args.level == "lattice":
+        lattice_aut = build_lattice_automaton(pt, dfa, budget=budgets.states)
+    return render.algebra_text(args.level, dfa, pt, algebra, meet_aut, lattice_aut, args.suppress_derivable_columns)
 
 
-def cmd_reversible(cfg: RunConfig) -> str:
-    dfa, pt = _context(cfg)
-    monoid = syntactic_monoid(dfa, budget=cfg.budgets.elements)
-    report = is_reversible(dfa, pt, monoid, quadruple_budget=cfg.budgets.quadruples)
+def cmd_reversible(args: argparse.Namespace, budgets: Budgets) -> str:
+    dfa, pt = _context(args, budgets)
+    monoid = syntactic_monoid(dfa, budget=budgets.elements)
+    report = is_reversible(dfa, pt, monoid, quadruple_budget=budgets.quadruples)
     return render.render_json(render.reversible_payload(report))
 
 
@@ -147,33 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    budgets = Budgets(
-        profiles=args.budget_profiles,
-        states=args.budget_states,
-        elements=args.budget_elements,
-        quadruples=args.budget_quadruples,
-    )
-    return RunConfig(
-        regex=args.regex,
-        alphabet=tuple(args.alphabet),
-        level=getattr(args, "level", "dfa"),
-        format=getattr(args, "format", "json"),
-        budgets=budgets,
-        suppress_derivable_columns=getattr(args, "suppress_derivable_columns", False),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "automaton":
-            out = cmd_automaton(cfg)
-        elif args.command == "algebra":
-            out = cmd_algebra(cfg)
-        else:
-            out = cmd_reversible(cfg)
+        budgets = Budgets(args.budget_profiles, args.budget_states, args.budget_elements, args.budget_quadruples)
+        command = {"automaton": cmd_automaton, "algebra": cmd_algebra, "reversible": cmd_reversible}[args.command]
+        out = command(args, budgets)
     except (RegexSyntaxError, TermSyntaxError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

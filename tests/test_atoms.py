@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import synlat
@@ -193,3 +195,12 @@ def test_profile_budget():
     _, dfa, _ = build("a+b+", "ab")
     with pytest.raises(synlat.BudgetError):
         build_profile_table(dfa, budget=2)
+
+
+def test_atomset_indices_match_a_scan_of_every_profile():
+    # a word of 70 letters has 72 profiles, more bits than a machine word
+    _, _, pt = build("a" * 70, "a")
+    rng = random.Random(0)
+    for bits in [0, 1, (1 << pt.n_profiles) - 1] + [rng.getrandbits(pt.n_profiles) for _ in range(200)]:
+        scan = tuple(i for i in range(pt.n_profiles) if bits >> i & 1)
+        assert synlat.AtomSet(pt, bits).indices() == scan

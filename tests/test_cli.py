@@ -134,6 +134,55 @@ def test_monoid_dot_rejected_before_the_monoid_is_built(capsys):
     assert out == "" and "no order diagram" in err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["automaton", "--level", "nfa"],
+        ["algebra", "--level", "group"],
+        ["automaton", "--level", "dfa", "--format", "xml"],
+        ["algebra", "--level", "monoid", "--format", "svg"],
+        ["reversible", "--format", "json"],
+    ],
+    ids=["unknown automaton level", "unknown algebra level", "unknown automaton format",
+         "unknown algebra format", "format on reversible"],
+)
+def test_argparse_rejects_unknown_levels_and_formats(capsys, argv):
+    # argparse's choices are the only check of level and format
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:1], "--regex", "a+b+", "--alphabet", "ab", *argv[1:]])
+    out = capsys.readouterr()
+    assert exc.value.code == EXIT_PARSE
+    assert out.out == "" and out.err.startswith("usage: synlat")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("name", ["profiles", "states", "elements", "quadruples"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["automaton", "--level", "dfa"],
+        ["algebra", "--level", "monoid"],
+        ["algebra", "--level", "monoid", "--format", "dot"],   # reported before the monoid dot refusal
+        ["reversible"],
+    ],
+    ids=["automaton", "algebra", "monoid dot", "reversible"],
+)
+def test_non_positive_budget_exits_2(capsys, command, name, value):
+    code, out, err = run_cli(
+        capsys, *command, "--regex", "a+b+", "--alphabet", "ab", f"--budget-{name}={value}"
+    )
+    assert (code, out, err) == (EXIT_PARSE, "", f"error: budget {name} must be positive\n")
+
+
+def test_letter_starting_with_a_dash_is_given_after_an_equals_sign(capsys):
+    code, out, _ = run_cli(capsys, "reversible", "--regex=-a", "--alphabet=-a")
+    assert code == EXIT_OK and json.loads(out)["reversible"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["reversible", "--regex", "-a", "--alphabet", "-a"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
 @pytest.mark.parametrize(
     "pattern,code,message",
     [
