@@ -123,7 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_auto, levels=["dfa", "meet", "lattice"])
     p_alg = sub.add_parser("algebra", help="syntactic monoid, semiring, or lattice algebra")
     common(p_alg, levels=["monoid", "semiring", "lattice"])
-    p_alg.add_argument("--suppress-derivable-columns", action="store_true")
+    p_alg.add_argument(
+        "--suppress-derivable-columns", action="store_true",
+        help="keep only the informative residual columns; applies to --format table only",
+    )
     p_rev = sub.add_parser("reversible", help="reversibility verdict (JSON)")
     common(p_rev, fmt=False)
     return parser

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .atoms import ProfileTable, bottom, residual_atoms, top
+from .atoms import ProfileTable, bit_indices, bottom, residual_atoms, top
 from .automata import Dfa
 from .errors import InconsistencyError
 from .syntactic import hasse_of_elements
@@ -46,17 +46,27 @@ def dot_order(labels, covers) -> str:
 
 
 def text_table(header, rows) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+    """Each column left-justified to its widest cell, two spaces apart, trailing blanks cut."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths).format
     sep = "  ".join("-" * w for w in widths)
-    return "\n".join([fmt(header), sep] + [fmt(r) for r in rows]) + "\n"
+    return "\n".join([fmt(*header).rstrip(), sep] + [fmt(*row).rstrip() for row in rows]) + "\n"
 
 
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+class _Memo(dict):
+    """fn(x) for each key x, computed on its first lookup only."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, x):
+        s = self[x] = self.fn(x)
+        return s
 
 
 def render_json(payload: dict) -> str:
@@ -64,28 +74,35 @@ def render_json(payload: dict) -> str:
 
     With indent the stdlib runs its pure-Python encoder.  This writer joins
     each list of plain ints in one step and leaves every other scalar to the
-    encoder without indent, which runs in C.  Keys must be strings, as in
-    every payload here.
+    encoder without indent, which runs in C.  The tables repeat a few ids
+    many times, so each distinct int and dict key is converted once per
+    call.  Keys must be strings, as in every payload here.
     """
-    return _json(payload, "\n") + "\n"
+    return _json(payload, "\n", _Memo(str), _Memo(_encode_scalar)) + "\n"
 
 
-def _json(obj, nl: str) -> str:
-    """obj as indented JSON; nl is a newline followed by obj's own indent."""
+def _json(obj, nl: str, ints: _Memo, keys: _Memo) -> str:
+    """obj as indented JSON; nl is a newline followed by obj's own indent.
+
+    ints and keys hold the strings of the ints and dict keys met so far in
+    this document.  Only plain ints enter ints: True == 1 shares 1's slot.
+    """
+    if type(obj) is int:
+        return ints[obj]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + "  "
-        items = (_encode_scalar(k) + ": " + _json(v, inner) for k, v in obj.items())
+        items = (keys[k] + ": " + _json(v, inner, ints, keys) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
         if set(map(type, obj)) == {int}:   # not bools, which print as true and false
-            items = map(str, obj)
+            items = map(ints.__getitem__, obj)
         else:
-            items = (_json(v, inner) for v in obj)
+            items = (_json(v, inner, ints, keys) for v in obj)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return _encode_scalar(obj)
 
@@ -165,13 +182,6 @@ def _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress):
     return list(cell_labels), list(cell_labels.values()), cell_labels
 
 
-def _lookup(table, x, message):
-    try:
-        return table[x]
-    except KeyError:
-        raise InconsistencyError(message) from None
-
-
 def table_images(level, dfa, algebra, states):
     """images[e][k]: the state states[k] acted on by element e.
 
@@ -184,28 +194,36 @@ def table_images(level, dfa, algebra, states):
     reached = {}
     for c, x in enumerate(initial):
         reached.setdefault(x, c)
-    rows = [mul[_lookup(reached, x, "column is not an image of the initial column")] for x in states]
-    return [[initial[row[e]] for row in rows] for e in range(len(initial))]
+    try:
+        columns = [list(map(initial.__getitem__, mul[reached[x]])) for x in states]
+    except KeyError:
+        raise InconsistencyError("column is not an image of the initial column") from None
+    if not columns:   # zip would give no rows at all, not one empty row per element
+        return [[] for _ in initial]
+    return list(map(list, zip(*columns)))
 
 
 def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
     """(column labels, element row labels, cell labels) of the transformation table."""
     states, col_labels, cell_labels = _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress)
-    rows = [
-        (label, [_lookup(cell_labels, x, "image is not a state of the canonical automaton") for x in images])
-        for label, images in zip(algebra.labels(), table_images(level, dfa, algebra, states))
-    ]
+    images = table_images(level, dfa, algebra, states)
+    try:
+        rows = [(label, list(map(cell_labels.__getitem__, row))) for label, row in zip(algebra.labels(), images)]
+    except KeyError:
+        raise InconsistencyError("image is not a state of the canonical automaton") from None
     return col_labels, rows
 
 
 def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
     """The algebra document; its tuples serialize as JSON arrays."""
     if level == "monoid":
-        images = [[residual_atoms(pt, q) for q in e.mapping] for e in algebra.elements]
+        residuals = [residual_atoms(pt, q).indices() for q in range(dfa.n_states)]
+        images = [list(map(residuals.__getitem__, e.mapping)) for e in algebra.elements]
         tables = {"mul": tuple(algebra.table)}
         covers = ()
     else:
-        images = [e.mapping for e in algebra.elements]
+        indices = _Memo(lambda bits: tuple(bit_indices(bits)))   # each distinct image converted once
+        images = [[indices[x.bits] for x in e.mapping] for e in algebra.elements]
         tables = {"mul": algebra.mul_table, "meet": algebra.meet_table}
         if level == "lattice":
             tables["join"] = algebra.join_table
@@ -215,7 +233,7 @@ def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
         "regex": regex_text,
         "level": level,
         "elements": [
-            {"id": i, "witness": e.witness, "images": [x.indices() for x in m]}
+            {"id": i, "witness": e.witness, "images": m}
             for i, (e, m) in enumerate(zip(algebra.elements, images))
         ],
         "tables": tables,

@@ -316,8 +316,10 @@ def test_algebra_table_rejects_automaton_of_another_table():
     semiring = synlat.syntactic_semiring(pt, dfa)
     meet_aut = synlat.build_meet_automaton(other, dfa)
     lattice_aut = synlat.build_lattice_automaton(other, dfa)
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="^image is not a state of the canonical automaton$"):
         render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, True)
+    with pytest.raises(InconsistencyError, match="^column is not an image of the initial column$"):
+        render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, False)
 
 
 def test_parser_reuse_carries_no_state(capsys):
@@ -368,3 +370,24 @@ def test_table_images_match_direct_action(pattern, alphabet):
     states = synlat.build_lattice_automaton(pt, dfa).states
     for e, row in zip(lattice.elements, render.table_images("lattice", dfa, lattice, states)):
         assert row == [synlat.eval_lattice_form(pt, x, e.witness) for x in states]
+
+    # no columns: one empty row per element
+    for level, algebra in (("monoid", monoid), ("semiring", semiring), ("lattice", lattice)):
+        assert render.table_images(level, dfa, algebra, []) == [[] for _ in algebra.elements]
+
+
+@pytest.mark.parametrize("level,fmt", [("monoid", "json"), ("semiring", "json"), ("semiring", "dot"),
+                                       ("lattice", "json"), ("lattice", "dot")])
+def test_suppress_derivable_columns_leaves_json_and_dot_alone(capsys, level, fmt):
+    args = ["algebra", "--regex", "a+b+", "--alphabet", "ab", "--level", level, "--format", fmt]
+    plain = run_cli(capsys, *args)
+    assert plain[0] == EXIT_OK
+    assert run_cli(capsys, *args, "--suppress-derivable-columns") == plain
+
+
+def test_suppress_derivable_columns_help_names_the_table_format(capsys):
+    with pytest.raises(SystemExit):
+        main(["algebra", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert ("--suppress-derivable-columns keep only the informative residual columns; "
+            "applies to --format table only") in usage

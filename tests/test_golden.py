@@ -52,6 +52,16 @@ GOLDEN = [
      "e5d7227aaf45c3c9c74eb262d9fe1c645811d004ead8b47dfef174d9580f399f"),
     ("algebra", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab", "semiring", "json",
      "fb60b384e014770e67ca2bd52620cf5c9d89ae65ccaf41bb910f3c1e574c4df0"),
+    # tables without columns: every state is the top or bottom atom set, so each row is a label alone
+    ("algebra", "%0", "ab", "monoid", "suppress", "99b3cc08427bec9fe76a938ed0892f5a88d61e18ac1341ea4cca70891a0bc49f"),
+    ("algebra", "%0", "ab", "semiring", "suppress", "23cf9d04bd289af86448c3ebeaed595998db1e924b2cbf3101a4b5cd6815ce58"),
+    ("algebra", "%0", "ab", "lattice", "suppress", "e108fa975e6fe066bf9b6cfbf89df0a796d66b65536b29c60ba98b82662de0e5"),
+    ("algebra", "(a|b)*", "ab", "monoid", "suppress", "99b3cc08427bec9fe76a938ed0892f5a88d61e18ac1341ea4cca70891a0bc49f"),
+    ("algebra", "(a|b)*", "ab", "semiring", "suppress", "617256db50b8e5e2c0de406fb2414b30f89d2d5872eef37b08bec9bee10cc4b7"),
+    ("algebra", "(a|b)*", "ab", "lattice", "suppress", "48b5f9006424a3780e545fa36ba574001756bb30b18cc8c5371b2497bfaeea9e"),
+    # a 100-element monoid on 10 states
+    ("algebra", "(aa|ab|bab)*(a|b)b(a|b)", "ab", "monoid", "json",
+     "9367f36b92e5c797e55ea98349b9a9c0f598608d8c18e1d35337317a6002158d"),
 ]
 
 
