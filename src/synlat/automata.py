@@ -123,15 +123,10 @@ def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
     strictly before it, less(new, old).  Witnesses are read afresh for each
     letter op and each j, since a replacement can change witnesses[i]
     partway through a row.
-
-    A pair op may carry a third element may_win(wi, wj, old), false only
-    when wfn(wi, wj) cannot be strictly before the witness old; the replay
-    then skips the op at a target already reached.  A target not yet
-    reached is never skipped, which keeps the numbering.
     """
     seeds = list(seeds)
     values, index, right, pairs = close_values(
-        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [op[0] for op in pair_ops], budget, what
+        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [fn for fn, _ in pair_ops], budget, what
     )
     witnesses = []
 
@@ -144,7 +139,7 @@ def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
     for v, w in seeds:
         put(index[v], w)
     letter_wfns = [wfn for _, wfn in letter_ops]
-    pair_wfns = [(op[1], op[2] if len(op) > 2 else None) for op in pair_ops]
+    pair_wfns = [wfn for _, wfn in pair_ops]
     for i, row in enumerate(right):
         for t, wfn in zip(row, letter_wfns):
             put(t, wfn(witnesses[i]))
@@ -152,11 +147,8 @@ def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
             rows = [table[i] for table in pairs]
             for j in range(i + 1):
                 wi, wj = witnesses[i], witnesses[j]
-                for cells, (wfn, may_win) in zip(rows, pair_wfns):
-                    t = cells[j]
-                    if may_win is not None and t < len(witnesses) and not may_win(wi, wj, witnesses[t]):
-                        continue
-                    put(t, wfn(wi, wj))
+                for cells, wfn in zip(rows, pair_wfns):
+                    put(cells[j], wfn(wi, wj))
     return values, witnesses, index, right, pairs
 
 

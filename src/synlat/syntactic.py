@@ -95,16 +95,19 @@ class SyntacticMonoid:
         return e
 
 
+def _transformations(dfa: Dfa, letters, budget: int, what: str):
+    """close_values of the identity map on the DFA states under the given letter indices, in order."""
+    letter_ops = [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in letters]
+    return close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, what)
+
+
 def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticMonoid:
     """Transformation monoid of the canonical DFA, closed breadth first over the letters.
 
     Each element's witness is its word along the breadth-first spanning
     tree, which is its shortlex-least word.
     """
-    letter_ops = [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in range(len(dfa.alphabet))]
-    mappings, index, right, _ = close_values(
-        [tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements"
-    )
+    mappings, index, right, _ = _transformations(dfa, range(len(dfa.alphabet)), budget, "monoid elements")
     table = CayleyTable(tuple(right))
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
@@ -205,56 +208,103 @@ def _atomset_mappings(pt: ProfileTable, mappings):
     return [tuple(map(atoms.__getitem__, m)) for m in mappings]
 
 
-class _Action(dict):
-    """One semiring element's action, image -> result, each evaluated once on first use."""
+def _semiring_ops(pt: ProfileTable, letters, values, index, meet_image, monoid_tree):
+    """Meet, product and swapped product as int pair ops on the values' ids.
 
-    __slots__ = ("pt", "mapping")
+    meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
+    k ∧ image t with k < j.  So i∧j = (i∧k)∧image t, and i·j = i·k ∧ i·t, as
+    the product distributes over ∧ on the right, with i·⊤ = ⊤ (value 0).
+    i·t follows the monoid's spanning tree, i·t = (i·parent(t))·a: |values|
+    letter quotients per letter, then one lookup per cell.
+    """
+    tree = spanning_tree(meet_image)
+    meet = []
+    for i in range(len(values)):
+        row = [i]
+        for k, t in tree:
+            row.append(meet_image[row[k]][t])
+        meet.append(row)
+    by_letter = [
+        tuple(index[tuple(quotient_bits(pt, x, a) for x in v)] for a in letters) for v in values
+    ]
+    mul = []
+    for i in range(len(values)):
+        action = [i]   # i·t for each monoid element t
+        for p, a in monoid_tree:
+            action.append(by_letter[action[p]][a])
+        row = [0]
+        for k, t in tree:
+            row.append(meet[row[k]][action[t]])
+        mul.append(row)
+    return [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
 
-    def __init__(self, pt: ProfileTable, mapping: tuple[int, ...]):
-        super().__init__()
-        self.pt = pt
-        self.mapping = mapping
 
-    def __missing__(self, x: int) -> int:
-        y = self[x] = semiring_action_bits(self.pt, self.mapping, x)
-        return y
+def _least_forms(meet_image, n_monoid: int) -> dict[int, tuple[int, ...]]:
+    """Each value's least meet form as a sorted tuple of monoid elements; ⊤'s is ().
+
+    Forms compare by length, then as tuples.  Layer k extends each least
+    form of layer k−1 by every element numbered after its last one.  The
+    layer is visited in order, so the first candidate to reach a value not
+    reached before is its least form; a least k-form extends the least
+    (k−1)-form of its prefix's value, since a smaller prefix would give a
+    smaller k-form.
+    """
+    least = {0: ()}
+    layer = [(0, ())]
+    while layer:
+        extended = []
+        for v, form in layer:
+            row = meet_image[v]
+            for t in range(form[-1] + 1 if form else 0, n_monoid):
+                u = row[t]
+                if u not in least:
+                    least[u] = longer = form + (t,)
+                    extended.append((u, longer))
+        layer = extended
+    return least
 
 
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
-    """Fixpoint closure of {1, letters, ⊤} under pointwise meet and extension product."""
+    """⊤ and the pointwise meets of the monoid's images (Polák, "Syntactic
+    semiring of a language", 2001), numbered as the closure of {1, letters, ⊤}
+    under meet and product discovers them; the README gives the argument.
+
+    The monoid is closed over the sorted letters, so its elements come in the
+    order of their word_key-least words; image t maps residual q to the
+    residual of q·t.  The values are ⊤ and the images closed under ∧ image t.
+    close_values replays the discovery order on int tables of the values.
+    Each witness is the least meet form, fewest words first, then sorted
+    word keys.  A refusal comes from the monoid's or the values' closure,
+    before any table or witness: the monoid's elements have distinct images.
+    """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    one_map = pt.residual_bits
-    letter_maps = [tuple(one_map[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    what = "semiring elements"
+    letters = sorted(dfa.alphabet)
+    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
+    residual = pt.residual_bits
+    images = [tuple(map(residual.__getitem__, m)) for m in monoid]
     top_map = (top(pt).bits,) * dfa.n_states
-    forms = terms.FormInterner()
-    seeds = [(one_map, forms.meet_form([""]))]
-    seeds += [(m, forms.meet_form([a])) for m, a in zip(letter_maps, dfa.alphabet)]
-    seeds.append((top_map, forms.meet_form([])))
-    actions: dict[tuple[int, ...], _Action] = {}
+    meet_ops = [lambda v, y=y: tuple(map(and_, v, y)) for y in images]
+    values, index, meet_image, _ = close_values([top_map] + images, meet_ops, (), budget, what)
 
-    def product(mi, mj):
-        act = actions.get(mj)
-        if act is None:
-            act = actions[mj] = _Action(pt, mj)
-        return tuple(map(act.__getitem__, mi))
-
-    pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.mf_meet, forms.mf_meet_may_win),
-        (product, forms.mf_mul, forms.mf_mul_may_win),
-        (lambda mi, mj: product(mj, mi), lambda wi, wj: forms.mf_mul(wj, wi), forms.mf_mul_may_win),
-    ]
-    mappings, witnesses, index, _, (meets, muls, swapped) = close(
-        seeds, (), pair_ops, forms.meet_less, budget, "semiring elements"
+    monoid_tree = spanning_tree(monoid_right)
+    letter_maps = [tuple(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    seeds = [index[residual]] + [index[m] for m in letter_maps] + [0]
+    order, final, _, (meets, muls, swapped) = close_values(   # the ops' tables are freed on return
+        seeds, (), _semiring_ops(pt, letters, values, index, meet_image, monoid_tree), budget, what
     )
+    least = _least_forms(meet_image, len(monoid))
+    words = tree_words(monoid_tree, letters)
+
     meet_table = _square(meets, meets)
-    mul_table = _square(muls, swapped)
     elements = tuple(
-        SemiringElement(m, forms.words_of(w)) for m, w in zip(_atomset_mappings(pt, mappings), witnesses)
+        SemiringElement(m, tuple(map(words.__getitem__, least[p])))
+        for m, p in zip(_atomset_mappings(pt, [values[p] for p in order]), order)
     )
     return SyntacticSemiring(
-        pt, dfa, elements, index[one_map], index[top_map],
-        tuple(index[m] for m in letter_maps), meet_table, mul_table, _meet_order(meet_table),
+        pt, dfa, elements, 0, final[0], tuple(final[index[m]] for m in letter_maps),
+        meet_table, _square(muls, swapped), _meet_order(meet_table),
     )
 
 

@@ -323,9 +323,8 @@ class FormInterner:
     """Words and witness forms on ints for the closures (hash-consing).
 
     Words get int ids in order of first use, each with its word_key cached.
-    A meet form is the bitmask of its word ids (0 is ⊤), not interned, since
-    nearly every semiring product is a new word set: a meet is an OR and a
-    product ORs the ids of the word-by-word concatenations.
+    A meet form is the bitmask of its word ids (0 is ⊤), not interned: a
+    meet is an OR.
 
     The lattice closures intern meet forms as inner sets, each with its word
     tuple and key computed once and sup[u], the bitmask of the inner ids
@@ -338,10 +337,10 @@ class FormInterner:
 
     The witness orders that close takes, meet_less and lattice_less, compare
     member counts (bit_count) first and sorted member keys only on a tie; a
-    lattice form's are memoized.  The may_win bounds use the same counts.
+    lattice form's are memoized.
 
     Each op gives exactly the form of its tuple normalizer above (mf_meet,
-    mf_mul, lf_meet, lf_join, multiply_lattice_forms by a letter) and each
+    lf_meet, lf_join, multiply_lattice_forms by a letter) and each
     order compares as meet_form_key or lattice_form_key does, so the
     closures keep the same witnesses and tie-breaks; words_of and
     lattice_form give the tuple forms back at the API boundary.
@@ -387,28 +386,8 @@ class FormInterner:
             return cu < cv
         return u != v and self._word_key_tuple(u) < self._word_key_tuple(v)
 
-    def mf_meet_may_win(self, u: int, v: int, old: int) -> bool:
-        """Whether mf_meet(u, v) can be before old: it has as many words as u and v at least."""
-        return max(u.bit_count(), v.bit_count()) <= old.bit_count()
-
-    def mf_mul_may_win(self, u: int, v: int, old: int) -> bool:
-        """Whether mf_mul(u, v) can be before old.  Unless ⊤ (0) annihilates, it has as many
-        words as u and v at least: x·y is injective in y for fixed x and in x for fixed y."""
-        return not (u and v) or max(u.bit_count(), v.bit_count()) <= old.bit_count()
-
     def mf_meet(self, u: int, v: int) -> int:
         return u | v
-
-    def mf_mul(self, u: int, v: int) -> int:
-        """All concatenations x·y; ⊤ (no words) annihilates."""
-        words, word = self.words, self.word
-        right = [words[y] for y in bit_indices(v)]
-        out = 0
-        for x in bit_indices(u):
-            wx = words[x]
-            for wy in right:
-                out |= 1 << word(wx + wy)
-        return out
 
     def words_of(self, u: int) -> MeetForm:
         return tuple(map(self.words.__getitem__, sorted(bit_indices(u), key=self._word_keys.__getitem__)))

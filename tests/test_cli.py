@@ -282,6 +282,16 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", [5, 43])
+def test_semiring_refusal_names_the_semiring(capsys, budget):
+    # the 44-element semiring's 15-element monoid is closed first: 5 stops the monoid, 43 the values
+    code, out, err = run_cli(
+        capsys, "algebra", "--level", "semiring", "--regex", "(a|b)*a(a|b)(a|b)", "--alphabet", "ab",
+        "--budget-elements", str(budget),
+    )
+    assert (code, out, err) == (EXIT_BUDGET, "", f"error: semiring elements exceeded budget of {budget}\n")
+
+
 def test_outputs_byte_deterministic(capsys):
     args = ["algebra", "--regex", "a+b+", "--alphabet", "ab", "--level", "lattice", "--format", "json"]
     _, first, _ = run_cli(capsys, *args)

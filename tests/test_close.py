@@ -5,8 +5,6 @@ the witness ops on the tables that closure recorded.  reference_close is
 the engine as it was before that split: it builds and compares witnesses
 while it discovers the values.  Every witness closure of the builders must
 come out identical under both, and a refused closure must run no witness op.
-The semiring's may_win bounds, which let the replay skip witness ops, must
-change nothing either: made exact or dropped, the closure is the same.
 """
 
 from operator import lt
@@ -55,7 +53,7 @@ def reference_close(seeds, letter_ops, pair_ops, less, budget, what):
                 table.append([])
             for j in range(i + 1):
                 vj, wi, wj = values[j], witnesses[i], witnesses[j]
-                for table, (fn, wfn, *_) in zip(pairs, pair_ops):   # a may_win bound, if any, is ignored
+                for table, (fn, wfn) in zip(pairs, pair_ops):
                     table[i].append(add(fn(vi, vj), wfn(wi, wj)))
         i += 1
     return values, witnesses, index, right, pairs
@@ -84,8 +82,7 @@ def assert_engine_matches_reference(monkeypatch, dfa, pt):
     monkeypatch.setattr(synlat.canonical, "close", checked_close(whats))
     monkeypatch.setattr(synlat.syntactic, "close", checked_close(whats))
     synlat.build_lattice_automaton(pt, dfa)   # closes the meet automaton first
-    synlat.syntactic_semiring(pt, dfa)
-    assert whats == ["canonical automaton states"] * 2 + ["semiring elements"]
+    assert whats == ["canonical automaton states"] * 2
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
         try:
             build_algebra(pt, dfa, budget=LATTICE_BUDGET)
@@ -104,65 +101,6 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         assert_engine_matches_reference(monkeypatch, dfa, synlat.build_profile_table(dfa))
-
-
-def bound_variants(runs):
-    """close, asserted equal with each pair op's may_win made exact and with none at all.
-
-    An exact may_win compares the member count of the witness op's result,
-    so it skips exactly the ops whose result has more members than the
-    stored witness; an op with as many members must still run, for the
-    order's tie-break.
-    """
-
-    def run(seeds, letter_ops, pair_ops, less, budget, what):
-        seeds = list(seeds)
-        got = close(seeds, letter_ops, pair_ops, less, budget, what)
-        exact = [
-            (fn, wfn, lambda wi, wj, old, wfn=wfn: wfn(wi, wj).bit_count() <= old.bit_count())
-            for fn, wfn, *_ in pair_ops
-        ]
-        unbounded = [(fn, wfn) for fn, wfn, *_ in pair_ops]
-        assert close(seeds, letter_ops, exact, less, budget, what) == got
-        assert close(seeds, letter_ops, unbounded, less, budget, what) == got
-        runs.append(what)
-        return got
-
-    return run
-
-
-def assert_bounds_change_nothing(monkeypatch, dfa, pt):
-    runs = []
-    monkeypatch.setattr(synlat.syntactic, "close", bound_variants(runs))
-    synlat.syntactic_semiring(pt, dfa)
-    assert runs == ["semiring elements"]
-
-
-def test_semiring_bounds_change_nothing_on_a_plus_b_plus(monkeypatch):
-    _, dfa, pt = build("a+b+", "ab")
-    assert_bounds_change_nothing(monkeypatch, dfa, pt)
-
-
-@pytest.mark.parametrize("seed", range(1, 6))
-def test_semiring_bounds_change_nothing_on_random_corpus(monkeypatch, seed):
-    for ast in random_regex_corpus(seed=seed, count=60):
-        dfa = synlat.compile_canonical_dfa(ast)
-        assert_bounds_change_nothing(monkeypatch, dfa, synlat.build_profile_table(dfa))
-
-
-def test_semiring_bound_skips_witness_products(monkeypatch):
-    # without the bound the replay runs all 1,980 products of the 44-element semiring
-    _, dfa, pt = build("(a|b)*a(a|b)(a|b)", "ab")
-    calls = []
-    mf_mul = terms.FormInterner.mf_mul
-
-    def counted(self, u, v):
-        calls.append(None)
-        return mf_mul(self, u, v)
-
-    monkeypatch.setattr(terms.FormInterner, "mf_mul", counted)
-    assert len(synlat.syntactic_semiring(pt, dfa)) == 44
-    assert len(calls) < 1980
 
 
 def test_close_values_order_and_tables():
@@ -192,21 +130,6 @@ def test_close_replaces_a_witness_only_by_a_strictly_earlier_one():
     assert witnesses == ["s", "sa", "sp"]
 
 
-def test_close_skips_only_reached_targets_when_may_win_is_false():
-    # value 2 is first reached by the pair op on (1, 1) and value 3 by the one on (2, 1)
-    calls = []
-
-    def wfn(wi, wj):
-        calls.append((wi, wj))
-        return wi + wj
-
-    pair_ops = [(lambda a, b: min(a + b, 3), wfn, lambda wi, wj, old: False)]
-    values, witnesses, *_ = close([(0, "s"), (1, "t")], [(lambda v: v, lambda w: w + "a")], pair_ops, lt, 10, "values")
-    assert values == [0, 1, 2, 3]
-    assert witnesses == ["s", "t", "tt", "ttt"]
-    assert calls == [("t", "t"), ("tt", "t")]
-
-
 def no_witness_op(*_):
     raise AssertionError("a witness op ran")
 
@@ -228,8 +151,22 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     ]
     sizes = [len(b(10**6)) for b in builds]
     monkeypatch.setattr(synlat.syntactic, "build_lattice_automaton", lambda pt, dfa: la)
-    for name in ("mf_meet", "mf_mul", "lf_meet", "lf_join", "lf_mul_letter"):
+    for name in ("mf_meet", "lf_meet", "lf_join", "lf_mul_letter"):
         monkeypatch.setattr(terms.FormInterner, name, no_witness_op)
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
             b(n - 1)
+
+
+@pytest.mark.parametrize("budget", [5, 43])
+def test_refused_semiring_builds_no_table_or_witness(monkeypatch, budget):
+    # the 44-element semiring of a 15-element monoid: 5 stops the monoid's closure, 43 the values'
+    _, dfa, pt = build("(a|b)*a(a|b)(a|b)", "ab")
+
+    def built(*_):
+        raise AssertionError("a table or witness was built")
+
+    for name in ("spanning_tree", "quotient_bits", "tree_words", "_square"):
+        monkeypatch.setattr(synlat.syntactic, name, built)
+    with pytest.raises(BudgetError, match=f"^semiring elements exceeded budget of {budget}$"):
+        synlat.syntactic_semiring(pt, dfa, budget)

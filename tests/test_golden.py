@@ -62,6 +62,12 @@ GOLDEN = [
     # a 100-element monoid on 10 states
     ("algebra", "(aa|ab|bab)*(a|b)b(a|b)", "ab", "monoid", "json",
      "9367f36b92e5c797e55ea98349b9a9c0f598608d8c18e1d35337317a6002158d"),
+    # alphabets out of sorted order: witness words compare by (length, string), not by alphabet position
+    ("algebra", "(a|b)*a(a|b)(a|b)", "ba", "semiring", "json",
+     "c674fac2f1484a7023e9407c673f97f23769eca8e50b90e00a2a792681830be9"),
+    ("algebra", "abcab", "cba", "semiring", "json", "8e998ba7c904a914e0f1520ecc7624ccdcfa1d470ceb52a6d469c504b6b43c21"),
+    ("algebra", "(ab|ba)*", "ba", "semiring", "json", "c57cfbe5bf429bb2cea837e8e947ca54ac9c12a807b9301b421bd80c43178b8e"),
+    ("algebra", "b(a|c)*a", "cab", "semiring", "json", "159efa02fd103d3051745e6d8fffe7302cbeff3f05d911fa1d931f82bb5cf1a7"),
 ]
 
 

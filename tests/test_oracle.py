@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import synlat
-from synlat.atoms import residual_atoms
+from synlat.atoms import residual_atoms, top
 from synlat.oracle import (
     OracleConfig,
     oracle_enumerate_elements,
@@ -14,8 +16,9 @@ from synlat.oracle import (
     oracle_transition_action,
     words_upto,
 )
+from synlat.terms import word_key
 
-from conftest import build, random_lattice_form
+from conftest import build, random_ast, random_lattice_form
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +180,92 @@ def test_transition_oracle_reproduces_element_maps(pattern, alphabet):
     oracle_maps = [oracle_transition_action(pt, dfa, la, e.witness) for e in alg.elements]
     assert oracle_maps == [e.mapping for e in alg.elements]
     assert len(set(oracle_maps)) == len(alg)
+
+
+LEAST_FORM_MONOID = 48     # the brute force below checks semirings of monoids up to this size
+LEAST_FORM_WORDS = 20_000  # and enumerates at most this many words
+
+
+def least_words(dfa):
+    """The word_key-least word of each transformation of the DFA's states, by enumerating
+    every word length by length, in string order; None past LEAST_FORM_WORDS words or
+    LEAST_FORM_MONOID transformations.
+
+    A length that brings no new transformation ends the search: each longer word
+    is a word of that length times letters, and so acts as a shorter one does.
+    """
+    n = dfa.n_states
+    least = {}
+    count = 0
+    for length in itertools.count():
+        fresh = False
+        for letters in itertools.product(sorted(dfa.alphabet), repeat=length):
+            count += 1
+            if count > LEAST_FORM_WORDS:
+                return None
+            w = "".join(letters)
+            m = tuple(synlat.run(dfa, q, w) for q in range(n))
+            if m not in least:
+                least[m] = w
+                fresh = True
+        if not fresh:
+            return least if len(least) <= LEAST_FORM_MONOID else None
+
+
+def assert_witnesses_are_least_forms(pattern_or_ast, alphabet=None):
+    """Each semiring witness is the least meet form of its element among all meet forms
+    of at most three words: fewest words first, then sorted word keys.
+
+    A form's element depends only on the transformations of its words, and putting
+    a transformation's least word in place of any other of its words, or dropping a
+    repeated transformation, gives a form no later in that order.  So the least form
+    of an element uses least words of distinct transformations, and forms over those
+    words, enumerated in order, find the least one of up to three words.
+    """
+    if alphabet is None:
+        dfa = synlat.compile_canonical_dfa(pattern_or_ast)
+        pt = synlat.build_profile_table(dfa)
+    else:
+        _, dfa, pt = build(pattern_or_ast, alphabet)
+    least = least_words(dfa)
+    if least is None:
+        return False
+    sr = synlat.syntactic_semiring(pt, dfa)
+    residual = pt.residual_bits
+    images = {w: tuple(residual[q] for q in m) for m, w in least.items()}
+    first = {}
+    for k in range(4):
+        for form in itertools.combinations(sorted(least.values(), key=word_key), k):
+            value = (top(pt).bits,) * dfa.n_states
+            for w in form:
+                value = tuple(map(int.__and__, value, images[w]))
+            first.setdefault(value, form)
+    n = dfa.n_states
+    for e in sr.elements:
+        value = tuple(x.bits for x in e.mapping)
+        for w in e.witness:
+            assert least[tuple(synlat.run(dfa, q, w) for q in range(n))] == w
+        if len(e.witness) <= 3:
+            assert first[value] == e.witness
+        else:
+            assert value not in first
+            meet = (top(pt).bits,) * n
+            for w in e.witness:
+                meet = tuple(map(int.__and__, meet, images[w]))
+            assert meet == value
+    return True
+
+
+@pytest.mark.parametrize(
+    "pattern,alphabet",
+    [("a+b+", "ab"), ("(a|b)*a(a|b)", "ab"), ("abcab", "cba"), ("(ab|ba)*", "ba"), ("b(a|c)*a", "cab"),
+     ("(a|b)*", "ab"), ("%0", "a"), ("a(b|c)", "abc"),
+     ("(a|b)*a(a|b)(a|b)", "ab"), ("(a|b)*a(a|b)(a|b)", "ba"), ("(aa|ab|bab)*", "ab")],   # 3-word witnesses
+)
+def test_semiring_witnesses_are_least_forms(pattern, alphabet):
+    assert assert_witnesses_are_least_forms(pattern, alphabet)
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
+def test_semiring_witnesses_are_least_forms_on_random_languages(seed, alphabet):
+    assert_witnesses_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=10))
