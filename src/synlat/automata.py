@@ -112,7 +112,7 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
     return values, index, right, pairs
 
 
-def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
+def close(seeds, letter_ops, pair_ops, less, budget: int, what: str, least=None):
     """close_values with witnesses; returns (values, witnesses, index, right, pairs).
 
     seeds: (value, witness) pairs; ops: (fn, wfn) pairs, fn on values as in
@@ -123,32 +123,52 @@ def close(seeds, letter_ops, pair_ops, less, budget: int, what: str):
     strictly before it, less(new, old).  Witnesses are read afresh for each
     letter op and each j, since a replacement can change witnesses[i]
     partway through a row.
+
+    least, if given, is called on the closed values and returns each value's
+    least witness in the order less.  Every op aimed at t gives a witness of
+    t, and none is strictly before t's least one, so an op whose target
+    already holds it is skipped without running its wfn, and the replay ends
+    once every value holds it.  The witnesses are still the replay's.
     """
     seeds = list(seeds)
     values, index, right, pairs = close_values(
         [v for v, _ in seeds], [fn for fn, _ in letter_ops], [fn for fn, _ in pair_ops], budget, what
     )
+    certificate = None if least is None else least(values)
     witnesses = []
+    settled = [False] * len(values)   # witnesses[t] is certificate[t]
+    unsettled = len(values)
 
     def put(t, w):
+        nonlocal unsettled
         if t == len(witnesses):   # values are numbered in the order the replay first reaches them
             witnesses.append(w)
         elif less(w, witnesses[t]):
             witnesses[t] = w
+        else:
+            return
+        if certificate is not None and w == certificate[t]:
+            settled[t] = True
+            unsettled -= 1
 
     for v, w in seeds:
         put(index[v], w)
     letter_wfns = [wfn for _, wfn in letter_ops]
     pair_wfns = [wfn for _, wfn in pair_ops]
     for i, row in enumerate(right):
+        if not unsettled:
+            break
         for t, wfn in zip(row, letter_wfns):
-            put(t, wfn(witnesses[i]))
+            if not settled[t]:
+                put(t, wfn(witnesses[i]))
         if pair_wfns:
             rows = [table[i] for table in pairs]
             for j in range(i + 1):
                 wi, wj = witnesses[i], witnesses[j]
                 for cells, wfn in zip(rows, pair_wfns):
-                    put(cells[j], wfn(wi, wj))
+                    t = cells[j]
+                    if not settled[t]:
+                        put(t, wfn(wi, wj))
     return values, witnesses, index, right, pairs
 
 

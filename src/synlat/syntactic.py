@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import and_, or_
+from operator import and_, lshift, or_
 
-from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
+from .atoms import AtomSet, ProfileTable, bit_indices, own_bits, quotient_bits, residual_atoms, top
 from .automata import Dfa, close, close_values, spanning_tree, tree_words
 from .canonical import HasseDiagram, build_lattice_automaton, hasse_from_leq
 from .errors import InconsistencyError
@@ -183,11 +183,12 @@ def _square(lower, upper):
     return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
 
 
-def _product_table(mappings, index, act):
+def _product_table(mappings, act):
     """table[i][j] = the element mapping each column c to act(j, mappings[i][c]).
 
     act(j, x) is evaluated once per element j and distinct image x.
     """
+    index = {m: i for i, m in enumerate(mappings)}
     images = {x for m in mappings for x in m}
     acts = [{x: act(j, x) for x in images} for j in range(len(mappings))]
     table = []
@@ -208,14 +209,85 @@ def _atomset_mappings(pt: ProfileTable, mappings):
     return [tuple(map(atoms.__getitem__, m)) for m in mappings]
 
 
-def _semiring_ops(pt: ProfileTable, letters, values, index, meet_image, monoid_tree):
+def _packing(pt: ProfileTable, n_columns: int):
+    """(pack, unpack, quotient) for tuples of n_columns atom-set bitmasks packed
+    into one int, pt.n_profiles bits a column.
+
+    Pointwise ∧ and ∨ of packed tuples are & and |; quotient(v, a) unpacks,
+    takes each column's letter quotient and repacks.
+    """
+    width = pt.n_profiles
+    mask = (1 << width) - 1
+    shifts = range(0, width * n_columns, width)
+
+    def pack(cells) -> int:
+        return sum(map(lshift, cells, shifts))
+
+    def unpack(v: int) -> tuple[int, ...]:
+        return tuple([v >> s & mask for s in shifts])
+
+    def quotient(v: int, a: str) -> int:
+        return pack([quotient_bits(pt, x, a) for x in unpack(v)])
+
+    return pack, unpack, quotient
+
+
+def _column_image(pt: ProfileTable, columns, pack):
+    """image(m): the packed quotients of the columns (None: the residuals) by a word acting as m.
+
+    The quotient by such a word maps residual q to residual m[q] and
+    distributes over ∩ and ∪.  A column is a positive combination of
+    residuals, so it is the union, over its profiles P, of the meet of the
+    residuals of P's states: the words whose profile contains P.
+    """
+    residual = pt.residual_bits
+    if columns is None:
+        return lambda m: pack(map(residual.__getitem__, m))
+    full = top(pt).bits
+    terms_of = [[tuple(bit_indices(pt.profiles[j])) for j in bit_indices(x.bits)] for x in columns]
+
+    def image(m):
+        cells = []
+        for profiles in terms_of:
+            x = 0
+            for states in profiles:
+                y = full
+                for q in states:
+                    y &= residual[m[q]]
+                x |= y
+            cells.append(x)
+        return pack(cells)
+
+    return image
+
+
+def _meet_values(pt: ProfileTable, dfa: Dfa, columns, pack, budget: int, what: str):
+    """The monoid over the sorted letters, and ⊤ and its images on the columns closed under ∧.
+
+    Returns (monoid_right, values, index, meet_image): the monoid's right
+    Cayley graph, and close_values of ⊤ and each element t's packed image
+    (_column_image; columns None: the residuals) under "∧ image t", t in
+    monoid order.  The monoid is closed over the sorted letters, so its
+    elements come in the order of their word_key-least words.
+    """
+    letters = sorted(dfa.alphabet)
+    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
+    images = list(map(_column_image(pt, columns, pack), monoid))
+    full = pack((top(pt).bits,) * (dfa.n_states if columns is None else len(columns)))
+    meet_ops = [lambda v, y=y: v & y for y in images]
+    values, index, meet_image, _ = close_values([full] + images, meet_ops, (), budget, what)
+    return monoid_right, values, index, meet_image
+
+
+def _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient):
     """Meet, product and swapped product as int pair ops on the values' ids.
 
     meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
     k ∧ image t with k < j.  So i∧j = (i∧k)∧image t, and i·j = i·k ∧ i·t, as
     the product distributes over ∧ on the right, with i·⊤ = ⊤ (value 0).
     i·t follows the monoid's spanning tree, i·t = (i·parent(t))·a: |values|
-    letter quotients per letter, then one lookup per cell.
+    letter quotients per letter, quotient(v, a) on packed values, then one
+    lookup per cell.
     """
     tree = spanning_tree(meet_image)
     meet = []
@@ -224,9 +296,7 @@ def _semiring_ops(pt: ProfileTable, letters, values, index, meet_image, monoid_t
         for k, t in tree:
             row.append(meet_image[row[k]][t])
         meet.append(row)
-    by_letter = [
-        tuple(index[tuple(quotient_bits(pt, x, a) for x in v)] for a in letters) for v in values
-    ]
+    by_letter = [tuple(index[quotient(v, a)] for a in letters) for v in values]
     mul = []
     for i in range(len(values)):
         action = [i]   # i·t for each monoid element t
@@ -271,8 +341,9 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
 
     The monoid is closed over the sorted letters, so its elements come in the
     order of their word_key-least words; image t maps residual q to the
-    residual of q·t.  The values are ⊤ and the images closed under ∧ image t.
-    close_values replays the discovery order on int tables of the values.
+    residual of q·t.  The values are ⊤ and the images closed under ∧ image t,
+    each packed into one int (_packing).  close_values replays the discovery
+    order on int tables of the values.
     Each witness is the least meet form, fewest words first, then sorted
     word keys.  A refusal comes from the monoid's or the values' closure,
     before any table or witness: the monoid's elements have distinct images.
@@ -280,27 +351,24 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
     what = "semiring elements"
-    letters = sorted(dfa.alphabet)
-    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
     residual = pt.residual_bits
-    images = [tuple(map(residual.__getitem__, m)) for m in monoid]
-    top_map = (top(pt).bits,) * dfa.n_states
-    meet_ops = [lambda v, y=y: tuple(map(and_, v, y)) for y in images]
-    values, index, meet_image, _ = close_values([top_map] + images, meet_ops, (), budget, what)
+    pack, unpack, quotient = _packing(pt, dfa.n_states)
+    monoid_right, values, index, meet_image = _meet_values(pt, dfa, None, pack, budget, what)
 
+    letters = sorted(dfa.alphabet)
     monoid_tree = spanning_tree(monoid_right)
-    letter_maps = [tuple(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
-    seeds = [index[residual]] + [index[m] for m in letter_maps] + [0]
+    letter_maps = [pack(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    seeds = [index[pack(residual)]] + [index[m] for m in letter_maps] + [0]
     order, final, _, (meets, muls, swapped) = close_values(   # the ops' tables are freed on return
-        seeds, (), _semiring_ops(pt, letters, values, index, meet_image, monoid_tree), budget, what
+        seeds, (), _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient), budget, what
     )
-    least = _least_forms(meet_image, len(monoid))
+    least = _least_forms(meet_image, len(monoid_right))
     words = tree_words(monoid_tree, letters)
 
     meet_table = _square(meets, meets)
     elements = tuple(
         SemiringElement(m, tuple(map(words.__getitem__, least[p])))
-        for m, p in zip(_atomset_mappings(pt, [values[p] for p in order]), order)
+        for m, p in zip(_atomset_mappings(pt, [unpack(values[p]) for p in order]), order)
     )
     return SyntacticSemiring(
         pt, dfa, elements, 0, final[0], tuple(final[index[m]] for m in letter_maps),
@@ -352,6 +420,35 @@ class SyntacticLatticeAlgebra:
         raise InconsistencyError("form evaluates outside the computed algebra")
 
 
+def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, forms, values, budget: int, what: str):
+    """Each packed value's least lattice form, interned in forms.
+
+    Letter quotients distribute over ∩ and ∪, so every element is ⊥ or a
+    join of meet values: ⊤ and the meets of the monoid's images on the
+    columns (_meet_values).  A least lattice form, fewest inners first, then
+    sorted inner keys, has least meet forms of distinct meet values as its
+    inners: putting the least meet form of an inner's value in its place
+    gives a form no later, and two inners of one value, or one inside
+    another, would leave a form with fewer inners.  So with the meet values
+    ranked by their least meet forms, (length, tuple), a least lattice form
+    is a set of ranks, and _least_forms on the table of ⊥ closed under
+    "∨ meet value k" finds it.
+    """
+    monoid_right, meets, _, meet_image = _meet_values(pt, dfa, columns, pack, budget, what)
+    least_meet = _least_forms(meet_image, len(monoid_right))
+    ranked = sorted(least_meet, key=lambda k: (len(least_meet[k]), least_meet[k]))
+    join_ops = [lambda v, y=meets[k]: v | y for k in ranked]
+    _, join_index, join_image, _ = close_values([0], join_ops, (), budget, what)
+    least_join = _least_forms(join_image, len(ranked))
+    words = tree_words(spanning_tree(monoid_right), sorted(dfa.alphabet))
+    inners = [[words[t] for t in least_meet[k]] for k in ranked]
+    try:
+        joins = [join_index[v] for v in values]
+    except KeyError:
+        raise InconsistencyError("a lattice algebra element is neither ⊥ nor a join of meet values") from None
+    return [forms.lattice([inners[r] for r in least_join[j]]) for j in joins]
+
+
 def _lattice_algebra(
     pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, budget: int, with_tables: bool = True
 ) -> SyntacticLatticeAlgebra:
@@ -359,42 +456,48 @@ def _lattice_algebra(
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
     the residuals), then the witnesses replayed on it; then the tables.
 
+    Each value is its tuple of column bitmasks packed into one int
+    (_packing), so ∧ and ∨ are & and |.  The replay takes each element's
+    least lattice form as its certificate (_least_lattice_forms) and skips
+    every op aimed at an element that already holds it.
+
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
     i's witness on column c.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
+    what = "lattice algebra elements"
     cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
-    letter_maps = [tuple(quotient_bits(pt, x, a) for x in cols) for a in dfa.alphabet]
-    top_map = (top(pt).bits,) * len(cols)
-    bot_map = (0,) * len(cols)
+    pack, unpack, quotient = _packing(pt, len(cols))
+    one_map = pack(cols)
+    letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
+    top_map = pack((top(pt).bits,) * len(cols))
+    bot_map = 0
     forms = terms.FormInterner()
-    seeds = [(cols, forms.lattice([[""]]))]
+    seeds = [(one_map, forms.lattice([[""]]))]
     seeds += [(m, forms.lattice([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
     seeds += [(top_map, forms.lattice(terms.TOP_FORM)), (bot_map, forms.lattice(terms.BOT_FORM))]
     letter_ops = [
-        (lambda m, a=a: tuple(quotient_bits(pt, x, a) for x in m), lambda w, a=a: forms.lf_mul_letter(w, a))
-        for a in dfa.alphabet
+        (lambda v, a=a: quotient(v, a), lambda w, a=a: forms.lf_mul_letter(w, a)) for a in dfa.alphabet
     ]
-    pair_ops = [
-        (lambda mi, mj: tuple(map(and_, mi, mj)), forms.lf_meet),
-        (lambda mi, mj: tuple(map(or_, mi, mj)), forms.lf_join),
-    ]
-    mappings, form_ids, index, _, (meets, joins) = close(
-        seeds, letter_ops, pair_ops, forms.lattice_less, budget, "lattice algebra elements"
+    pair_ops = [(and_, forms.lf_meet), (or_, forms.lf_join)]
+    values, form_ids, index, _, (meets, joins) = close(
+        seeds, letter_ops, pair_ops, forms.lattice_less, budget, what,
+        least=lambda values: _least_lattice_forms(pt, dfa, columns, pack, forms, values, budget, what),
     )
+    mappings = [unpack(v) for v in values]
     witnesses = [forms.lattice_form(f) for f in form_ids]
     meet_table = _square(meets, meets)
     join_table = _square(joins, joins)
     mul_table = None
     if with_tables:
-        mul_table = _product_table(mappings, index, lambda j, x: terms.eval_lattice_bits(pt, x, witnesses[j]))
+        mul_table = _product_table(mappings, lambda j, x: terms.eval_lattice_bits(pt, x, witnesses[j]))
     elements = tuple(
         LatticeAlgebraElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses)
     )
     return SyntacticLatticeAlgebra(
-        pt, dfa, elements, index[cols], index[top_map], index[bot_map],
+        pt, dfa, elements, index[one_map], index[top_map], index[bot_map],
         tuple(index[m] for m in letter_maps), meet_table, join_table, mul_table,
         _meet_order(meet_table), columns,
     )

@@ -15,8 +15,9 @@ import synlat
 from synlat import terms
 from synlat.automata import close, close_values
 from synlat.errors import BudgetError
+from synlat.terms import lattice_form_key, lattice_form_str
 
-from conftest import build, random_regex_corpus
+from conftest import build, certified_lattice_algebra, random_regex_corpus
 
 LATTICE_BUDGET = 200   # larger lattice quotients are skipped: their reference closures take seconds each
 
@@ -60,18 +61,19 @@ def reference_close(seeds, letter_ops, pair_ops, less, budget, what):
 
 
 def checked_close(whats):
-    """close, asserted equal to reference_close on the same arguments; records each closure's name."""
+    """close, with the caller's least-witness certificate, asserted equal to reference_close
+    without one; records each closure's name and whether it passed a certificate."""
 
-    def run(seeds, letter_ops, pair_ops, less, budget, what):
+    def run(seeds, letter_ops, pair_ops, less, budget, what, least=None):
         seeds = list(seeds)
         try:
-            got = close(seeds, letter_ops, pair_ops, less, budget, what)
+            got = close(seeds, letter_ops, pair_ops, less, budget, what, least)
         except BudgetError:
             with pytest.raises(BudgetError):
                 reference_close(seeds, letter_ops, pair_ops, less, budget, what)
             raise
         assert got == reference_close(seeds, letter_ops, pair_ops, less, budget, what)
-        whats.append(what)
+        whats.append((what, least is not None))
         return got
 
     return run
@@ -82,13 +84,13 @@ def assert_engine_matches_reference(monkeypatch, dfa, pt):
     monkeypatch.setattr(synlat.canonical, "close", checked_close(whats))
     monkeypatch.setattr(synlat.syntactic, "close", checked_close(whats))
     synlat.build_lattice_automaton(pt, dfa)   # closes the meet automaton first
-    assert whats == ["canonical automaton states"] * 2
+    assert whats == [("canonical automaton states", False)] * 2
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
         try:
             build_algebra(pt, dfa, budget=LATTICE_BUDGET)
         except BudgetError:
             continue
-        assert whats[-1] == "lattice algebra elements"
+        assert whats[-1] == ("lattice algebra elements", True)
 
 
 def test_engine_matches_reference_on_a_plus_b_plus(monkeypatch):
@@ -101,6 +103,42 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         assert_engine_matches_reference(monkeypatch, dfa, synlat.build_profile_table(dfa))
+
+
+def test_certificate_never_overwrites_a_witness(monkeypatch):
+    # the residual quotient of ((λ|b)ab)* keeps six replay witnesses that are not least forms:
+    # each has the inner b∧ba or b∧ab where λ∧bbab or λ∧babb has the same meet and sorts first
+    _, dfa, pt = build("((%e|b)ab)*", "ab")
+    alg, least = certified_lattice_algebra(synlat.syntactic_lattice_algebra, pt, dfa)
+    monkeypatch.setattr(synlat.syntactic, "close", lambda *args, least=None: reference_close(*args))
+    reference = synlat.syntactic_lattice_algebra(pt, dfa)
+    assert len(alg) == 249
+    assert alg.labels() == reference.labels()
+    assert [alg.element_of_form(f) for f in least] == list(range(len(alg)))
+    assert all(lattice_form_key(f) <= lattice_form_key(e.witness) for f, e in zip(least, alg.elements))
+    differ = {
+        i: (label, lattice_form_str(f)) for i, (label, f) in enumerate(zip(alg.labels(), least))
+        if label != lattice_form_str(f)
+    }
+    assert differ == {
+        48: ("(a∧ba)∨(b∧ba)", "(λ∧bbab)∨(a∧ba)"),
+        103: ("(a∧ba)∨(b∧ab)", "(λ∧babb)∨(a∧ba)"),
+        113: ("bb∨(b∧ba)", "bb∨(λ∧bbab)"),
+        143: ("bb∨(a∧ba)∨(b∧ba)", "bb∨(λ∧bbab)∨(a∧ba)"),
+        165: ("(a∧ab)∨(a∧ba)∨(b∧ba)", "(λ∧bbab)∨(a∧ab)∨(a∧ba)"),
+        196: ("bb∨(a∧ab)∨(b∧ba)", "bb∨(λ∧bbab)∨(a∧ab)"),
+    }
+
+
+def test_certified_replay_runs_few_witness_ops(monkeypatch):
+    # the replay without a certificate runs 263,682 pair witness ops on these 513 elements
+    _, dfa, pt = build("(ab|ba)*", "ab")
+    calls = []
+    for name in ("lf_meet", "lf_join"):
+        op = getattr(terms.FormInterner, name)
+        monkeypatch.setattr(terms.FormInterner, name, lambda self, f, g, op=op: calls.append(1) or op(self, f, g))
+    assert len(synlat.syntactic_lattice_algebra(pt, dfa)) == 513
+    assert 0 < len(calls) <= 1000
 
 
 def test_close_values_order_and_tables():
@@ -156,6 +194,15 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
             b(n - 1)
+
+
+def test_refused_lattice_builds_compute_no_least_form(monkeypatch):
+    # the certificate is computed from the closed values, so a refusal comes first
+    _, dfa, pt = build("a+b+", "ab")
+    monkeypatch.setattr(synlat.syntactic, "_least_lattice_forms", no_witness_op)
+    for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
+        with pytest.raises(BudgetError, match="^lattice algebra elements exceeded budget of 21$"):
+            build_algebra(pt, dfa, 21)
 
 
 @pytest.mark.parametrize("budget", [5, 43])

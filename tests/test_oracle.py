@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import synlat
-from synlat.atoms import residual_atoms, top
+from synlat.atoms import quotient_word, residual_atoms, top
 from synlat.oracle import (
     OracleConfig,
     oracle_enumerate_elements,
@@ -16,9 +16,9 @@ from synlat.oracle import (
     oracle_transition_action,
     words_upto,
 )
-from synlat.terms import word_key
+from synlat.terms import lattice_form_key, word_key
 
-from conftest import build, random_ast, random_lattice_form
+from conftest import build, certified_lattice_algebra, random_ast, random_lattice_form
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +269,84 @@ def test_semiring_witnesses_are_least_forms(pattern, alphabet):
 @given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
 def test_semiring_witnesses_are_least_forms_on_random_languages(seed, alphabet):
     assert_witnesses_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=10))
+
+
+LEAST_LATTICE_MONOID = 8   # the lattice oracle below checks languages whose monoid has at most this many elements
+LEAST_LATTICE_SIZE = 3     # and enumerates lattice forms of up to this many inners, each of up to this many words
+LEAST_LATTICE_BUDGET = 300   # quotients larger than this are skipped: their product tables take seconds
+
+
+def assert_certificates_are_least_forms(pattern_or_ast, alphabet=None):
+    """Each least form that a lattice quotient's closure takes as its certificate is the least
+    lattice form with its element, for both quotients: fewest inners first, then sorted inner
+    keys, each inner compared as a meet form.  Returns how many quotients it checked.
+
+    The brute force enumerates, in that order, every lattice form of up to three inners, each
+    a meet form of up to three least words, and keeps the first form of each element.  Putting
+    a word's least word in its place leaves the element and gives a form no later, so the
+    least form uses least words only; one that fits these bounds is the first found, and one
+    that does not is before every form found for its element.
+    """
+    if alphabet is None:
+        dfa = synlat.compile_canonical_dfa(pattern_or_ast)
+        pt = synlat.build_profile_table(dfa)
+    else:
+        _, dfa, pt = build(pattern_or_ast, alphabet)
+    least = least_words(dfa)
+    if least is None or len(least) > LEAST_LATTICE_MONOID:
+        return 0
+    words = sorted(least.values(), key=word_key)
+    size = LEAST_LATTICE_SIZE
+    inners = [u for k in range(size + 1) for u in itertools.combinations(words, k)]   # in meet_form_key order
+    width = pt.n_profiles
+
+    def packed(cells):
+        return sum(x.bits << (width * c) for c, x in enumerate(cells))
+
+    checked = 0
+    for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
+        try:
+            alg, certificates = certified_lattice_algebra(build_algebra, pt, dfa, budget=LEAST_LATTICE_BUDGET)
+        except synlat.BudgetError:
+            continue
+        columns = alg.columns or tuple(residual_atoms(pt, q) for q in range(dfa.n_states))
+        images = {w: packed(quotient_word(pt, x, w) for x in columns) for w in words}
+        full = packed([top(pt)] * len(columns))
+        inner_values = []
+        for u in inners:
+            v = full
+            for w in u:
+                v &= images[w]
+            inner_values.append(v)
+        first = {}
+        for k in range(size + 1):
+            for combo in itertools.combinations(range(len(inners)), k):
+                v = 0
+                for i in combo:
+                    v |= inner_values[i]
+                first.setdefault(v, combo)
+        for e, form in zip(alg.elements, certificates):
+            value = packed(e.mapping)
+            assert alg.mapping_of_form(form) == e.mapping
+            assert all(least[tuple(synlat.run(dfa, q, w) for q in range(dfa.n_states))] == w for u in form for w in u)
+            found = tuple(inners[i] for i in first[value]) if value in first else None
+            if len(form) <= size and all(len(u) <= size for u in form):
+                assert found == form
+            else:
+                assert found is None or lattice_form_key(form) < lattice_form_key(found)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize(
+    "pattern,alphabet",
+    [("a+b+", "ab"), ("(ab)*", "ab"), ("a?b", "ab"), ("ab*a|b", "ab"), ("a(b|c)", "abc"), ("(a|bb)*", "ab"),
+     ("b(a|c)*a", "cab"), ("(a|b)*a(a|b)", "ba"), ("%0", "a"), ("a*", "ab")],
+)
+def test_lattice_certificates_are_least_forms(pattern, alphabet):
+    assert assert_certificates_are_least_forms(pattern, alphabet) == 2
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
+def test_lattice_certificates_are_least_forms_on_random_languages(seed, alphabet):
+    assert_certificates_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=8))
