@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BudgetError
+from .errors import BudgetError, InconsistencyError
 
 DEFAULT_STATE_BUDGET = 4096   # states of any automaton built by the package
 
@@ -112,66 +112,6 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
     return values, index, right, pairs
 
 
-def close(seeds, letter_ops, pair_ops, less, budget: int, what: str, least=None):
-    """close_values with witnesses; returns (values, witnesses, index, right, pairs).
-
-    seeds: (value, witness) pairs; ops: (fn, wfn) pairs, fn on values as in
-    close_values and wfn on witnesses.  The values are closed first, so a
-    BudgetError comes before any witness op runs.  The witness ops are then
-    replayed in the closure's order onto the targets its tables recorded:
-    a value keeps the first witness that reaches it, unless a later one is
-    strictly before it, less(new, old).  Witnesses are read afresh for each
-    letter op and each j, since a replacement can change witnesses[i]
-    partway through a row.
-
-    least, if given, is called on the closed values and returns each value's
-    least witness in the order less.  Every op aimed at t gives a witness of
-    t, and none is strictly before t's least one, so an op whose target
-    already holds it is skipped without running its wfn, and the replay ends
-    once every value holds it.  The witnesses are still the replay's.
-    """
-    seeds = list(seeds)
-    values, index, right, pairs = close_values(
-        [v for v, _ in seeds], [fn for fn, _ in letter_ops], [fn for fn, _ in pair_ops], budget, what
-    )
-    certificate = None if least is None else least(values)
-    witnesses = []
-    settled = [False] * len(values)   # witnesses[t] is certificate[t]
-    unsettled = len(values)
-
-    def put(t, w):
-        nonlocal unsettled
-        if t == len(witnesses):   # values are numbered in the order the replay first reaches them
-            witnesses.append(w)
-        elif less(w, witnesses[t]):
-            witnesses[t] = w
-        else:
-            return
-        if certificate is not None and w == certificate[t]:
-            settled[t] = True
-            unsettled -= 1
-
-    for v, w in seeds:
-        put(index[v], w)
-    letter_wfns = [wfn for _, wfn in letter_ops]
-    pair_wfns = [wfn for _, wfn in pair_ops]
-    for i, row in enumerate(right):
-        if not unsettled:
-            break
-        for t, wfn in zip(row, letter_wfns):
-            if not settled[t]:
-                put(t, wfn(witnesses[i]))
-        if pair_wfns:
-            rows = [table[i] for table in pairs]
-            for j in range(i + 1):
-                wi, wj = witnesses[i], witnesses[j]
-                for cells, wfn in zip(rows, pair_wfns):
-                    t = cells[j]
-                    if not settled[t]:
-                        put(t, wfn(wi, wj))
-    return values, witnesses, index, right, pairs
-
-
 def spanning_tree(right) -> list[tuple[int, int]]:
     """(parent, letter) of values 1, 2, ... in a breadth-first closure from value 0.
 
@@ -192,6 +132,42 @@ def tree_words(tree, alphabet) -> list[str]:
     for i, a in tree:
         words.append(words[i] + alphabet[a])
     return words
+
+
+def tree_paths(right) -> list[tuple[int, ...]]:
+    """The ops along the spanning tree to each value, as a tuple of op indices; value 0's is ().
+
+    Let right be the table of a closure from one seed under ops "∧ g_k" (or
+    all "∨ g_k") for generators g_k ranked by a key.  Then each path is its
+    value's least form over the generators: fewest generators, then the
+    least tuple of ranks; it is increasing, so it is also the sorted form.
+    By induction on the breadth-first layers, whose values are visited in
+    the order of their least forms: let F be the least form of value j, F'
+    its prefix and k its last rank.  F' is the least form of its value, so
+    that value reaches j by op k; and a parent visited earlier, or the same
+    parent by an op before k, would give a form before F by inserting its
+    op into its own least form.  So j is first reached from F' by op k.
+    """
+    paths = [()]
+    for i, k in spanning_tree(right):
+        paths.append(paths[i] + (k,))
+    return paths
+
+
+def least_paths(values, seed, ops, what: str) -> list[tuple[int, ...]]:
+    """tree_paths of the closure of seed under ops, for each of values in turn.
+
+    The search is budgeted at len(values), so it does no more work than the
+    closure that found them.  Raises InconsistencyError unless it reaches
+    exactly the given values.
+    """
+    try:
+        _, index, right, _ = close_values([seed], ops, (), len(values), what)
+        found = [index[v] for v in values]
+    except (BudgetError, KeyError):
+        raise InconsistencyError(f"the least-form search does not reach exactly the {what}") from None
+    paths = tree_paths(right)
+    return [paths[i] for i in found]
 
 
 def access_words(dfa: Dfa) -> tuple[str, ...]:

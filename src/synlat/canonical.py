@@ -6,7 +6,10 @@ lattice automaton additionally closes under union and contains the empty
 union.  Transitions are letter quotients, finals are the states containing λ,
 and the inclusion order is carried as a Hasse diagram (the dashed edges in
 the usual drawing convention).  Both closures run on the states' bitmasks
-through automata.close, the closure engine the syntactic algebras share.
+through automata.close_values, the closure engine the syntactic algebras
+share.  Each state's witness is its least form over the closure's
+generators, read off a breadth-first tree (automata.least_paths): a meet
+form over the access words, or a lattice form over the meet witnesses.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
-from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, least_paths
 from . import terms
+from .terms import meet_form_key, word_key
 
 
 @dataclass(frozen=True)
@@ -93,33 +97,51 @@ class LatticeAutomaton:
         return tuple(terms.lattice_form_str(w) for w in self.witnesses)
 
 
-def _automaton(cls, pt: ProfileTable, dfa: Dfa, seeds, budget: int, op, wop, less, form):
-    """Close the seed states (bits, witness) under op and assemble the automaton;
-    form turns an interned witness (terms.FormInterner) into the tuple form stored."""
-    values, witnesses, index, _, _ = close(seeds, (), [(op, wop)], less, budget, "canonical automaton states")
+WHAT = "canonical automaton states"
+
+
+def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, unit: int, op, generators):
+    """Assemble the automaton on closed = (values, index) of close_values.  generators are
+    (form, bits) pairs in the order of their forms' key; each state's witness
+    is its least form over them, the tuple of the forms that op combines with
+    unit along the breadth-first tree (automata.least_paths)."""
+    values, index = closed
+    forms = [f for f, _ in generators]
+    ops = [lambda v, g=g: op(v, g) for _, g in generators]
+    witnesses = tuple(tuple(map(forms.__getitem__, p)) for p in least_paths(values, unit, ops, WHAT))
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
     initial = index[pt.residual_bits[dfa.initial]]
-    return cls(pt, states, tuple(map(form, witnesses)), delta, initial, finals, _inclusion_order(values))
+    return cls(pt, states, witnesses, delta, initial, finals, _inclusion_order(values))
+
+
+def _meet_states(pt: ProfileTable, dfa: Dfa, budget: int):
+    if pt.dfa is not dfa:
+        raise ValueError("profile table was built from a different DFA")
+    return close_values([*pt.residual_bits, top(pt).bits], (), [and_], budget, WHAT)[:2]
+
+
+def _meet_automaton(pt: ProfileTable, dfa: Dfa, closed) -> MeetAutomaton:
+    """The residuals, ranked by their access words' word_key, generate every state from ⊤."""
+    generators = sorted(zip(access_words(dfa), pt.residual_bits), key=lambda g: word_key(g[0]))
+    return _automaton(MeetAutomaton, pt, dfa, closed, top(pt).bits, and_, generators)
 
 
 def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> MeetAutomaton:
     """Residual states in DFA order, then ⊤, then new meets in discovery order."""
-    if pt.dfa is not dfa:
-        raise ValueError("profile table was built from a different DFA")
-    forms = terms.FormInterner()
-    seeds = [(bits, forms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
-    seeds.append((top(pt).bits, forms.meet_form([])))
-    return _automaton(MeetAutomaton, pt, dfa, seeds, budget, and_, forms.mf_meet, forms.meet_less, forms.words_of)
+    return _meet_automaton(pt, dfa, _meet_states(pt, dfa, budget))
 
 
 def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> LatticeAutomaton:
-    """Join closure of the meet automaton's states, with ⊥; meet states first."""
-    ma = build_meet_automaton(pt, dfa, budget)
-    forms = terms.FormInterner()
-    seeds = [(v.bits, forms.lattice((w,))) for v, w in zip(ma.states, ma.witnesses)]
-    seeds.append((bottom(pt).bits, forms.lattice([])))
-    return _automaton(
-        LatticeAutomaton, pt, dfa, seeds, budget, or_, forms.lf_join, forms.lattice_less, forms.lattice_form
-    )
+    """Join closure of the meet automaton's states, with ⊥; meet states first.
+
+    Both closures run before any witness, so a refusal comes first.  The meet
+    states, ranked by their witnesses' meet_form_key, generate every state
+    from ⊥.
+    """
+    meets = _meet_states(pt, dfa, budget)
+    joins = close_values([*meets[0], bottom(pt).bits], (), [or_], budget, WHAT)[:2]
+    ma = _meet_automaton(pt, dfa, meets)
+    generators = sorted(zip(ma.witnesses, meets[0]), key=lambda g: meet_form_key(g[0]))
+    return _automaton(LatticeAutomaton, pt, dfa, joins, bottom(pt).bits, or_, generators)

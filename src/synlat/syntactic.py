@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import and_, lshift, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, own_bits, quotient_bits, residual_atoms, top
-from .automata import Dfa, close, close_values, spanning_tree, tree_words
+from .automata import Dfa, close_values, least_paths, spanning_tree, tree_paths, tree_words
 from .canonical import HasseDiagram, build_lattice_automaton, hasse_from_leq
 from .errors import InconsistencyError
 from . import terms
@@ -179,7 +179,7 @@ def _meet_order(meet_table) -> HasseDiagram:
 
 
 def _square(lower, upper):
-    """t[i][j] = lower[i][j] for j <= i and upper[j][i] for j > i, from close's triangles."""
+    """t[i][j] = lower[i][j] for j <= i and upper[j][i] for j > i, from close_values' triangles."""
     return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
 
 
@@ -309,31 +309,6 @@ def _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient):
     return [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
 
 
-def _least_forms(meet_image, n_monoid: int) -> dict[int, tuple[int, ...]]:
-    """Each value's least meet form as a sorted tuple of monoid elements; ⊤'s is ().
-
-    Forms compare by length, then as tuples.  Layer k extends each least
-    form of layer k−1 by every element numbered after its last one.  The
-    layer is visited in order, so the first candidate to reach a value not
-    reached before is its least form; a least k-form extends the least
-    (k−1)-form of its prefix's value, since a smaller prefix would give a
-    smaller k-form.
-    """
-    least = {0: ()}
-    layer = [(0, ())]
-    while layer:
-        extended = []
-        for v, form in layer:
-            row = meet_image[v]
-            for t in range(form[-1] + 1 if form else 0, n_monoid):
-                u = row[t]
-                if u not in least:
-                    least[u] = longer = form + (t,)
-                    extended.append((u, longer))
-        layer = extended
-    return least
-
-
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
     """⊤ and the pointwise meets of the monoid's images (Polák, "Syntactic
     semiring of a language", 2001), numbered as the closure of {1, letters, ⊤}
@@ -345,8 +320,10 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     each packed into one int (_packing).  close_values replays the discovery
     order on int tables of the values.
     Each witness is the least meet form, fewest words first, then sorted
-    word keys.  A refusal comes from the monoid's or the values' closure,
-    before any table or witness: the monoid's elements have distinct images.
+    word keys: the path to its value along the breadth-first tree of the
+    values' closure (automata.tree_paths).  A refusal comes from the monoid's
+    or the values' closure, before any table or witness: the monoid's
+    elements have distinct images.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -362,7 +339,7 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     order, final, _, (meets, muls, swapped) = close_values(   # the ops' tables are freed on return
         seeds, (), _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient), budget, what
     )
-    least = _least_forms(meet_image, len(monoid_right))
+    least = tree_paths(meet_image)
     words = tree_words(monoid_tree, letters)
 
     meet_table = _square(meets, meets)
@@ -420,33 +397,25 @@ class SyntacticLatticeAlgebra:
         raise InconsistencyError("form evaluates outside the computed algebra")
 
 
-def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, forms, values, budget: int, what: str):
-    """Each packed value's least lattice form, interned in forms.
+def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, values, budget: int, what: str):
+    """Each packed value's least lattice form: fewest inners first, then sorted inner keys.
 
     Letter quotients distribute over ∩ and ∪, so every element is ⊥ or a
     join of meet values: ⊤ and the meets of the monoid's images on the
-    columns (_meet_values).  A least lattice form, fewest inners first, then
-    sorted inner keys, has least meet forms of distinct meet values as its
-    inners: putting the least meet form of an inner's value in its place
-    gives a form no later, and two inners of one value, or one inside
-    another, would leave a form with fewer inners.  So with the meet values
-    ranked by their least meet forms, (length, tuple), a least lattice form
-    is a set of ranks, and _least_forms on the table of ⊥ closed under
-    "∨ meet value k" finds it.
+    columns (_meet_values).  A least lattice form has least meet forms of
+    distinct meet values as its inners: putting the least meet form of an
+    inner's value in its place gives a form no later, and two inners of one
+    value, or one inside another, would leave a form with fewer inners.  The
+    meet values come in the order of their least meet forms, which
+    automata.tree_paths reads off their closure; so a least lattice form is a
+    set of meet values, and automata.least_paths reads it off the closure
+    of ⊥ under "∨ meet value k".
     """
     monoid_right, meets, _, meet_image = _meet_values(pt, dfa, columns, pack, budget, what)
-    least_meet = _least_forms(meet_image, len(monoid_right))
-    ranked = sorted(least_meet, key=lambda k: (len(least_meet[k]), least_meet[k]))
-    join_ops = [lambda v, y=meets[k]: v | y for k in ranked]
-    _, join_index, join_image, _ = close_values([0], join_ops, (), budget, what)
-    least_join = _least_forms(join_image, len(ranked))
     words = tree_words(spanning_tree(monoid_right), sorted(dfa.alphabet))
-    inners = [[words[t] for t in least_meet[k]] for k in ranked]
-    try:
-        joins = [join_index[v] for v in values]
-    except KeyError:
-        raise InconsistencyError("a lattice algebra element is neither ⊥ nor a join of meet values") from None
-    return [forms.lattice([inners[r] for r in least_join[j]]) for j in joins]
+    inners = [tuple(map(words.__getitem__, p)) for p in tree_paths(meet_image)]
+    join_ops = [lambda v, y=y: v | y for y in meets]
+    return [tuple(map(inners.__getitem__, p)) for p in least_paths(values, 0, join_ops, what)]
 
 
 def _lattice_algebra(
@@ -454,12 +423,12 @@ def _lattice_algebra(
 ) -> SyntacticLatticeAlgebra:
     """Fixpoint closure of {1, letters, ⊤, ⊥} under right multiplication by
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
-    the residuals), then the witnesses replayed on it; then the tables.
+    the residuals); then each element's least lattice form as its witness
+    (_least_lattice_forms), and the tables.
 
     Each value is its tuple of column bitmasks packed into one int
-    (_packing), so ∧ and ∨ are & and |.  The replay takes each element's
-    least lattice form as its certificate (_least_lattice_forms) and skips
-    every op aimed at an element that already holds it.
+    (_packing), so ∧ and ∨ are & and |.  The witnesses are computed from the
+    closed values, so a refusal comes before any of them.
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
@@ -474,20 +443,11 @@ def _lattice_algebra(
     letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
     top_map = pack((top(pt).bits,) * len(cols))
     bot_map = 0
-    forms = terms.FormInterner()
-    seeds = [(one_map, forms.lattice([[""]]))]
-    seeds += [(m, forms.lattice([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
-    seeds += [(top_map, forms.lattice(terms.TOP_FORM)), (bot_map, forms.lattice(terms.BOT_FORM))]
-    letter_ops = [
-        (lambda v, a=a: quotient(v, a), lambda w, a=a: forms.lf_mul_letter(w, a)) for a in dfa.alphabet
-    ]
-    pair_ops = [(and_, forms.lf_meet), (or_, forms.lf_join)]
-    values, form_ids, index, _, (meets, joins) = close(
-        seeds, letter_ops, pair_ops, forms.lattice_less, budget, what,
-        least=lambda values: _least_lattice_forms(pt, dfa, columns, pack, forms, values, budget, what),
-    )
+    seeds = [one_map, *letter_maps, top_map, bot_map]
+    letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
+    values, index, _, (meets, joins) = close_values(seeds, letter_ops, [and_, or_], budget, what)
+    witnesses = _least_lattice_forms(pt, dfa, columns, pack, values, budget, what)
     mappings = [unpack(v) for v in values]
-    witnesses = [forms.lattice_form(f) for f in form_ids]
     meet_table = _square(meets, meets)
     join_table = _square(joins, joins)
     mul_table = None

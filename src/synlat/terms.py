@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .atoms import (
     AtomSet,
     ProfileTable,
-    bit_indices,
     bottom,
     build_profile_table,
     contains_lambda,
@@ -317,201 +316,6 @@ def multiply_lattice_forms(f: LatticeForm, g: LatticeForm) -> LatticeForm:
             part = lf_meet(part, _lf_mul_word(f, w))
         out = lf_join(out, part)
     return out
-
-
-class FormInterner:
-    """Words and witness forms on ints for the closures (hash-consing).
-
-    Words get int ids in order of first use, each with its word_key cached.
-    A meet form is the bitmask of its word ids (0 is ⊤), not interned: a
-    meet is an OR.
-
-    The lattice closures intern meet forms as inner sets, each with its word
-    tuple and key computed once and sup[u], the bitmask of the inner ids
-    whose word sets strictly contain u's.  A lattice form is the bitmask of
-    its inner ids (0 is ⊥), and the antichain of a set s of inner ids is
-    s & ~(OR of sup[u] for u in s): a join is an OR and one such reduction,
-    and a meet ORs the antichains of {u ∪ v : v ∈ g}, memoized per inner set
-    u of f and form g, then reduces; the minimal elements of a union are the
-    minimal elements of the union of the parts' minimal elements.
-
-    The witness orders that close takes, meet_less and lattice_less, compare
-    member counts (bit_count) first and sorted member keys only on a tie; a
-    lattice form's are memoized.
-
-    Each op gives exactly the form of its tuple normalizer above (mf_meet,
-    lf_meet, lf_join, multiply_lattice_forms by a letter) and each
-    order compares as meet_form_key or lattice_form_key does, so the
-    closures keep the same witnesses and tie-breaks; words_of and
-    lattice_form give the tuple forms back at the API boundary.
-    """
-
-    def __init__(self):
-        self.words: list[str] = []                 # word id -> word
-        self._word_keys: list[tuple[int, str]] = []   # word id -> word_key
-        self._word_ids: dict[str, int] = {}
-        self._inner_ids: dict[int, int] = {}      # meet form -> inner id
-        self.masks: list[int] = []                 # inner id -> meet form
-        self.sup: list[int] = []                   # inner id -> bitmask of its strict supersets' ids
-        self.forms: list[MeetForm] = []            # inner id -> shortlex-sorted word tuple
-        self.keys: list[tuple] = []                # inner id -> meet_form_key
-        self._letters: dict[tuple[int, str], int] = {}
-        self._meets: dict[tuple[int, int], int] = {}   # (inner id, form) -> their meet
-        self._up: dict[int, int] = {}              # form -> OR of sup over its ids, until the next intern
-        self._ties: dict[int, tuple] = {}          # form -> its sorted inner keys
-
-    def word(self, w: str) -> int:
-        k = self._word_ids.get(w)
-        if k is None:
-            k = self._word_ids[w] = len(self.words)
-            self.words.append(w)
-            self._word_keys.append(word_key(w))
-        return k
-
-    # --- meet forms as bitmasks over word ids ---
-
-    def meet_form(self, words) -> int:
-        u = 0
-        for k in map(self.word, words):
-            u |= 1 << k
-        return u
-
-    def _word_key_tuple(self, u: int) -> tuple:
-        return tuple(sorted(map(self._word_keys.__getitem__, bit_indices(u))))
-
-    def meet_less(self, u: int, v: int) -> bool:
-        """meet_form_key(u) < meet_form_key(v) for the meet forms u and v."""
-        cu, cv = u.bit_count(), v.bit_count()
-        if cu != cv:
-            return cu < cv
-        return u != v and self._word_key_tuple(u) < self._word_key_tuple(v)
-
-    def mf_meet(self, u: int, v: int) -> int:
-        return u | v
-
-    def words_of(self, u: int) -> MeetForm:
-        return tuple(map(self.words.__getitem__, sorted(bit_indices(u), key=self._word_keys.__getitem__)))
-
-    # --- lattice forms as bitmasks over interned inner sets ---
-
-    def _intern(self, mask: int) -> int:
-        """Inner id of the word set with the given bitmask.
-
-        A new id is entered in sup: one AND with each existing id's bitmask
-        tells whether that set lies strictly inside the new one or strictly
-        around it.  The memoized sup-ORs are dropped, as they may now miss it.
-        """
-        u = self._inner_ids.get(mask)
-        if u is None:
-            u = self._inner_ids[mask] = len(self.masks)
-            bit, above, sup = 1 << u, 0, self.sup
-            for v, m in enumerate(self.masks):
-                common = m & mask
-                if common == m:
-                    sup[v] |= bit
-                elif common == mask:
-                    above |= 1 << v
-            form = self.words_of(mask)
-            self.masks.append(mask)
-            sup.append(above)
-            self.forms.append(form)
-            self.keys.append(meet_form_key(form))
-            self._up.clear()
-        return u
-
-    def inner(self, words) -> int:
-        """Inner id of the meet of the given words."""
-        return self._intern(self.meet_form(words))
-
-    def _mul_letter(self, u: int, a: str) -> int:
-        w = self._letters.get((u, a))
-        if w is None:
-            w = self._letters[u, a] = self.inner(x + a for x in self.forms[u])
-        return w
-
-    def _above(self, f: int) -> int:
-        """OR of sup over the inner ids in f, memoized: f & ~_above(f) is f's antichain."""
-        up = self._up.get(f)
-        if up is None:
-            up, sup, rest = 0, self.sup, f
-            while rest:
-                low = rest & -rest
-                up |= sup[low.bit_length() - 1]
-                rest ^= low
-            self._up[f] = up
-        return up
-
-    def lf_join(self, f: int, g: int) -> int:
-        """The antichain of both forms' inner sets."""
-        s = f | g
-        if s == f or s == g:
-            return s
-        return s & ~(self._above(f) | self._above(g))
-
-    def _meet_inner(self, u: int, g: int) -> int:
-        """The antichain of {u ∪ v : v ∈ g}, memoized per (u, g)."""
-        key = (u, g)
-        m = self._meets.get(key)
-        if m is None:
-            mu, masks, intern = self.masks[u], self.masks, self._intern
-            m = 0
-            while g:
-                low = g & -g
-                m |= 1 << intern(mu | masks[low.bit_length() - 1])
-                g ^= low
-            m = self._meets[key] = m & ~self._above(m)
-        return m
-
-    def lf_meet(self, f: int, g: int) -> int:
-        """The antichain of the pairwise unions; f ∧ f = f, since each u ∪ v contains u."""
-        if f == g:
-            return f
-        if f & (f - 1) == 0:
-            return self._meet_inner(f.bit_length() - 1, g) if f else 0
-        parts = []
-        while f:
-            low = f & -f
-            parts.append(self._meet_inner(low.bit_length() - 1, g))
-            f ^= low
-        out = up = 0
-        for m in parts:   # after the last intern, so that each sup-OR sees every id in out
-            out |= m
-            up |= self._above(m)
-        return out & ~up
-
-    def lf_mul_letter(self, f: int, a: str) -> int:
-        """multiply_lattice_forms(f, ((a,),)).  Appending a letter is injective and
-        keeps ⊆ both ways, so the inner sets stay an antichain."""
-        out = 0
-        while f:
-            low = f & -f
-            out |= 1 << self._mul_letter(low.bit_length() - 1, a)
-            f ^= low
-        return out
-
-    def _tie_key(self, f: int) -> tuple:
-        """The inner keys of f in order, memoized: lattice_form_key(f) without its count."""
-        t = self._ties.get(f)
-        if t is None:
-            t = self._ties[f] = tuple(sorted(map(self.keys.__getitem__, bit_indices(f))))
-        return t
-
-    def lattice_less(self, f: int, g: int) -> bool:
-        """lattice_form_key(f) < lattice_form_key(g) for the lattice forms f and g."""
-        cf, cg = f.bit_count(), g.bit_count()
-        if cf != cg:
-            return cf < cg
-        return f != g and self._tie_key(f) < self._tie_key(g)
-
-    def lattice(self, inners) -> int:
-        """lattice_form(inners) as a form."""
-        s = 0
-        for u in inners:
-            s |= 1 << self.inner(u)
-        return s & ~self._above(s)
-
-    def lattice_form(self, f: int) -> LatticeForm:
-        return tuple(map(self.forms.__getitem__, sorted(bit_indices(f), key=self.keys.__getitem__)))
 
 
 # --- normalization of terms to the free structures ---

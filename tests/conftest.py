@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import settings
 
 import synlat
@@ -131,21 +130,3 @@ def random_lattice_form(rng, alphabet, max_inners=3, max_words=3, max_len=3):
         ]
         inners.append(words)
     return synlat.lattice_form(inners)
-
-
-def certified_lattice_algebra(build_algebra, pt, dfa, **kwargs):
-    """A lattice quotient and the least form its closure's certificate gave each element,
-    as tuple forms in element order."""
-    real_close = synlat.syntactic.close
-    certificates = []
-
-    def recording_close(seeds, letter_ops, pair_ops, less, budget, what, least=None):
-        got = real_close(seeds, letter_ops, pair_ops, less, budget, what, least)
-        forms = less.__self__   # the closure's FormInterner
-        certificates.append(tuple(map(forms.lattice_form, least(got[0]))))
-        return got
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synlat.syntactic, "close", recording_close)
-        alg = build_algebra(pt, dfa, **kwargs)
-    return alg, certificates[-1]

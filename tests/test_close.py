@@ -1,23 +1,31 @@
-"""The values-first closure engine against the interleaved reference.
+"""The breadth-first tree read of least forms against the layered search and the witness replay.
 
-automata.close closes the values first (close_values) and then replays
-the witness ops on the tables that closure recorded.  reference_close is
-the engine as it was before that split: it builds and compares witnesses
-while it discovers the values.  Every witness closure of the builders must
-come out identical under both, and a refused closure must run no witness op.
+Every witness in the package is its least form, read off close_values'
+breadth-first spanning tree (automata.tree_paths, automata.least_paths).
+layered_least_forms is the layered least-form search the semiring used
+before: every tree read of the builders must equal it.  reference_close is
+the closure engine that built witnesses before: it maintains them while it
+discovers the values, a value keeping the first witness that reaches it
+unless a later one is strictly before it.  With the tuple normalizers of
+terms (mf_meet, mf_mul, lf_meet, lf_join, multiply_lattice_forms) and the
+orders meet_form_key and lattice_form_key, the reference_* builders below
+rebuild the automata and algebras that way; tests/test_forms.py compares the
+builders with them.
 """
 
-from operator import lt
+from operator import and_, or_
 
 import pytest
 
 import synlat
 from synlat import terms
-from synlat.automata import close, close_values
-from synlat.errors import BudgetError
+from synlat.atoms import quotient_bits, top
+from synlat.automata import access_words, close_values, least_paths
+from synlat.errors import BudgetError, InconsistencyError
+from synlat.syntactic import _square, semiring_action_bits
 from synlat.terms import lattice_form_key, lattice_form_str
 
-from conftest import build, certified_lattice_algebra, random_regex_corpus
+from conftest import build, random_regex_corpus
 
 LATTICE_BUDGET = 200   # larger lattice quotients are skipped: their reference closures take seconds each
 
@@ -60,37 +68,123 @@ def reference_close(seeds, letter_ops, pair_ops, less, budget, what):
     return values, witnesses, index, right, pairs
 
 
-def checked_close(whats):
-    """close, with the caller's least-witness certificate, asserted equal to reference_close
-    without one; records each closure's name and whether it passed a certificate."""
+def meet_less(x, y):
+    return terms.meet_form_key(x) < terms.meet_form_key(y)
 
-    def run(seeds, letter_ops, pair_ops, less, budget, what, least=None):
-        seeds = list(seeds)
-        try:
-            got = close(seeds, letter_ops, pair_ops, less, budget, what, least)
-        except BudgetError:
-            with pytest.raises(BudgetError):
-                reference_close(seeds, letter_ops, pair_ops, less, budget, what)
-            raise
-        assert got == reference_close(seeds, letter_ops, pair_ops, less, budget, what)
-        whats.append((what, least is not None))
+
+def lattice_less(x, y):
+    return terms.lattice_form_key(x) < terms.lattice_form_key(y)
+
+
+def reference_meet_automaton(pt, dfa):
+    seeds = [(bits, terms.meet_form([w])) for bits, w in zip(pt.residual_bits, access_words(dfa))]
+    seeds.append((top(pt).bits, terms.meet_form([])))
+    return reference_close(seeds, (), [(and_, terms.mf_meet)], meet_less, 10**6, "states")
+
+
+def reference_lattice_automaton(pt, ma):
+    seeds = [(v.bits, terms.lattice_form([w])) for v, w in zip(ma.states, ma.witnesses)]
+    seeds.append((0, terms.lattice_form([])))
+    return reference_close(seeds, (), [(or_, terms.lf_join)], lattice_less, 10**6, "states")
+
+
+def reference_semiring(pt, dfa):
+    """The semiring's former builder: {1, letters, ⊤} closed under meet and both products.
+    Returns reference_close's result, its pair tables squared into (meet, product) tables."""
+    one_map = pt.residual_bits
+    letter_maps = [tuple(one_map[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
+    seeds = [(one_map, terms.meet_form([""]))]
+    seeds += [(m, terms.meet_form([a])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds.append(((top(pt).bits,) * dfa.n_states, terms.meet_form([])))
+
+    def product(mi, mj):
+        return tuple(semiring_action_bits(pt, mj, x) for x in mi)
+
+    pair_ops = [
+        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.mf_meet),
+        (product, terms.mf_mul),
+        (lambda mi, mj: product(mj, mi), lambda wi, wj: terms.mf_mul(wj, wi)),
+    ]
+    values, witnesses, index, right, (meets, muls, swapped) = reference_close(
+        seeds, (), pair_ops, meet_less, 10**6, "semiring elements"
+    )
+    return values, witnesses, index, right, (_square(meets, meets), _square(muls, swapped))
+
+
+def reference_lattice_algebra(pt, dfa, cols, budget):
+    """{1, letters, ⊤, ⊥} on the columns cols closed under letter quotients, ∧ and ∨.
+    Returns reference_close's result, its pair tables squared into (meet, join) tables."""
+    letter_maps = [tuple(quotient_bits(pt, x, a) for x in cols) for a in dfa.alphabet]
+    seeds = [(cols, terms.lattice_form([[""]]))]
+    seeds += [(m, terms.lattice_form([[a]])) for m, a in zip(letter_maps, dfa.alphabet)]
+    seeds += [((top(pt).bits,) * len(cols), terms.TOP_FORM), ((0,) * len(cols), terms.BOT_FORM)]
+    letter_ops = [
+        (lambda m, a=a: tuple(quotient_bits(pt, x, a) for x in m),
+         lambda w, a=a: terms.multiply_lattice_forms(w, ((a,),)))
+        for a in dfa.alphabet
+    ]
+    pair_ops = [
+        (lambda mi, mj: tuple(map(and_, mi, mj)), terms.lf_meet),
+        (lambda mi, mj: tuple(map(or_, mi, mj)), terms.lf_join),
+    ]
+    values, witnesses, index, right, (meets, joins) = reference_close(
+        seeds, letter_ops, pair_ops, lattice_less, budget, "lattice algebra elements"
+    )
+    return values, witnesses, index, right, (_square(meets, meets), _square(joins, joins))
+
+
+def layered_least_forms(right):
+    """Each value's least form over the ops of a one-seed closure's table, as a sorted
+    tuple of op indices, found by a layered search; value 0's is ().
+
+    Forms compare by length, then as tuples.  Layer k extends each least form of
+    layer k−1 by every op numbered after its last one.  The layer is visited in
+    order, so the first candidate to reach a value not reached before is its least
+    form; a least k-form extends the least (k−1)-form of its prefix's value, since
+    a smaller prefix would give a smaller k-form.
+    """
+    least = {0: ()}
+    layer = [(0, ())]
+    while layer:
+        extended = []
+        for v, form in layer:
+            row = right[v]
+            for t in range(form[-1] + 1 if form else 0, len(row)):
+                u = row[t]
+                if u not in least:
+                    least[u] = longer = form + (t,)
+                    extended.append((u, longer))
+        layer = extended
+    return [least[v] for v in range(len(right))]
+
+
+def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
+    """automata.tree_paths, asserted equal to layered_least_forms; records the calling module."""
+
+    def run(right):
+        got = real(right)
+        assert got == layered_least_forms(right)
+        calls.append(module)
         return got
 
     return run
 
 
 def assert_engine_matches_reference(monkeypatch, dfa, pt):
-    whats = []
-    monkeypatch.setattr(synlat.canonical, "close", checked_close(whats))
-    monkeypatch.setattr(synlat.syntactic, "close", checked_close(whats))
-    synlat.build_lattice_automaton(pt, dfa)   # closes the meet automaton first
-    assert whats == [("canonical automaton states", False)] * 2
+    calls = []
+    for name in ("automata", "syntactic"):   # least_paths calls automata's; the semiring syntactic's
+        module = getattr(synlat, name)
+        monkeypatch.setattr(module, "tree_paths", checked_tree_paths(calls, name))
+    synlat.build_lattice_automaton(pt, dfa)   # the meet automaton's witnesses first
+    assert calls == ["automata"] * 2
+    synlat.syntactic_semiring(pt, dfa)
+    assert calls[2:] == ["syntactic"]
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
         try:
             build_algebra(pt, dfa, budget=LATTICE_BUDGET)
         except BudgetError:
             continue
-        assert whats[-1] == ("lattice algebra elements", True)
+        assert calls[-2:] == ["syntactic", "automata"]   # the inners, then the joins
 
 
 def test_engine_matches_reference_on_a_plus_b_plus(monkeypatch):
@@ -105,20 +199,19 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
         assert_engine_matches_reference(monkeypatch, dfa, synlat.build_profile_table(dfa))
 
 
-def test_certificate_never_overwrites_a_witness(monkeypatch):
-    # the residual quotient of ((λ|b)ab)* keeps six replay witnesses that are not least forms:
-    # each has the inner b∧ba or b∧ab where λ∧bbab or λ∧babb has the same meet and sorts first
+def test_certificate_never_overwrites_a_witness():
+    # the one witness change from the replay: in the residual quotient of ((λ|b)ab)* the replay
+    # kept six witnesses that are not least forms, each with the inner b∧ba or b∧ab where
+    # λ∧bbab or λ∧babb has the same meet and sorts first; the builder gives the least forms
     _, dfa, pt = build("((%e|b)ab)*", "ab")
-    alg, least = certified_lattice_algebra(synlat.syntactic_lattice_algebra, pt, dfa)
-    monkeypatch.setattr(synlat.syntactic, "close", lambda *args, least=None: reference_close(*args))
-    reference = synlat.syntactic_lattice_algebra(pt, dfa)
-    assert len(alg) == 249
-    assert alg.labels() == reference.labels()
-    assert [alg.element_of_form(f) for f in least] == list(range(len(alg)))
-    assert all(lattice_form_key(f) <= lattice_form_key(e.witness) for f, e in zip(least, alg.elements))
+    alg = synlat.syntactic_lattice_algebra(pt, dfa)
+    _, replayed, *_ = reference_lattice_algebra(pt, dfa, pt.residual_bits, 10**6)
+    assert len(alg) == len(replayed) == 249
+    assert [alg.element_of_form(e.witness) for e in alg.elements] == list(range(len(alg)))
+    assert all(lattice_form_key(e.witness) <= lattice_form_key(f) for e, f in zip(alg.elements, replayed))
     differ = {
-        i: (label, lattice_form_str(f)) for i, (label, f) in enumerate(zip(alg.labels(), least))
-        if label != lattice_form_str(f)
+        i: (lattice_form_str(f), label) for i, (f, label) in enumerate(zip(replayed, alg.labels()))
+        if lattice_form_str(f) != label
     }
     assert differ == {
         48: ("(a∧ba)∨(b∧ba)", "(λ∧bbab)∨(a∧ba)"),
@@ -128,17 +221,6 @@ def test_certificate_never_overwrites_a_witness(monkeypatch):
         165: ("(a∧ab)∨(a∧ba)∨(b∧ba)", "(λ∧bbab)∨(a∧ab)∨(a∧ba)"),
         196: ("bb∨(a∧ab)∨(b∧ba)", "bb∨(λ∧bbab)∨(a∧ab)"),
     }
-
-
-def test_certified_replay_runs_few_witness_ops(monkeypatch):
-    # the replay without a certificate runs 263,682 pair witness ops on these 513 elements
-    _, dfa, pt = build("(ab|ba)*", "ab")
-    calls = []
-    for name in ("lf_meet", "lf_join"):
-        op = getattr(terms.FormInterner, name)
-        monkeypatch.setattr(terms.FormInterner, name, lambda self, f, g, op=op: calls.append(1) or op(self, f, g))
-    assert len(synlat.syntactic_lattice_algebra(pt, dfa)) == 513
-    assert 0 < len(calls) <= 1000
 
 
 def test_close_values_order_and_tables():
@@ -156,25 +238,20 @@ def test_close_values_order_and_tables():
         close_values([0, 1], [lambda v: min(v + 1, 4)], (), 4, "values")
 
 
-def test_close_replaces_a_witness_only_by_a_strictly_earlier_one():
-    # witnesses ordered by length: op b's tie with op a's and never replace them; the
-    # pair op's "sp" ties with "sa" at value 1 and is shorter than "saa" at value 2
-    succ = lambda v: min(v + 1, 2)
-    letter_ops = [(succ, lambda w: w + "a"), (succ, lambda w: w + "b")]
-    pair_ops = [(lambda a, b: min(a + b, 2), lambda wi, wj: wi[:1] + "p")]
-    shorter = lambda x, y: len(x) < len(y)
-    values, witnesses, *_ = close([(0, "s")], letter_ops, pair_ops, shorter, 10, "values")
-    assert values == [0, 1, 2]
-    assert witnesses == ["s", "sa", "sp"]
+def test_least_paths_reads_least_forms_and_guards_the_values():
+    # ops "∨ 4", "∨ 1", "∨ 2", "∨ 3": 3 is reached by op 3 alone, 5 by ops 0 and 1, and 7
+    # by 0 and 3 before 0, 1 and 2
+    ops = [lambda v, y=y: v | y for y in (4, 1, 2, 3)]
+    got = least_paths([7, 0, 5, 3, 1, 2, 4, 6], 0, ops, "values")
+    assert got == [(0, 3), (), (0, 1), (3,), (1,), (2,), (0,), (0, 2)]
+    with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):
+        least_paths([0, 1, 2, 3, 4, 5, 6], 0, ops, "values")   # it reaches 7 too
+    with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):
+        least_paths([0, 1, 2, 3, 4, 5, 6, 8], 0, ops, "values")   # and never 8
 
 
 def no_witness_op(*_):
     raise AssertionError("a witness op ran")
-
-
-def test_refused_close_runs_no_witness_op():
-    with pytest.raises(BudgetError):
-        close([(0, "")], [(lambda v: (v + 1) % 5, no_witness_op)], [(max, no_witness_op)], lt, 4, "values")
 
 
 def test_refused_builders_run_no_witness_op(monkeypatch):
@@ -183,21 +260,23 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     la = synlat.build_lattice_automaton(pt, dfa)
     builds = [
         lambda budget: synlat.build_meet_automaton(pt, dfa, budget).states,
+        lambda budget: synlat.build_lattice_automaton(pt, dfa, budget).states,
         lambda budget: synlat.syntactic_semiring(pt, dfa, budget),
         lambda budget: synlat.syntactic_lattice_algebra(pt, dfa, budget),
         lambda budget: synlat.transition_lattice_algebra(pt, dfa, budget),
     ]
     sizes = [len(b(10**6)) for b in builds]
+    assert sizes[:2] == [6, 7]   # the lattice automaton refuses after the meet states are closed
     monkeypatch.setattr(synlat.syntactic, "build_lattice_automaton", lambda pt, dfa: la)
-    for name in ("mf_meet", "lf_meet", "lf_join", "lf_mul_letter"):
-        monkeypatch.setattr(terms.FormInterner, name, no_witness_op)
+    for module in (synlat.automata, synlat.syntactic):
+        monkeypatch.setattr(module, "tree_paths", no_witness_op)
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
             b(n - 1)
 
 
 def test_refused_lattice_builds_compute_no_least_form(monkeypatch):
-    # the certificate is computed from the closed values, so a refusal comes first
+    # the least forms are computed from the closed values, so a refusal comes first
     _, dfa, pt = build("a+b+", "ab")
     monkeypatch.setattr(synlat.syntactic, "_least_lattice_forms", no_witness_op)
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
@@ -213,7 +292,7 @@ def test_refused_semiring_builds_no_table_or_witness(monkeypatch, budget):
     def built(*_):
         raise AssertionError("a table or witness was built")
 
-    for name in ("spanning_tree", "quotient_bits", "tree_words", "_square"):
+    for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths", "_square"):
         monkeypatch.setattr(synlat.syntactic, name, built)
     with pytest.raises(BudgetError, match=f"^semiring elements exceeded budget of {budget}$"):
         synlat.syntactic_semiring(pt, dfa, budget)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import synlat
 from synlat.atoms import quotient_word, residual_atoms, top
+from synlat.automata import access_words
 from synlat.oracle import (
     OracleConfig,
     oracle_enumerate_elements,
@@ -16,9 +17,9 @@ from synlat.oracle import (
     oracle_transition_action,
     words_upto,
 )
-from synlat.terms import lattice_form_key, word_key
+from synlat.terms import eval_lattice_bits, eval_meet_bits, lattice_form_key, meet_form_key, word_key
 
-from conftest import build, certified_lattice_algebra, random_ast, random_lattice_form
+from conftest import build, random_ast, random_lattice_form
 
 
 @pytest.fixture(scope="module")
@@ -276,10 +277,10 @@ LEAST_LATTICE_SIZE = 3     # and enumerates lattice forms of up to this many inn
 LEAST_LATTICE_BUDGET = 300   # quotients larger than this are skipped: their product tables take seconds
 
 
-def assert_certificates_are_least_forms(pattern_or_ast, alphabet=None):
-    """Each least form that a lattice quotient's closure takes as its certificate is the least
-    lattice form with its element, for both quotients: fewest inners first, then sorted inner
-    keys, each inner compared as a meet form.  Returns how many quotients it checked.
+def assert_lattice_witnesses_are_least_forms(pattern_or_ast, alphabet=None):
+    """Each witness of a lattice quotient is the least lattice form with its element, for both
+    quotients: fewest inners first, then sorted inner keys, each inner compared as a meet form.
+    Returns how many quotients it checked.
 
     The brute force enumerates, in that order, every lattice form of up to three inners, each
     a meet form of up to three least words, and keeps the first form of each element.  Putting
@@ -306,7 +307,7 @@ def assert_certificates_are_least_forms(pattern_or_ast, alphabet=None):
     checked = 0
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
         try:
-            alg, certificates = certified_lattice_algebra(build_algebra, pt, dfa, budget=LEAST_LATTICE_BUDGET)
+            alg = build_algebra(pt, dfa, budget=LEAST_LATTICE_BUDGET)
         except synlat.BudgetError:
             continue
         columns = alg.columns or tuple(residual_atoms(pt, q) for q in range(dfa.n_states))
@@ -325,8 +326,8 @@ def assert_certificates_are_least_forms(pattern_or_ast, alphabet=None):
                 for i in combo:
                     v |= inner_values[i]
                 first.setdefault(v, combo)
-        for e, form in zip(alg.elements, certificates):
-            value = packed(e.mapping)
+        for e in alg.elements:
+            form, value = e.witness, packed(e.mapping)
             assert alg.mapping_of_form(form) == e.mapping
             assert all(least[tuple(synlat.run(dfa, q, w) for q in range(dfa.n_states))] == w for u in form for w in u)
             found = tuple(inners[i] for i in first[value]) if value in first else None
@@ -344,9 +345,74 @@ def assert_certificates_are_least_forms(pattern_or_ast, alphabet=None):
      ("b(a|c)*a", "cab"), ("(a|b)*a(a|b)", "ba"), ("%0", "a"), ("a*", "ab")],
 )
 def test_lattice_certificates_are_least_forms(pattern, alphabet):
-    assert assert_certificates_are_least_forms(pattern, alphabet) == 2
+    assert assert_lattice_witnesses_are_least_forms(pattern, alphabet) == 2
 
 
 @given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
 def test_lattice_certificates_are_least_forms_on_random_languages(seed, alphabet):
-    assert_certificates_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=8))
+    assert_lattice_witnesses_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=8))
+
+
+LEAST_AUTOMATON_RESIDUALS = 10   # the automaton oracle below checks DFAs of at most this many states
+LEAST_AUTOMATON_MEETS = 64       # and lattice automata over at most this many meet states
+LEAST_AUTOMATON_SIZE = 3         # enumerating lattice forms of up to this many inners
+
+
+def assert_automaton_witnesses_are_least_forms(pattern_or_ast, alphabet=None):
+    """The meet automaton's witnesses are the least meet forms over the access words, and the
+    lattice automaton's the least lattice forms over the meet automaton's witnesses: fewest
+    members first, then sorted member keys.  Returns how many automata it checked.
+
+    The brute force enumerates every set of access words in meet_form_key order, and every set
+    of up to three meet witnesses in lattice_form_key order, keeping the first form of each
+    state.  A lattice witness beyond that size must be before every form found for its state.
+    """
+    if alphabet is None:
+        dfa = synlat.compile_canonical_dfa(pattern_or_ast)
+        pt = synlat.build_profile_table(dfa)
+    else:
+        _, dfa, pt = build(pattern_or_ast, alphabet)
+    if dfa.n_states > LEAST_AUTOMATON_RESIDUALS:
+        return 0
+    language = pt.residual_bits[dfa.initial]
+    words = sorted(access_words(dfa), key=word_key)
+    first = {}
+    for k in range(len(words) + 1):
+        for form in itertools.combinations(words, k):
+            first.setdefault(eval_meet_bits(pt, language, form), form)
+    ma = synlat.build_meet_automaton(pt, dfa)
+    assert [first[s.bits] for s in ma.states] == list(ma.witnesses)
+    if len(ma.states) > LEAST_AUTOMATON_MEETS:
+        return 1
+
+    la = synlat.build_lattice_automaton(pt, dfa)
+    inners = sorted(zip(ma.witnesses, (s.bits for s in ma.states)), key=lambda p: meet_form_key(p[0]))
+    first = {}
+    for k in range(LEAST_AUTOMATON_SIZE + 1):
+        for combo in itertools.combinations(inners, k):
+            v = 0
+            for _, bits in combo:
+                v |= bits
+            first.setdefault(v, tuple(u for u, _ in combo))
+    for s, form in zip(la.states, la.witnesses):
+        assert eval_lattice_bits(pt, language, form) == s.bits
+        assert all(u in ma.witnesses for u in form)
+        if len(form) <= LEAST_AUTOMATON_SIZE:
+            assert first[s.bits] == form
+        else:
+            assert s.bits not in first or lattice_form_key(form) < lattice_form_key(first[s.bits])
+    return 2
+
+
+@pytest.mark.parametrize(
+    "pattern,alphabet",
+    [("a+b+", "ab"), ("(ab|ba)*", "ab"), ("(a|b)*abb", "ab"), ("((%e|b)ab)*", "ab"), ("(aa|ab|bab)*", "ab"),
+     ("abcab", "cba"), ("b(a|c)*a", "cab"), ("(a|b)*a(a|b)", "ba"), ("a(b|c)", "abc"), ("%0", "a")],
+)
+def test_automaton_witnesses_are_least_forms(pattern, alphabet):
+    assert assert_automaton_witnesses_are_least_forms(pattern, alphabet) == 2
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
+def test_automaton_witnesses_are_least_forms_on_random_languages(seed, alphabet):
+    assert_automaton_witnesses_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=10))

@@ -619,7 +619,7 @@ def test_budgets():
         synlat.transition_lattice_algebra(pt, dfa, budget=32)
 
 
-# --- the op tables close records, against the operations computed directly ---
+# --- the op tables close_values records, against the operations computed directly ---
 
 LATTICE_TABLE_BUDGET = 200   # larger lattice quotients are skipped: their builds take seconds each
 
