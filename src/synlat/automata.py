@@ -134,8 +134,9 @@ def tree_words(tree, alphabet) -> list[str]:
     return words
 
 
-def tree_paths(right) -> list[tuple[int, ...]]:
-    """The ops along the spanning tree to each value, as a tuple of op indices; value 0's is ().
+def tree_paths(right):
+    """(paths, tree): tree = spanning_tree(right), and the ops along it to each value,
+    as a tuple of op indices; value 0's is ().
 
     Let right be the table of a closure from one seed under ops "∧ g_k" (or
     all "∨ g_k") for generators g_k ranked by a key.  Then each path is its
@@ -148,26 +149,32 @@ def tree_paths(right) -> list[tuple[int, ...]]:
     parent by an op before k, would give a form before F by inserting its
     op into its own least form.  So j is first reached from F' by op k.
     """
+    tree = spanning_tree(right)
     paths = [()]
-    for i, k in spanning_tree(right):
+    for i, k in tree:
         paths.append(paths[i] + (k,))
-    return paths
+    return paths, tree
 
 
-def least_paths(values, seed, ops, what: str) -> list[tuple[int, ...]]:
-    """tree_paths of the closure of seed under ops, for each of values in turn.
+def least_paths(values, seed, ops, what: str):
+    """tree_paths of the closure of seed under ops, for each of values in turn, and its tree.
 
-    The search is budgeted at len(values), so it does no more work than the
-    closure that found them.  Raises InconsistencyError unless it reaches
-    exactly the given values.
+    Returns (paths, tree): tree lists (j, parent, k) for each value j but
+    the seed's, numbered as in values, where j is first reached as op k of
+    parent; parents come before their children.  The search is budgeted at
+    len(values), so it does no more work than the closure that found them.
+    Raises InconsistencyError unless it reaches exactly the given values.
     """
     try:
         _, index, right, _ = close_values([seed], ops, (), len(values), what)
         found = [index[v] for v in values]
     except (BudgetError, KeyError):
         raise InconsistencyError(f"the least-form search does not reach exactly the {what}") from None
-    paths = tree_paths(right)
-    return [paths[i] for i in found]
+    paths, tree = tree_paths(right)
+    ids = [0] * len(found)   # the closure's numbering to the values'
+    for j, i in enumerate(found):
+        ids[i] = j
+    return [paths[i] for i in found], [(ids[i], ids[p], k) for i, (p, k) in enumerate(tree, 1)]
 
 
 def access_words(dfa: Dfa) -> tuple[str, ...]:

@@ -108,7 +108,8 @@ def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, unit: int, op, generator
     values, index = closed
     forms = [f for f, _ in generators]
     ops = [lambda v, g=g: op(v, g) for _, g in generators]
-    witnesses = tuple(tuple(map(forms.__getitem__, p)) for p in least_paths(values, unit, ops, WHAT))
+    paths, _ = least_paths(values, unit, ops, WHAT)
+    witnesses = tuple(tuple(map(forms.__getitem__, p)) for p in paths)
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)

@@ -14,6 +14,9 @@ goes through the stored witness forms and can break the lattice-algebra
 laws.  transition_lattice_algebra identifies forms that act equally on every
 state of the canonical lattice automaton, the largest congruence inside the
 residual relation; its product is composition and it satisfies the laws.
+Both quotients walk their product tables along the breadth-first trees that
+the witnesses are read off, one lookup into a closure table per cell, so no
+builder evaluates a form.
 """
 
 from __future__ import annotations
@@ -183,26 +186,6 @@ def _square(lower, upper):
     return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
 
 
-def _product_table(mappings, act):
-    """table[i][j] = the element mapping each column c to act(j, mappings[i][c]).
-
-    act(j, x) is evaluated once per element j and distinct image x.
-    """
-    index = {m: i for i, m in enumerate(mappings)}
-    images = {x for m in mappings for x in m}
-    acts = [{x: act(j, x) for x in images} for j in range(len(mappings))]
-    table = []
-    for mi in mappings:
-        row = []
-        for aj in acts:
-            k = index.get(tuple(map(aj.__getitem__, mi)))
-            if k is None:
-                raise InconsistencyError("product form evaluates outside the computed algebra")
-            row.append(k)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _atomset_mappings(pt: ProfileTable, mappings):
     """The bit mappings as AtomSet tuples, one AtomSet per distinct image."""
     atoms = {x: AtomSet(pt, x) for x in {x for m in mappings for x in m}}
@@ -279,7 +262,7 @@ def _meet_values(pt: ProfileTable, dfa: Dfa, columns, pack, budget: int, what: s
     return monoid_right, values, index, meet_image
 
 
-def _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient):
+def _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotient):
     """Meet, product and swapped product as int pair ops on the values' ids.
 
     meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
@@ -287,9 +270,8 @@ def _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient):
     the product distributes over ∧ on the right, with i·⊤ = ⊤ (value 0).
     i·t follows the monoid's spanning tree, i·t = (i·parent(t))·a: |values|
     letter quotients per letter, quotient(v, a) on packed values, then one
-    lookup per cell.
+    lookup per cell; tree is spanning_tree(meet_image).
     """
-    tree = spanning_tree(meet_image)
     meet = []
     for i in range(len(values)):
         row = [i]
@@ -336,10 +318,10 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     monoid_tree = spanning_tree(monoid_right)
     letter_maps = [pack(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
     seeds = [index[pack(residual)]] + [index[m] for m in letter_maps] + [0]
+    least, tree = tree_paths(meet_image)
     order, final, _, (meets, muls, swapped) = close_values(   # the ops' tables are freed on return
-        seeds, (), _semiring_ops(letters, values, index, meet_image, monoid_tree, quotient), budget, what
+        seeds, (), _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotient), budget, what
     )
-    least = tree_paths(meet_image)
     words = tree_words(monoid_tree, letters)
 
     meet_table = _square(meets, meets)
@@ -375,6 +357,10 @@ class SyntacticLatticeAlgebra:
     mul_table: tuple[tuple[int, ...], ...] | None
     order: HasseDiagram
     columns: tuple[AtomSet, ...] | None = None   # states acted on; None: the residuals
+    index: dict[tuple[AtomSet, ...], int] = field(init=False, compare=False, repr=False)   # mapping -> element
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {e.mapping: i for i, e in enumerate(self.elements)})
 
     def __len__(self):
         return len(self.elements)
@@ -390,11 +376,10 @@ class SyntacticLatticeAlgebra:
         return tuple(terms.eval_lattice_form(self.pt, x, form) for x in cols)
 
     def element_of_form(self, form: LatticeForm) -> int:
-        mapping = self.mapping_of_form(form)
-        for i, e in enumerate(self.elements):
-            if e.mapping == mapping:
-                return i
-        raise InconsistencyError("form evaluates outside the computed algebra")
+        i = self.index.get(self.mapping_of_form(form))
+        if i is None:
+            raise InconsistencyError("form evaluates outside the computed algebra")
+        return i
 
 
 def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, values, budget: int, what: str):
@@ -410,12 +395,48 @@ def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, values, budg
     automata.tree_paths reads off their closure; so a least lattice form is a
     set of meet values, and automata.least_paths reads it off the closure
     of ⊥ under "∨ meet value k".
+
+    Returns (forms, trees), trees the three trees the forms are read off, for
+    _lattice_products: the monoid's, its letters as dfa.alphabet positions;
+    the meet values'; and the tree of ⊥ on the values' ids.
     """
     monoid_right, meets, _, meet_image = _meet_values(pt, dfa, columns, pack, budget, what)
-    words = tree_words(spanning_tree(monoid_right), sorted(dfa.alphabet))
-    inners = [tuple(map(words.__getitem__, p)) for p in tree_paths(meet_image)]
+    letters = sorted(dfa.alphabet)
+    monoid_tree = spanning_tree(monoid_right)
+    words = tree_words(monoid_tree, letters)
+    meet_paths, meet_tree = tree_paths(meet_image)
+    inners = [tuple(map(words.__getitem__, p)) for p in meet_paths]
     join_ops = [lambda v, y=y: v | y for y in meets]
-    return [tuple(map(inners.__getitem__, p)) for p in least_paths(values, 0, join_ops, what)]
+    paths, join_tree = least_paths(values, 0, join_ops, what)
+    forms = [tuple(map(inners.__getitem__, p)) for p in paths]
+    position = list(map(dfa.letter_index, letters))
+    return forms, ([(t, position[a]) for t, a in monoid_tree], meet_tree, join_tree)
+
+
+def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
+    """mul[i][j]: element i times element j, by row walks over the trees of _least_lattice_forms.
+
+    j's witness is the join, along the tree of ⊥, of least meet forms, each
+    the meet, along the meet values' tree, of least words, each the word
+    along the monoid's tree.  Letter quotients distribute over ∩ and ∪, so
+    i·j follows the same trees: i·t = right[i·parent(t)][a] with i·1 = i,
+    i·k = (i·k′) ∧ (i·t) with i·⊤ = ⊤, and i·j = (i·j′) ∨ (i·k) with
+    i·⊥ = ⊥; one lookup per cell, each into a closure table.
+    """
+    monoid_tree, meet_tree, join_tree = trees
+    table = []
+    for i in range(len(right)):
+        action = [i]   # i·t for each monoid element t
+        for p, a in monoid_tree:
+            action.append(right[action[p]][a])
+        inner = [top_id]   # i·k for each meet value k
+        for k, t in meet_tree:
+            inner.append(meet[inner[k]][action[t]])
+        row = [bottom_id] * len(right)
+        for j, p, k in join_tree:
+            row[j] = join[row[p]][inner[k]]
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _lattice_algebra(
@@ -432,7 +453,8 @@ def _lattice_algebra(
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
-    i's witness on column c.
+    i's witness on column c.  _lattice_products walks it along the trees the
+    witnesses are read off, on the closure's letter, meet and join tables.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -445,16 +467,16 @@ def _lattice_algebra(
     bot_map = 0
     seeds = [one_map, *letter_maps, top_map, bot_map]
     letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
-    values, index, _, (meets, joins) = close_values(seeds, letter_ops, [and_, or_], budget, what)
-    witnesses = _least_lattice_forms(pt, dfa, columns, pack, values, budget, what)
-    mappings = [unpack(v) for v in values]
+    values, index, right, (meets, joins) = close_values(seeds, letter_ops, [and_, or_], budget, what)
+    witnesses, trees = _least_lattice_forms(pt, dfa, columns, pack, values, budget, what)
     meet_table = _square(meets, meets)
     join_table = _square(joins, joins)
     mul_table = None
     if with_tables:
-        mul_table = _product_table(mappings, lambda j, x: terms.eval_lattice_bits(pt, x, witnesses[j]))
+        mul_table = _lattice_products(right, meet_table, join_table, index[top_map], index[bot_map], trees)
     elements = tuple(
-        LatticeAlgebraElement(m, w) for m, w in zip(_atomset_mappings(pt, mappings), witnesses)
+        LatticeAlgebraElement(m, w)
+        for m, w in zip(_atomset_mappings(pt, [unpack(v) for v in values]), witnesses)
     )
     return SyntacticLatticeAlgebra(
         pt, dfa, elements, index[one_map], index[top_map], index[bot_map],

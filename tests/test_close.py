@@ -159,11 +159,11 @@ def layered_least_forms(right):
 
 
 def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
-    """automata.tree_paths, asserted equal to layered_least_forms; records the calling module."""
+    """automata.tree_paths, its paths asserted equal to layered_least_forms; records the calling module."""
 
     def run(right):
         got = real(right)
-        assert got == layered_least_forms(right)
+        assert got[0] == layered_least_forms(right)
         calls.append(module)
         return got
 
@@ -199,7 +199,7 @@ def test_engine_matches_reference_on_random_corpus(monkeypatch, seed):
         assert_engine_matches_reference(monkeypatch, dfa, synlat.build_profile_table(dfa))
 
 
-def test_certificate_never_overwrites_a_witness():
+def test_least_forms_replace_six_replayed_witnesses():
     # the one witness change from the replay: in the residual quotient of ((λ|b)ab)* the replay
     # kept six witnesses that are not least forms, each with the inner b∧ba or b∧ab where
     # λ∧bbab or λ∧babb has the same meet and sorts first; the builder gives the least forms
@@ -240,10 +240,12 @@ def test_close_values_order_and_tables():
 
 def test_least_paths_reads_least_forms_and_guards_the_values():
     # ops "∨ 4", "∨ 1", "∨ 2", "∨ 3": 3 is reached by op 3 alone, 5 by ops 0 and 1, and 7
-    # by 0 and 3 before 0, 1 and 2
+    # by 0 and 3 before 0, 1 and 2; the tree names each value by its place in the list
     ops = [lambda v, y=y: v | y for y in (4, 1, 2, 3)]
-    got = least_paths([7, 0, 5, 3, 1, 2, 4, 6], 0, ops, "values")
+    got, tree = least_paths([7, 0, 5, 3, 1, 2, 4, 6], 0, ops, "values")
     assert got == [(0, 3), (), (0, 1), (3,), (1,), (2,), (0,), (0, 2)]
+    # 4, 1, 2, 3 from 0, then 5, 6, 7 from 4
+    assert tree == [(6, 1, 0), (4, 1, 1), (5, 1, 2), (3, 1, 3), (2, 6, 1), (7, 6, 2), (0, 6, 3)]
     with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):
         least_paths([0, 1, 2, 3, 4, 5, 6], 0, ops, "values")   # it reaches 7 too
     with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):

@@ -47,7 +47,7 @@ def assert_automaton_matches(automaton, reference, pt, eval_bits, key):
         assert eval_bits(pt, language, w) == v
 
 
-def assert_interned_witnesses_match_reference(dfa, pt):
+def assert_builders_match_replay(dfa, pt):
     ma = synlat.build_meet_automaton(pt, dfa)
     assert_automaton_matches(ma, reference_meet_automaton(pt, dfa), pt, terms.eval_meet_bits, terms.meet_form_key)
 
@@ -83,20 +83,20 @@ def assert_interned_witnesses_match_reference(dfa, pt):
             assert element_of[alg.mapping_of_form(e.witness)] == i
 
 
-def test_interned_witnesses_of_a_plus_b_plus():
+def test_builders_match_replay_of_a_plus_b_plus():
     _, dfa, pt = build("a+b+", "ab")
-    assert_interned_witnesses_match_reference(dfa, pt)
+    assert_builders_match_replay(dfa, pt)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_interned_witnesses_on_random_corpus(seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
-        assert_interned_witnesses_match_reference(dfa, synlat.build_profile_table(dfa))
+        assert_builders_match_replay(dfa, synlat.build_profile_table(dfa))
 
 
 @given(st.integers(min_value=0), st.sampled_from(["ba", "cba"]))
-def test_interned_witnesses_over_reversed_alphabets(seed, alphabet):
+def test_builders_match_replay_over_reversed_alphabets(seed, alphabet):
     # witness words compare by (length, string), which is not the order of such an alphabet
     dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet))
-    assert_interned_witnesses_match_reference(dfa, synlat.build_profile_table(dfa))
+    assert_builders_match_replay(dfa, synlat.build_profile_table(dfa))

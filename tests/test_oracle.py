@@ -349,7 +349,7 @@ def test_lattice_certificates_are_least_forms(pattern, alphabet):
 
 
 @given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cab", "cba"]))
-def test_lattice_certificates_are_least_forms_on_random_languages(seed, alphabet):
+def test_lattice_witnesses_are_least_forms_on_random_languages(seed, alphabet):
     assert_lattice_witnesses_are_least_forms(random_ast(random.Random(seed), alphabet, max_nodes=8))
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import synlat
 from synlat import terms as tm
@@ -15,7 +16,7 @@ from synlat.syntactic import (
     omega_power,
 )
 
-from conftest import build, random_regex_corpus
+from conftest import build, random_ast, random_regex_corpus
 from test_automata import states_by_name
 
 # Reference images of the 11 semiring elements, keyed by canonical witness;
@@ -533,8 +534,8 @@ def test_axiom_checker_on_degenerate_language():
 
 @pytest.mark.parametrize("pattern,alphabet", [("a+b+", "ab"), ("(a|bb)*", "ab"), ("ab*a|b", "ab")])
 def test_multiply_lattice_elements_matches_table(pattern, alphabet):
-    # the table evaluates each witness once per image; the reference
-    # multiplies the witness forms and evaluates the product on the columns
+    # the table walks the witnesses' trees; the reference multiplies the
+    # witness forms and evaluates the product on the columns
     _, dfa, pt = build(pattern, alphabet)
     algebra = synlat.syntactic_lattice_algebra(pt, dfa)
     for i in range(len(algebra)):
@@ -624,9 +625,12 @@ def test_budgets():
 LATTICE_TABLE_BUDGET = 200   # larger lattice quotients are skipped: their builds take seconds each
 
 
+def bits(mapping):
+    return tuple(x.bits for x in mapping)
+
+
 def op_table(maps, op):
     """table[i][j] = the element whose mapping is op(maps[i], maps[j]); mappings compare by bits."""
-    bits = lambda m: tuple(x.bits for x in m)
     index = {bits(m): i for i, m in enumerate(maps)}
     return tuple(tuple(index[bits(op(mi, mj))] for mj in maps) for mi in maps)
 
@@ -642,6 +646,18 @@ def pointwise(op):
         return z
 
     return lambda mi, mj: tuple(map(cell, mi, mj))
+
+
+def witness_product_table(alg):
+    """table[i][j] = the element whose mapping is j's witness evaluated on each image of i.
+
+    Each witness is evaluated once per distinct image; a product outside the
+    algebra raises KeyError.
+    """
+    index = {bits(e.mapping): i for i, e in enumerate(alg.elements)}
+    images = {x for e in alg.elements for x in e.mapping}
+    acts = [{x: synlat.eval_lattice_form(alg.pt, x, e.witness) for x in images} for e in alg.elements]
+    return tuple(tuple(index[bits(map(act.__getitem__, e.mapping))] for act in acts) for e in alg.elements)
 
 
 def assert_recorded_tables_match_direct_operations(dfa, pt):
@@ -667,6 +683,7 @@ def assert_recorded_tables_match_direct_operations(dfa, pt):
         maps = [e.mapping for e in alg.elements]
         assert alg.meet_table == op_table(maps, pointwise(synlat.meet))
         assert alg.join_table == op_table(maps, pointwise(synlat.join))
+        assert alg.mul_table == witness_product_table(alg)
 
 
 def test_recorded_tables_of_a_plus_b_plus(apb):
@@ -678,3 +695,11 @@ def test_recorded_tables_on_random_corpus(seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         assert_recorded_tables_match_direct_operations(dfa, synlat.build_profile_table(dfa))
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ba", "cba", "cab"]))
+def test_recorded_tables_over_reversed_alphabets(seed, alphabet):
+    # the lattice product walks the monoid's tree over the sorted letters, which is not the
+    # order of these alphabets, so a wrong map from sorted letters to positions shows here
+    dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet))
+    assert_recorded_tables_match_direct_operations(dfa, synlat.build_profile_table(dfa))
