@@ -134,6 +134,14 @@ def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE
     return _meet_automaton(pt, dfa, _meet_states(pt, dfa, budget))
 
 
+def state_closures(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET):
+    """(meets, joins): the (values, index) of the meet automaton's state closure
+    and of its join closure with ⊥, meet states first: the lattice automaton's
+    states in its order, residuals first."""
+    meets = _meet_states(pt, dfa, budget)
+    return meets, close_values([*meets[0], bottom(pt).bits], (), [or_], budget, WHAT)[:2]
+
+
 def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> LatticeAutomaton:
     """Join closure of the meet automaton's states, with ⊥; meet states first.
 
@@ -141,8 +149,7 @@ def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ST
     states, ranked by their witnesses' meet_form_key, generate every state
     from ⊥.
     """
-    meets = _meet_states(pt, dfa, budget)
-    joins = close_values([*meets[0], bottom(pt).bits], (), [or_], budget, WHAT)[:2]
+    meets, joins = state_closures(pt, dfa, budget)
     ma = _meet_automaton(pt, dfa, meets)
     generators = sorted(zip(ma.witnesses, meets[0]), key=lambda g: meet_form_key(g[0]))
     return _automaton(LatticeAutomaton, pt, dfa, joins, bottom(pt).bits, or_, generators)

@@ -182,6 +182,14 @@ def _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress):
     return list(cell_labels), list(cell_labels.values()), cell_labels
 
 
+def _mul_table(level, algebra):
+    """The product table; a lattice algebra built with with_tables=False has none."""
+    mul = algebra.table if level == "monoid" else algebra.mul_table
+    if mul is None:
+        raise ValueError("algebra was built without multiplication tables")
+    return mul
+
+
 def table_images(level, dfa, algebra, states):
     """images[e][k]: the state states[k] acted on by element e.
 
@@ -190,7 +198,7 @@ def table_images(level, dfa, algebra, states):
     table.
     """
     initial = [e.mapping[dfa.initial] for e in algebra.elements]
-    mul = algebra.table if level == "monoid" else algebra.mul_table
+    mul = _mul_table(level, algebra)
     reached = {}
     for c, x in enumerate(initial):
         reached.setdefault(x, c)
@@ -224,7 +232,7 @@ def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
     else:
         indices = _Memo(lambda bits: tuple(bit_indices(bits)))   # each distinct image converted once
         images = [[indices[x.bits] for x in e.mapping] for e in algebra.elements]
-        tables = {"mul": algebra.mul_table, "meet": algebra.meet_table}
+        tables = {"mul": _mul_table(level, algebra), "meet": algebra.meet_table}
         if level == "lattice":
             tables["join"] = algebra.join_table
         covers = hasse_of_elements(algebra).covers

@@ -14,9 +14,10 @@ goes through the stored witness forms and can break the lattice-algebra
 laws.  transition_lattice_algebra identifies forms that act equally on every
 state of the canonical lattice automaton, the largest congruence inside the
 residual relation; its product is composition and it satisfies the laws.
-Both quotients walk their product tables along the breadth-first trees that
-the witnesses are read off, one lookup into a closure table per cell, so no
-builder evaluates a form.
+Each quotient is closed once: its monoid, meet values and witnesses are read
+off that closure's letter, meet and join tables, and its product table is
+walked along the breadth-first trees the witnesses are read off, one lookup
+into a closure table per cell, so no builder evaluates a form.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import and_, lshift, or_
 
-from .atoms import AtomSet, ProfileTable, bit_indices, own_bits, quotient_bits, residual_atoms, top
+from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
 from .automata import Dfa, close_values, least_paths, spanning_tree, tree_paths, tree_words
-from .canonical import HasseDiagram, build_lattice_automaton, hasse_from_leq
+from .canonical import HasseDiagram, hasse_from_leq, state_closures
 from .errors import InconsistencyError
 from . import terms
 from .terms import LatticeForm, MeetForm
@@ -215,62 +216,33 @@ def _packing(pt: ProfileTable, n_columns: int):
     return pack, unpack, quotient
 
 
-def _column_image(pt: ProfileTable, columns, pack):
-    """image(m): the packed quotients of the columns (None: the residuals) by a word acting as m.
+def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
+    """Row by row, i·k for each meet value k: the product walked along the trees of the witnesses.
 
-    The quotient by such a word maps residual q to residual m[q] and
-    distributes over ∩ and ∪.  A column is a positive combination of
-    residuals, so it is the union, over its profiles P, of the meet of the
-    residuals of P's states: the words whose profile contains P.
+    right[i][a] is element i times letter a and meet[i][j] is i ∧ j, both on
+    the elements' ids.  Monoid element t ≥ 1 is first reached as parent(t)·a
+    (monoid_tree), and meet value k ≥ 1 as k′ ∧ image t (meet_tree).  Letter
+    quotients distribute over ∩, so i·t = right[i·parent(t)][a] with i·1 = i,
+    and i·k = (i·k′) ∧ (i·t) with i·⊤ = ⊤: one lookup per cell.
     """
-    residual = pt.residual_bits
-    if columns is None:
-        return lambda m: pack(map(residual.__getitem__, m))
-    full = top(pt).bits
-    terms_of = [[tuple(bit_indices(pt.profiles[j])) for j in bit_indices(x.bits)] for x in columns]
-
-    def image(m):
-        cells = []
-        for profiles in terms_of:
-            x = 0
-            for states in profiles:
-                y = full
-                for q in states:
-                    y &= residual[m[q]]
-                x |= y
-            cells.append(x)
-        return pack(cells)
-
-    return image
-
-
-def _meet_values(pt: ProfileTable, dfa: Dfa, columns, pack, budget: int, what: str):
-    """The monoid over the sorted letters, and ⊤ and its images on the columns closed under ∧.
-
-    Returns (monoid_right, values, index, meet_image): the monoid's right
-    Cayley graph, and close_values of ⊤ and each element t's packed image
-    (_column_image; columns None: the residuals) under "∧ image t", t in
-    monoid order.  The monoid is closed over the sorted letters, so its
-    elements come in the order of their word_key-least words.
-    """
-    letters = sorted(dfa.alphabet)
-    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
-    images = list(map(_column_image(pt, columns, pack), monoid))
-    full = pack((top(pt).bits,) * (dfa.n_states if columns is None else len(columns)))
-    meet_ops = [lambda v, y=y: v & y for y in images]
-    values, index, meet_image, _ = close_values([full] + images, meet_ops, (), budget, what)
-    return monoid_right, values, index, meet_image
+    for i in range(len(right)):
+        action = [i]   # i·t for each monoid element t
+        for p, a in monoid_tree:
+            action.append(right[action[p]][a])
+        row = [top_id]
+        for k, t in meet_tree:
+            row.append(meet[row[k]][action[t]])
+        yield row
 
 
 def _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotient):
     """Meet, product and swapped product as int pair ops on the values' ids.
 
     meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
-    k ∧ image t with k < j.  So i∧j = (i∧k)∧image t, and i·j = i·k ∧ i·t, as
-    the product distributes over ∧ on the right, with i·⊤ = ⊤ (value 0).
-    i·t follows the monoid's spanning tree, i·t = (i·parent(t))·a: |values|
-    letter quotients per letter, quotient(v, a) on packed values, then one
-    lookup per cell; tree is spanning_tree(meet_image).
+    k ∧ image t with k < j, so i∧j = (i∧k)∧image t.  The values are the meet
+    values, so the product is _meet_products' rows, on |values| letter
+    quotients per letter, quotient(v, a) on packed values; tree is
+    spanning_tree(meet_image).
     """
     meet = []
     for i in range(len(values)):
@@ -279,15 +251,7 @@ def _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotien
             row.append(meet_image[row[k]][t])
         meet.append(row)
     by_letter = [tuple(index[quotient(v, a)] for a in letters) for v in values]
-    mul = []
-    for i in range(len(values)):
-        action = [i]   # i·t for each monoid element t
-        for p, a in monoid_tree:
-            action.append(by_letter[action[p]][a])
-        row = [0]
-        for k, t in tree:
-            row.append(meet[row[k]][action[t]])
-        mul.append(row)
+    mul = list(_meet_products(by_letter, meet, 0, monoid_tree, tree))
     return [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
 
 
@@ -312,9 +276,13 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     what = "semiring elements"
     residual = pt.residual_bits
     pack, unpack, quotient = _packing(pt, dfa.n_states)
-    monoid_right, values, index, meet_image = _meet_values(pt, dfa, None, pack, budget, what)
-
     letters = sorted(dfa.alphabet)
+    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
+    images = [pack(map(residual.__getitem__, m)) for m in monoid]
+    meet_ops = [lambda v, y=y: v & y for y in images]
+    full = pack((top(pt).bits,) * dfa.n_states)
+    values, index, meet_image, _ = close_values([full] + images, meet_ops, (), budget, what)
+
     monoid_tree = spanning_tree(monoid_right)
     letter_maps = [pack(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
     seeds = [index[pack(residual)]] + [index[m] for m in letter_maps] + [0]
@@ -382,56 +350,57 @@ class SyntacticLatticeAlgebra:
         return i
 
 
-def _least_lattice_forms(pt: ProfileTable, dfa: Dfa, columns, pack, values, budget: int, what: str):
-    """Each packed value's least lattice form: fewest inners first, then sorted inner keys.
+def _least_lattice_forms(dfa: Dfa, right, meet, join, one: int, top_id: int, bottom_id: int, what: str):
+    """Each element's least lattice form: fewest inners first, then sorted inner keys.
 
+    Read off the lattice closure's own tables, on its ids: right, its letter
+    table (dfa.alphabet positions), and meet and join, its squared tables.
     Letter quotients distribute over ∩ and ∪, so every element is ⊥ or a
-    join of meet values: ⊤ and the meets of the monoid's images on the
-    columns (_meet_values).  A least lattice form has least meet forms of
-    distinct meet values as its inners: putting the least meet form of an
-    inner's value in its place gives a form no later, and two inners of one
-    value, or one inside another, would leave a form with fewer inners.  The
-    meet values come in the order of their least meet forms, which
-    automata.tree_paths reads off their closure; so a least lattice form is a
-    set of meet values, and automata.least_paths reads it off the closure
-    of ⊥ under "∨ meet value k".
+    join of meet values: ⊤ and the meets of the monoid's images.  The
+    images are the elements that 1 reaches in right over the sorted
+    letters.  A word's image determines its transformation, since the
+    residuals come first among the columns, and an id determines its packed
+    value; both maps commute with the letter quotients, ∧ and ∨.  So each
+    closure here discovers its values in the order a closure of
+    transformations or of packed values would, and its tree is the same.
+
+    A least lattice form has least meet forms of distinct meet values as its
+    inners: putting the least meet form of an inner's value in its place
+    gives a form no later, and two inners of one value, or one inside
+    another, would leave a form with fewer inners.  The meet values come in
+    the order of their least meet forms, which automata.tree_paths reads off
+    their closure; so a least lattice form is a set of meet values, and
+    automata.least_paths reads it off the closure of ⊥ under "∨ meet value k".
 
     Returns (forms, trees), trees the three trees the forms are read off, for
     _lattice_products: the monoid's, its letters as dfa.alphabet positions;
-    the meet values'; and the tree of ⊥ on the values' ids.
+    the meet values'; and the tree of ⊥ on the ids.
     """
-    monoid_right, meets, _, meet_image = _meet_values(pt, dfa, columns, pack, budget, what)
     letters = sorted(dfa.alphabet)
+    position = list(map(dfa.letter_index, letters))
+    n = len(right)
+    images, _, monoid_right, _ = close_values([one], [lambda i, a=a: right[i][a] for a in position], (), n, what)
     monoid_tree = spanning_tree(monoid_right)
     words = tree_words(monoid_tree, letters)
+    meet_ops = [lambda k, t=t: meet[k][t] for t in images]
+    meets, _, meet_image, _ = close_values([top_id] + images, meet_ops, (), n, what)
     meet_paths, meet_tree = tree_paths(meet_image)
     inners = [tuple(map(words.__getitem__, p)) for p in meet_paths]
-    join_ops = [lambda v, y=y: v | y for y in meets]
-    paths, join_tree = least_paths(values, 0, join_ops, what)
+    paths, join_tree = least_paths(range(n), bottom_id, [lambda i, k=k: join[i][k] for k in meets], what)
     forms = [tuple(map(inners.__getitem__, p)) for p in paths]
-    position = list(map(dfa.letter_index, letters))
     return forms, ([(t, position[a]) for t, a in monoid_tree], meet_tree, join_tree)
 
 
 def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
     """mul[i][j]: element i times element j, by row walks over the trees of _least_lattice_forms.
 
-    j's witness is the join, along the tree of ⊥, of least meet forms, each
-    the meet, along the meet values' tree, of least words, each the word
-    along the monoid's tree.  Letter quotients distribute over ∩ and ∪, so
-    i·j follows the same trees: i·t = right[i·parent(t)][a] with i·1 = i,
-    i·k = (i·k′) ∧ (i·t) with i·⊤ = ⊤, and i·j = (i·j′) ∨ (i·k) with
-    i·⊥ = ⊥; one lookup per cell, each into a closure table.
+    j's witness is the join, along the tree of ⊥, of least meet forms, so
+    i·j = (i·j′) ∨ (i·k) with i·⊥ = ⊥, i·k from _meet_products; one lookup
+    per cell, each into a closure table.
     """
     monoid_tree, meet_tree, join_tree = trees
     table = []
-    for i in range(len(right)):
-        action = [i]   # i·t for each monoid element t
-        for p, a in monoid_tree:
-            action.append(right[action[p]][a])
-        inner = [top_id]   # i·k for each meet value k
-        for k, t in meet_tree:
-            inner.append(meet[inner[k]][action[t]])
+    for inner in _meet_products(right, meet, top_id, monoid_tree, meet_tree):
         row = [bottom_id] * len(right)
         for j, p, k in join_tree:
             row[j] = join[row[p]][inner[k]]
@@ -444,8 +413,9 @@ def _lattice_algebra(
 ) -> SyntacticLatticeAlgebra:
     """Fixpoint closure of {1, letters, ⊤, ⊥} under right multiplication by
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
-    the residuals); then each element's least lattice form as its witness
-    (_least_lattice_forms), and the tables.
+    the residuals); then each element's least lattice form as its witness,
+    read off the closure's letter, meet and join tables (_least_lattice_forms),
+    and the product table.
 
     Each value is its tuple of column bitmasks packed into one int
     (_packing), so ∧ and ∨ are & and |.  The witnesses are computed from the
@@ -454,7 +424,7 @@ def _lattice_algebra(
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
     i's witness on column c.  _lattice_products walks it along the trees the
-    witnesses are read off, on the closure's letter, meet and join tables.
+    witnesses are read off, on the same three tables.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -468,20 +438,20 @@ def _lattice_algebra(
     seeds = [one_map, *letter_maps, top_map, bot_map]
     letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
     values, index, right, (meets, joins) = close_values(seeds, letter_ops, [and_, or_], budget, what)
-    witnesses, trees = _least_lattice_forms(pt, dfa, columns, pack, values, budget, what)
     meet_table = _square(meets, meets)
     join_table = _square(joins, joins)
+    one, top_id, bottom_id = index[one_map], index[top_map], index[bot_map]
+    witnesses, trees = _least_lattice_forms(dfa, right, meet_table, join_table, one, top_id, bottom_id, what)
     mul_table = None
     if with_tables:
-        mul_table = _lattice_products(right, meet_table, join_table, index[top_map], index[bot_map], trees)
+        mul_table = _lattice_products(right, meet_table, join_table, top_id, bottom_id, trees)
     elements = tuple(
         LatticeAlgebraElement(m, w)
         for m, w in zip(_atomset_mappings(pt, [unpack(v) for v in values]), witnesses)
     )
     return SyntacticLatticeAlgebra(
-        pt, dfa, elements, index[one_map], index[top_map], index[bot_map],
-        tuple(index[m] for m in letter_maps), meet_table, join_table, mul_table,
-        _meet_order(meet_table), columns,
+        pt, dfa, elements, one, top_id, bottom_id, tuple(index[m] for m in letter_maps),
+        meet_table, join_table, mul_table, _meet_order(meet_table), columns,
     )
 
 
@@ -507,9 +477,12 @@ def transition_lattice_algebra(
     action on the residuals: the transition lattice algebra of the lattice
     automaton.  Elements are maps on its states (the columns, in automaton
     order, residuals first), and the product is composition of those maps,
-    independent of the witnesses.
+    independent of the witnesses.  The columns come from the automaton's
+    state closures alone (canonical.state_closures): no witness, transition
+    or order of the automaton is built.
     """
-    return _lattice_algebra(pt, dfa, build_lattice_automaton(pt, dfa).states, budget)
+    _, (states, _) = state_closures(pt, dfa)
+    return _lattice_algebra(pt, dfa, tuple(AtomSet(pt, v) for v in states), budget)
 
 
 def multiply_lattice_elements(alg: SyntacticLatticeAlgebra, e1: int, e2: int) -> int:

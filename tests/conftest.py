@@ -8,7 +8,8 @@ import synlat
 from synlat import regex as rx
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
-# CI runs the render tests once more with --hypothesis-profile=ci, on fresh random examples
+# CI reruns the render tests, the least-form checks and the reversed-alphabet tables
+# with --hypothesis-profile=ci, on fresh random examples
 settings.register_profile("ci", deadline=None, max_examples=1000)
 settings.load_profile("suite")
 

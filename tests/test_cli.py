@@ -332,6 +332,21 @@ def test_algebra_table_rejects_automaton_of_another_table():
         render.algebra_text("semiring", dfa, pt, semiring, meet_aut, lattice_aut, False)
 
 
+def test_algebra_payload_needs_the_product_table():
+    _, dfa, pt = build("a+b+", "ab")
+    alg = synlat.syntactic_lattice_algebra(pt, dfa, with_tables=False)
+    with pytest.raises(ValueError, match="^algebra was built without multiplication tables$"):
+        render.algebra_payload("a+b+", "ab", "lattice", dfa, pt, alg)
+
+
+def test_algebra_text_needs_the_product_table():
+    _, dfa, pt = build("a+b+", "ab")
+    alg = synlat.syntactic_lattice_algebra(pt, dfa, with_tables=False)
+    lattice_aut = synlat.build_lattice_automaton(pt, dfa)
+    with pytest.raises(ValueError, match="^algebra was built without multiplication tables$"):
+        render.algebra_text("lattice", dfa, pt, alg, None, lattice_aut, False)
+
+
 def test_parser_reuse_carries_no_state(capsys):
     # the parser is built once per process; a flag given to one call must
     # not leak into the next

@@ -259,7 +259,6 @@ def no_witness_op(*_):
 def test_refused_builders_run_no_witness_op(monkeypatch):
     # each budget is one short of the full closure, so the refusal comes after every seed
     _, dfa, pt = build("a+b+", "ab")
-    la = synlat.build_lattice_automaton(pt, dfa)
     builds = [
         lambda budget: synlat.build_meet_automaton(pt, dfa, budget).states,
         lambda budget: synlat.build_lattice_automaton(pt, dfa, budget).states,
@@ -269,12 +268,19 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     ]
     sizes = [len(b(10**6)) for b in builds]
     assert sizes[:2] == [6, 7]   # the lattice automaton refuses after the meet states are closed
-    monkeypatch.setattr(synlat.syntactic, "build_lattice_automaton", lambda pt, dfa: la)
     for module in (synlat.automata, synlat.syntactic):
         monkeypatch.setattr(module, "tree_paths", no_witness_op)
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
             b(n - 1)
+
+
+def test_transition_algebra_runs_no_automaton_witness_search(monkeypatch):
+    # its columns are the lattice automaton's states, taken from the state closures alone
+    _, dfa, pt = build("a+b+", "ab")
+    states = synlat.build_lattice_automaton(pt, dfa).states
+    monkeypatch.setattr(synlat.canonical, "least_paths", no_witness_op)
+    assert synlat.transition_lattice_algebra(pt, dfa).columns == states
 
 
 def test_refused_lattice_builds_compute_no_least_form(monkeypatch):

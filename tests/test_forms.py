@@ -89,7 +89,7 @@ def test_builders_match_replay_of_a_plus_b_plus():
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
-def test_interned_witnesses_on_random_corpus(seed):
+def test_builders_match_replay_on_random_corpus(seed):
     for ast in random_regex_corpus(seed=seed, count=60):
         dfa = synlat.compile_canonical_dfa(ast)
         assert_builders_match_replay(dfa, synlat.build_profile_table(dfa))

@@ -90,3 +90,17 @@ def test_513_element_lattice_algebra_matches_golden_digest():
     assert len(alg) == 513
     blob = repr(([e.witness for e in alg.elements], alg.meet_table, alg.join_table)).encode()
     assert hashlib.sha256(blob).hexdigest() == "b119e1e872b22d45e743a2717f1fa15256d65da9d923e00ba4f405cc8dd3dedf"
+
+
+@pytest.mark.parametrize(
+    "pattern,alphabet,size,digest",
+    [("(a|b)*abb", "ab", 362, "d4899ab6ddc35c57f5be263047808e2a417b0abdc572ef27bde35a57b8ac5811"),
+     ("(a|bc)*(c|%e)", "abc", 283, "c08bc3a24551b1592e4a651fcebe67177cfc5d0e567a6886b65699096fde5f8a")],
+)
+def test_transition_lattice_algebra_matches_golden_digest(pattern, alphabet, size, digest):
+    """Transition algebras above test_forms' element cap: witnesses and all three tables."""
+    dfa = synlat.compile_canonical_dfa(synlat.parse_regex(pattern, alphabet))
+    alg = synlat.transition_lattice_algebra(synlat.build_profile_table(dfa), dfa)
+    assert len(alg) == size
+    blob = repr(([e.witness for e in alg.elements], alg.meet_table, alg.join_table, alg.mul_table)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -344,7 +344,7 @@ def assert_lattice_witnesses_are_least_forms(pattern_or_ast, alphabet=None):
     [("a+b+", "ab"), ("(ab)*", "ab"), ("a?b", "ab"), ("ab*a|b", "ab"), ("a(b|c)", "abc"), ("(a|bb)*", "ab"),
      ("b(a|c)*a", "cab"), ("(a|b)*a(a|b)", "ba"), ("%0", "a"), ("a*", "ab")],
 )
-def test_lattice_certificates_are_least_forms(pattern, alphabet):
+def test_lattice_witnesses_are_least_forms(pattern, alphabet):
     assert assert_lattice_witnesses_are_least_forms(pattern, alphabet) == 2
 
 
