@@ -75,7 +75,11 @@ def accepts(dfa: Dfa, word: str, state: int | None = None) -> bool:
     return run(dfa, start, word) in dfa.finals
 
 
-def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
+class _Stop(Exception):
+    """close_values holds its stop count of values."""
+
+
+def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int | None = None):
     """Fixpoint closure in discovery order, on values only; returns (values, index, right, pairs).
 
     Seeds are deduplicated in order.  Each value i in turn gets every letter
@@ -83,32 +87,44 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str):
     right[i][k] and pairs[p][i][j] record the index each op k or p gave.
     A value beyond the first budget raises BudgetError(what, budget).
     Without pair ops the closure is breadth first over the letter ops.
+    With a stop count it returns as soon as it holds that many values, so no
+    op runs after the last value is found: right then holds the complete
+    rows only, and the last row of each pair table may be partial.
     """
     values = []
     index = {}
+    get = index.get
 
     def add(v):
-        i = index.get(v)
+        i = get(v)
         if i is None:
             if len(values) >= budget:
                 raise BudgetError(what, budget)
             i = index[v] = len(values)
             values.append(v)
+            if i + 1 == stop:
+                raise _Stop
         return i
 
-    for v in seeds:
-        add(v)
     right = []
     pairs = [[] for _ in pair_ops]
-    for i, vi in enumerate(values):   # values grows as it is visited
-        right.append(tuple([add(fn(vi)) for fn in letter_ops]))
-        if pair_ops:
-            rows = [[] for _ in pair_ops]
-            for table, row in zip(pairs, rows):
-                table.append(row)
-            for vj in values[:i + 1]:
-                for row, fn in zip(rows, pair_ops):
-                    row.append(add(fn(vi, vj)))
+    try:
+        for v in seeds:
+            add(v)
+        for i, vi in enumerate(values):   # values grows as it is visited
+            right.append(tuple([add(fn(vi)) for fn in letter_ops]))
+            if pair_ops:
+                rows = [[] for _ in pair_ops]
+                for table, row in zip(pairs, rows):
+                    table.append(row)
+                ops = list(zip([row.append for row in rows], pair_ops))
+                for vj in values[:i + 1]:
+                    for append, fn in ops:
+                        v = fn(vi, vj)
+                        k = get(v)   # most pairs give a known value: no call to add
+                        append(add(v) if k is None else k)
+    except _Stop:
+        pass
     return values, index, right, pairs
 
 

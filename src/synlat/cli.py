@@ -5,7 +5,8 @@
     synlat reversible --regex PAT --alphabet LETTERS
 
 Exit codes: 0 ok, 2 invalid input (pattern, alphabet, budget, level or format), 3 budget
-exceeded, 4 internal inconsistency (including any ValueError past input validation).  argparse
+exceeded, 4 internal inconsistency (including any ValueError past input validation), 5 the
+output cannot be written (a full disk, say; the reason goes to stderr).  argparse
 alone checks levels and formats: an unknown one exits 2 with a usage line on stderr.  It reads
 a value starting with '-' as an option, so write such a letter as --alphabet=-a, --regex=-a.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ from .errors import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_PARSE,
     BudgetError,
     InconsistencyError,
@@ -147,7 +150,21 @@ def main(argv=None) -> int:
     except (InconsistencyError, ValueError) as exc:   # a ValueError past input validation is a bug
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()   # a short document would otherwise fail only at the exit flush
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # The buffer keeps the bytes that failed, and the flush at interpreter exit would retry
+        # them, print a second error and exit 120.  Point stdout at the null device instead.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):   # not backed by a file: nothing is flushed at exit
+            return EXIT_OUTPUT
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
+EXIT_OUTPUT = 5
 
 
 class SynlatError(Exception):

@@ -14,20 +14,23 @@ goes through the stored witness forms and can break the lattice-algebra
 laws.  transition_lattice_algebra identifies forms that act equally on every
 state of the canonical lattice automaton, the largest congruence inside the
 residual relation; its product is composition and it satisfies the laws.
-Each quotient is closed once: its monoid, meet values and witnesses are read
-off that closure's letter, meet and join tables, and its product table is
-walked along the breadth-first trees the witnesses are read off, one lookup
-into a closure table per cell, so no builder evaluates a form.
+Each quotient finds its values before it numbers them: the monoid's
+images, the meet values and their joins, each closed on packed ints.  The
+numbering closure stops once it holds them all; the witnesses are read off
+the three values closures' breadth-first trees, ∧, ∨ and the order off
+masks over the join-irreducibles, and the product table is walked along the
+witnesses' trees, one table lookup per cell, so no builder evaluates a form.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import and_, lshift, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
-from .automata import Dfa, close_values, least_paths, spanning_tree, tree_paths, tree_words
+from .automata import Dfa, close_values, spanning_tree, tree_paths, tree_words
 from .canonical import HasseDiagram, hasse_from_leq, state_closures
 from .errors import InconsistencyError
 from . import terms
@@ -99,10 +102,9 @@ class SyntacticMonoid:
         return e
 
 
-def _transformations(dfa: Dfa, letters, budget: int, what: str):
-    """close_values of the identity map on the DFA states under the given letter indices, in order."""
-    letter_ops = [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in letters]
-    return close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, what)
+def _state_ops(dfa: Dfa, letters):
+    """Right multiplication by each letter index in letters, on tuples of DFA states."""
+    return [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in letters]
 
 
 def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticMonoid:
@@ -111,7 +113,8 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     Each element's witness is its word along the breadth-first spanning
     tree, which is its shortlex-least word.
     """
-    mappings, index, right, _ = _transformations(dfa, range(len(dfa.alphabet)), budget, "monoid elements")
+    letter_ops = _state_ops(dfa, range(len(dfa.alphabet)))
+    mappings, index, right, _ = close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements")
     table = CayleyTable(tuple(right))
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
@@ -182,9 +185,9 @@ def _meet_order(meet_table) -> HasseDiagram:
     return hasse_from_leq([sum(1 << j for j, k in enumerate(row) if k == i) for i, row in enumerate(meet_table)])
 
 
-def _square(lower, upper):
-    """t[i][j] = lower[i][j] for j <= i and upper[j][i] for j > i, from close_values' triangles."""
-    return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
+def _relabel(table, order, rank):
+    """t[a][b] = rank[table[order[a]][order[b]]]: an int table renumbered, order[a] the old id of a."""
+    return tuple(tuple(map(rank.__getitem__, map(row.__getitem__, order))) for row in map(table.__getitem__, order))
 
 
 def _atomset_mappings(pt: ProfileTable, mappings):
@@ -216,6 +219,22 @@ def _packing(pt: ProfileTable, n_columns: int):
     return pack, unpack, quotient
 
 
+def _meet_values(seed, letter_ops, image, top_map: int, budget: int, what: str):
+    """(monoid_right, meet values, their index, meet_image) on packed values.
+
+    The monoid is seed closed under letter_ops, the letters in sorted order,
+    so its elements come in the order of their word_key-least words and
+    monoid_right is its right table; image(m) packs element m's action on
+    the columns.  The meet values are top_map and the images closed under
+    ∧ image t, and meet_image[i][t] is value i ∧ image t.
+    """
+    monoid, _, monoid_right, _ = close_values([seed], letter_ops, (), budget, what)
+    images = list(map(image, monoid))
+    meet_ops = [lambda v, y=y: v & y for y in images]
+    values, index, meet_image, _ = close_values([top_map, *images], meet_ops, (), budget, what)
+    return monoid_right, values, index, meet_image
+
+
 def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
     """Row by row, i·k for each meet value k: the product walked along the trees of the witnesses.
 
@@ -235,8 +254,8 @@ def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
         yield row
 
 
-def _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotient):
-    """Meet, product and swapped product as int pair ops on the values' ids.
+def _semiring_tables(letters, values, index, meet_image, tree, monoid_tree, quotient):
+    """The meet and product tables on the values' ids.
 
     meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
     k ∧ image t with k < j, so i∧j = (i∧k)∧image t.  The values are the meet
@@ -252,7 +271,7 @@ def _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotien
         meet.append(row)
     by_letter = [tuple(index[quotient(v, a)] for a in letters) for v in values]
     mul = list(_meet_products(by_letter, meet, 0, monoid_tree, tree))
-    return [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
+    return meet, mul
 
 
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
@@ -262,9 +281,11 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
 
     The monoid is closed over the sorted letters, so its elements come in the
     order of their word_key-least words; image t maps residual q to the
-    residual of q·t.  The values are ⊤ and the images closed under ∧ image t,
-    each packed into one int (_packing).  close_values replays the discovery
-    order on int tables of the values.
+    residual of q·t.  The values are ⊤ and the images closed under ∧ image t
+    (_meet_values, shared with the lattice algebras), each packed into one int (_packing), so their count n is known before
+    they are numbered: close_values replays the discovery order on int tables
+    of the values only until it holds n of them, and the tables are those int
+    tables renumbered (_relabel).
     Each witness is the least meet form, fewest words first, then sorted
     word keys: the path to its value along the breadth-first tree of the
     values' closure (automata.tree_paths).  A refusal comes from the monoid's
@@ -274,32 +295,35 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
     what = "semiring elements"
-    residual = pt.residual_bits
     pack, unpack, quotient = _packing(pt, dfa.n_states)
     letters = sorted(dfa.alphabet)
-    monoid, _, monoid_right, _ = _transformations(dfa, map(dfa.letter_index, letters), budget, what)
-    images = [pack(map(residual.__getitem__, m)) for m in monoid]
-    meet_ops = [lambda v, y=y: v & y for y in images]
+    residual = pt.residual_bits
     full = pack((top(pt).bits,) * dfa.n_states)
-    values, index, meet_image, _ = close_values([full] + images, meet_ops, (), budget, what)
+    monoid_right, values, index, meet_image = _meet_values(
+        tuple(range(dfa.n_states)), _state_ops(dfa, map(dfa.letter_index, letters)),
+        lambda m: pack(map(residual.__getitem__, m)), full, budget, what,
+    )
 
     monoid_tree = spanning_tree(monoid_right)
     letter_maps = [pack(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
     seeds = [index[pack(residual)]] + [index[m] for m in letter_maps] + [0]
     least, tree = tree_paths(meet_image)
-    order, final, _, (meets, muls, swapped) = close_values(   # the ops' tables are freed on return
-        seeds, (), _semiring_ops(letters, values, index, meet_image, tree, monoid_tree, quotient), budget, what
-    )
+    meet, mul = _semiring_tables(letters, values, index, meet_image, tree, monoid_tree, quotient)
+    ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
+    n = len(values)
+    order, final, _, _ = close_values(seeds, (), ops, budget, what, stop=n)
+    if len(order) != n:
+        raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
+    rank = [final[p] for p in range(n)]
+    meet_table = _relabel(meet, order, rank)
     words = tree_words(monoid_tree, letters)
-
-    meet_table = _square(meets, meets)
     elements = tuple(
         SemiringElement(m, tuple(map(words.__getitem__, least[p])))
         for m, p in zip(_atomset_mappings(pt, [unpack(values[p]) for p in order]), order)
     )
     return SyntacticSemiring(
         pt, dfa, elements, 0, final[0], tuple(final[index[m]] for m in letter_maps),
-        meet_table, _square(muls, swapped), _meet_order(meet_table),
+        meet_table, _relabel(mul, order, rank), _meet_order(meet_table),
     )
 
 
@@ -350,19 +374,15 @@ class SyntacticLatticeAlgebra:
         return i
 
 
-def _least_lattice_forms(dfa: Dfa, right, meet, join, one: int, top_id: int, bottom_id: int, what: str):
+def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
     """Each element's least lattice form: fewest inners first, then sorted inner keys.
 
-    Read off the lattice closure's own tables, on its ids: right, its letter
-    table (dfa.alphabet positions), and meet and join, its squared tables.
-    Letter quotients distribute over ∩ and ∪, so every element is ⊥ or a
-    join of meet values: ⊤ and the meets of the monoid's images.  The
-    images are the elements that 1 reaches in right over the sorted
-    letters.  A word's image determines its transformation, since the
-    residuals come first among the columns, and an id determines its packed
-    value; both maps commute with the letter quotients, ∧ and ∨.  So each
-    closure here discovers its values in the order a closure of
-    transformations or of packed values would, and its tree is the same.
+    Read off the closures _lattice_algebra finds the values with: monoid_right,
+    the letter table of the monoid's images over the sorted letters;
+    meet_image, the table of the meet values, ⊤ and the images closed under
+    "∧ image t"; and join_right, the table of the closure of ⊥ under "∨ meet
+    value k", whose value i is element ids[i].  An image determines its
+    word's transformation, since the residuals come first among the columns.
 
     A least lattice form has least meet forms of distinct meet values as its
     inners: putting the least meet form of an inner's value in its place
@@ -370,25 +390,67 @@ def _least_lattice_forms(dfa: Dfa, right, meet, join, one: int, top_id: int, bot
     another, would leave a form with fewer inners.  The meet values come in
     the order of their least meet forms, which automata.tree_paths reads off
     their closure; so a least lattice form is a set of meet values, and
-    automata.least_paths reads it off the closure of ⊥ under "∨ meet value k".
+    automata.tree_paths reads it off the closure of ⊥ under "∨ meet value k".
 
     Returns (forms, trees), trees the three trees the forms are read off, for
     _lattice_products: the monoid's, its letters as dfa.alphabet positions;
-    the meet values'; and the tree of ⊥ on the ids.
+    the meet values'; and the tree of ⊥ on the elements' ids, (j, parent, k)
+    for j = parent ∨ meet value k, parents before their children.
     """
     letters = sorted(dfa.alphabet)
-    position = list(map(dfa.letter_index, letters))
-    n = len(right)
-    images, _, monoid_right, _ = close_values([one], [lambda i, a=a: right[i][a] for a in position], (), n, what)
     monoid_tree = spanning_tree(monoid_right)
     words = tree_words(monoid_tree, letters)
-    meet_ops = [lambda k, t=t: meet[k][t] for t in images]
-    meets, _, meet_image, _ = close_values([top_id] + images, meet_ops, (), n, what)
     meet_paths, meet_tree = tree_paths(meet_image)
     inners = [tuple(map(words.__getitem__, p)) for p in meet_paths]
-    paths, join_tree = least_paths(range(n), bottom_id, [lambda i, k=k: join[i][k] for k in meets], what)
-    forms = [tuple(map(inners.__getitem__, p)) for p in paths]
-    return forms, ([(t, position[a]) for t, a in monoid_tree], meet_tree, join_tree)
+    paths, join_tree = tree_paths(join_right)
+    forms = [()] * len(ids)
+    for i, p in zip(ids, paths):
+        forms[i] = tuple(map(inners.__getitem__, p))
+    position = list(map(dfa.letter_index, letters))
+    trees = (
+        [(t, position[a]) for t, a in monoid_tree],
+        meet_tree,
+        [(ids[j], ids[p], k) for j, (p, k) in enumerate(join_tree, 1)],
+    )
+    return forms, trees
+
+
+def _mask_lattice(meet_values, join_tree):
+    """(meet, join, order) of the lattice values: ⊥ and the joins of meet_values,
+    joined along join_tree as in _least_lattice_forms, on the elements' ids.
+
+    The values under & and | form a finite distributive lattice.  Its
+    join-irreducibles are the nonzero meet values that are not the | of the
+    meet values strictly below them, and each value is the | of the
+    join-irreducibles below it (Birkhoff's representation theorem; Davey and
+    Priestley, Introduction to Lattices and Order, ch. 5).  So with bit b of
+    mask(v) set iff join-irreducible b lies below v, distinct values have
+    distinct masks, and ∧ and ∨ are & and | on the masks.  A
+    join-irreducible below p ∨ k lies below p or below k, so mask(j) =
+    mask(p) | mask(k) along the tree.  j covers i exactly when mask(j) is
+    mask(i) plus one join-irreducible whose lower join-irreducibles all lie
+    in mask(i): n·|join-irreducibles| steps, listed as hasse_from_leq does.
+    """
+    irreducible = []
+    for m in meet_values:
+        if m and reduce(or_, [y for y in meet_values if y & m == y != m], 0) != m:
+            irreducible.append(m)
+    below = [sum(1 << b for b, x in enumerate(irreducible) if x & m == x) for m in meet_values]
+    lower = [sum(1 << c for c, y in enumerate(irreducible) if y & x == y != x) for x in irreducible]
+    n = len(join_tree) + 1
+    masks = [0] * n
+    for j, p, k in join_tree:
+        masks[j] = masks[p] | below[k]
+    at = {m: i for i, m in enumerate(masks)}
+    if len(at) != n:
+        raise InconsistencyError("two lattice algebra elements have the same join-irreducibles below them")
+    meet = tuple(tuple(map(at.__getitem__, map(m.__and__, masks))) for m in masks)
+    join = tuple(tuple(map(at.__getitem__, map(m.__or__, masks))) for m in masks)
+    covers = []
+    for i, m in enumerate(masks):
+        ups = [at[m | 1 << b] for b, low in enumerate(lower) if not m >> b & 1 and low & m == low]
+        covers.extend((i, j) for j in sorted(ups))
+    return meet, join, HasseDiagram(tuple(covers))
 
 
 def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
@@ -396,7 +458,7 @@ def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
 
     j's witness is the join, along the tree of ⊥, of least meet forms, so
     i·j = (i·j′) ∨ (i·k) with i·⊥ = ⊥, i·k from _meet_products; one lookup
-    per cell, each into a closure table.
+    per cell.
     """
     monoid_tree, meet_tree, join_tree = trees
     table = []
@@ -411,20 +473,28 @@ def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
 def _lattice_algebra(
     pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, budget: int, with_tables: bool = True
 ) -> SyntacticLatticeAlgebra:
-    """Fixpoint closure of {1, letters, ⊤, ⊥} under right multiplication by
+    """The closure of {1, letters, ⊤, ⊥} under right multiplication by
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
-    the residuals); then each element's least lattice form as its witness,
-    read off the closure's letter, meet and join tables (_least_lattice_forms),
-    and the product table.
+    the residuals), numbered in discovery order; each element's least lattice
+    form as its witness (_least_lattice_forms), and the product table.
 
     Each value is its tuple of column bitmasks packed into one int
-    (_packing), so ∧ and ∨ are & and |.  The witnesses are computed from the
-    closed values, so a refusal comes before any of them.
+    (_packing), so ∧ and ∨ are & and |.  Letter quotients distribute over ∩
+    and ∪, so the values are ⊥ and the joins of the meet values: ⊤ and the
+    meets of the monoid's images, the values 1 reaches by letter quotients.
+    Three closures find them before any is numbered: the images over the
+    sorted letters and the meet values under "∧ image t" (_meet_values), and
+    ⊥ under "∨ meet value k".  A refusal comes from one of them, before any witness or
+    table.  The numbering closure then runs only until it holds their count
+    n, and raises InconsistencyError unless it holds exactly those values.
+    The letter rows it did not visit are looked up, and the ∧ and ∨ tables
+    and the order are read off masks over the join-irreducibles
+    (_mask_lattice).
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
     i's witness on column c.  _lattice_products walks it along the trees the
-    witnesses are read off, on the same three tables.
+    witnesses are read off, on the letter, ∧ and ∨ tables.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -432,16 +502,26 @@ def _lattice_algebra(
     cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
     pack, unpack, quotient = _packing(pt, len(cols))
     one_map = pack(cols)
-    letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
     top_map = pack((top(pt).bits,) * len(cols))
-    bot_map = 0
-    seeds = [one_map, *letter_maps, top_map, bot_map]
     letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
-    values, index, right, (meets, joins) = close_values(seeds, letter_ops, [and_, or_], budget, what)
-    meet_table = _square(meets, meets)
-    join_table = _square(joins, joins)
-    one, top_id, bottom_id = index[one_map], index[top_map], index[bot_map]
-    witnesses, trees = _least_lattice_forms(dfa, right, meet_table, join_table, one, top_id, bottom_id, what)
+    sorted_ops = [letter_ops[dfa.letter_index(a)] for a in sorted(dfa.alphabet)]
+    monoid_right, meets, _, meet_image = _meet_values(one_map, sorted_ops, lambda v: v, top_map, budget, what)
+    joins, _, join_right, _ = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
+    n = len(joins)
+
+    letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
+    seeds = [one_map, *letter_maps, top_map, 0]
+    values, index, right, _ = close_values(seeds, letter_ops, [and_, or_], n, what, stop=n)
+    ids = list(map(index.get, joins))
+    if len(values) != n or None in ids:
+        raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
+    one, top_id, bottom_id = index[one_map], index[top_map], index[0]
+    witnesses, trees = _least_lattice_forms(dfa, monoid_right, meet_image, join_right, ids)
+    try:
+        right += [tuple([index[fn(v)] for fn in letter_ops]) for v in values[len(right):]]
+        meet_table, join_table, order = _mask_lattice(meets, trees[2])
+    except KeyError:
+        raise InconsistencyError(f"the {what} are not closed under their operations") from None
     mul_table = None
     if with_tables:
         mul_table = _lattice_products(right, meet_table, join_table, top_id, bottom_id, trees)
@@ -451,7 +531,7 @@ def _lattice_algebra(
     )
     return SyntacticLatticeAlgebra(
         pt, dfa, elements, one, top_id, bottom_id, tuple(index[m] for m in letter_maps),
-        meet_table, join_table, mul_table, _meet_order(meet_table), columns,
+        meet_table, join_table, mul_table, order, columns,
     )
 
 

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import synlat
 from synlat import render
 from synlat.cli import main
-from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_PARSE, InconsistencyError
+from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, InconsistencyError
 
 from conftest import build
 
@@ -205,18 +208,18 @@ def test_reversible_lambda_language(capsys):
     assert json.loads(out)["reversible"] is True
 
 
-def test_outputs_stable_across_processes():
-    import os
-    import subprocess
-    import sys
+def child_env():
+    """The environment of a child process that imports the synlat under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(synlat.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
+
+def test_outputs_stable_across_processes():
     argv = [
         sys.executable, "-m", "synlat.cli", "algebra", "--regex", "a+b+",
         "--alphabet", "ab", "--level", "semiring", "--format", "json",
     ]
-    # the child imports the synlat under test, installed or not
-    src = os.path.dirname(os.path.dirname(synlat.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     first = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     second = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     assert first == second and first
@@ -271,6 +274,26 @@ def test_internal_value_error_exits_4_without_traceback(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "automaton", "--regex", "a+b+", "--alphabet", "ab", "--level", "meet")
     assert (code, out) == (EXIT_INCONSISTENT, "")
     assert err == "internal inconsistency: up-sets are not a partial order\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
+@pytest.mark.parametrize("argv", [
+    ["algebra", "--level", "lattice", "--regex", "(a|b)*abb", "--alphabet", "ab", "--format", "json"],
+    ["reversible", "--regex", "a*", "--alphabet", "ab"],   # short enough to fail only at the flush
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_write_error_exits_5_without_traceback(argv, unbuffered):
+    # buffered, a short document fails at the flush and its bytes stay pending for the exit flush
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "synlat", *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True
+        )
+    assert done.returncode == EXIT_OUTPUT
+    assert done.stderr.startswith("error: cannot write output: [Errno 28] ")
+    assert done.stderr.count("\n") == 1   # one line, no traceback
 
 
 def test_budget_exit_code(capsys):

@@ -21,8 +21,9 @@ import synlat
 from synlat import terms
 from synlat.atoms import quotient_bits, top
 from synlat.automata import access_words, close_values, least_paths
-from synlat.errors import BudgetError, InconsistencyError
-from synlat.syntactic import _square, semiring_action_bits
+from synlat.cli import main
+from synlat.errors import EXIT_INCONSISTENT, BudgetError, InconsistencyError
+from synlat.syntactic import semiring_action_bits
 from synlat.terms import lattice_form_key, lattice_form_str
 
 from conftest import build, random_regex_corpus
@@ -68,6 +69,11 @@ def reference_close(seeds, letter_ops, pair_ops, less, budget, what):
     return values, witnesses, index, right, pairs
 
 
+def square(lower, upper):
+    """t[i][j] = lower[i][j] for j <= i and upper[j][i] for j > i, from reference_close's triangles."""
+    return tuple(tuple(low) + tuple(up[i] for up in upper[i + 1:]) for i, low in enumerate(lower))
+
+
 def meet_less(x, y):
     return terms.meet_form_key(x) < terms.meet_form_key(y)
 
@@ -108,7 +114,7 @@ def reference_semiring(pt, dfa):
     values, witnesses, index, right, (meets, muls, swapped) = reference_close(
         seeds, (), pair_ops, meet_less, 10**6, "semiring elements"
     )
-    return values, witnesses, index, right, (_square(meets, meets), _square(muls, swapped))
+    return values, witnesses, index, right, (square(meets, meets), square(muls, swapped))
 
 
 def reference_lattice_algebra(pt, dfa, cols, budget):
@@ -130,7 +136,7 @@ def reference_lattice_algebra(pt, dfa, cols, budget):
     values, witnesses, index, right, (meets, joins) = reference_close(
         seeds, letter_ops, pair_ops, lattice_less, budget, "lattice algebra elements"
     )
-    return values, witnesses, index, right, (_square(meets, meets), _square(joins, joins))
+    return values, witnesses, index, right, (square(meets, meets), square(joins, joins))
 
 
 def layered_least_forms(right):
@@ -172,7 +178,7 @@ def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
 
 def assert_engine_matches_reference(monkeypatch, dfa, pt):
     calls = []
-    for name in ("automata", "syntactic"):   # least_paths calls automata's; the semiring syntactic's
+    for name in ("automata", "syntactic"):   # least_paths calls automata's; the algebras syntactic's
         module = getattr(synlat, name)
         monkeypatch.setattr(module, "tree_paths", checked_tree_paths(calls, name))
     synlat.build_lattice_automaton(pt, dfa)   # the meet automaton's witnesses first
@@ -184,7 +190,7 @@ def assert_engine_matches_reference(monkeypatch, dfa, pt):
             build_algebra(pt, dfa, budget=LATTICE_BUDGET)
         except BudgetError:
             continue
-        assert calls[-2:] == ["syntactic", "automata"]   # the inners, then the joins
+        assert calls[-2:] == ["syntactic", "syntactic"]   # the inners, then the joins
 
 
 def test_engine_matches_reference_on_a_plus_b_plus(monkeypatch):
@@ -292,6 +298,79 @@ def test_refused_lattice_builds_compute_no_least_form(monkeypatch):
             build_algebra(pt, dfa, 21)
 
 
+LATTICE_BUILDS = [synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra]
+
+
+@pytest.mark.parametrize("build_algebra", LATTICE_BUILDS)
+def test_each_values_closure_refuses_one_short_of_its_count(monkeypatch, build_algebra):
+    # the images, the meet values and the lattice values are closed in turn, each a subset of the
+    # next; one short of a closure's count stops that closure, before any tree is read
+    _, dfa, pt = build("a+b+", "ab")
+    real = synlat.syntactic.close_values
+    sizes = []   # the value count of each closure that returns
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        sizes.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(synlat.syntactic, "close_values", recorded)
+    n = len(build_algebra(pt, dfa))
+    counts = sizes[:3]
+    assert counts[0] < counts[1] < counts[2] == n   # 5 < 11 < 22, and 5 < 12 < 33 for the transition algebra
+    for module in (synlat.automata, synlat.syntactic):
+        monkeypatch.setattr(module, "tree_paths", no_witness_op)
+    for closed, count in enumerate(counts):
+        sizes.clear()
+        with pytest.raises(BudgetError, match=f"^lattice algebra elements exceeded budget of {count - 1}$"):
+            build_algebra(pt, dfa, count - 1)
+        assert sizes == counts[:closed]   # the closures before it returned; it refused
+
+
+def with_changed_closure(monkeypatch, closure, change):
+    """syntactic.close_values, its closure-th call's values changed by change(values, index)."""
+    real = synlat.syntactic.close_values
+    calls = []
+
+    def changed(*args, **kwargs):
+        values, index, right, pairs = real(*args, **kwargs)
+        if len(calls) == closure:
+            change(values, index)
+        calls.append(args)
+        return values, index, right, pairs
+
+    monkeypatch.setattr(synlat.syntactic, "close_values", changed)
+
+
+def one_more(values, index):
+    index[-1] = len(values)
+    values.append(-1)   # no packed value is negative
+
+
+def one_fewer(values, index):
+    del index[values.pop()]
+
+
+@pytest.mark.parametrize("build_algebra", LATTICE_BUILDS)
+@pytest.mark.parametrize("closure,change", [(2, one_more), (1, one_fewer)], ids=["more", "fewer"])
+def test_a_wrong_value_count_is_an_inconsistency(monkeypatch, build_algebra, closure, change):
+    # one value too many among the lattice values (the third closure) leaves the numbering closure
+    # short of their count; one meet value too few (the second) makes the count too small, and the
+    # numbering closure stops holding a value outside them
+    _, dfa, pt = build("a+b+", "ab")
+    with_changed_closure(monkeypatch, closure, change)
+    with pytest.raises(InconsistencyError, match="^the numbering closure does not reach exactly the lattice algebra"):
+        build_algebra(pt, dfa)
+
+
+def test_a_wrong_value_count_exits_4(monkeypatch, capsys):
+    with_changed_closure(monkeypatch, 2, one_more)
+    code = main(["algebra", "--level", "lattice", "--regex", "a+b+", "--alphabet", "ab"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_INCONSISTENT, "")
+    assert err == "internal inconsistency: the numbering closure does not reach exactly the lattice algebra elements\n"
+
+
 @pytest.mark.parametrize("budget", [5, 43])
 def test_refused_semiring_builds_no_table_or_witness(monkeypatch, budget):
     # the 44-element semiring of a 15-element monoid: 5 stops the monoid's closure, 43 the values'
@@ -300,7 +379,7 @@ def test_refused_semiring_builds_no_table_or_witness(monkeypatch, budget):
     def built(*_):
         raise AssertionError("a table or witness was built")
 
-    for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths", "_square"):
+    for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths"):
         monkeypatch.setattr(synlat.syntactic, name, built)
     with pytest.raises(BudgetError, match=f"^semiring elements exceeded budget of {budget}$"):
         synlat.syntactic_semiring(pt, dfa, budget)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import synlat
 from synlat import terms as tm
 from synlat.atoms import residual_atoms
+from synlat.canonical import hasse_from_leq
 from synlat.syntactic import (
     SyntacticLatticeAlgebra,
     LatticeAlgebraElement,
@@ -703,3 +704,34 @@ def test_recorded_tables_over_reversed_alphabets(seed, alphabet):
     # order of these alphabets, so a wrong map from sorted letters to positions shows here
     dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet))
     assert_recorded_tables_match_direct_operations(dfa, synlat.build_profile_table(dfa))
+
+
+# --- the lattice order read off join-irreducible masks, against the order of the mappings ---
+
+def assert_lattice_covers_match_brute_force(dfa, pt):
+    for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
+        try:
+            alg = build_algebra(pt, dfa, budget=LATTICE_TABLE_BUDGET)
+        except synlat.BudgetError:
+            continue
+        maps = [bits(e.mapping) for e in alg.elements]
+        up = [sum(1 << j for j, y in enumerate(maps) if all(a | b == b for a, b in zip(x, y))) for x in maps]
+        assert up == [sum(1 << j for j, k in enumerate(row) if k == i) for i, row in enumerate(alg.meet_table)]
+        assert alg.order == hasse_from_leq(up)
+
+
+def test_lattice_covers_of_a_plus_b_plus(apb):
+    assert_lattice_covers_match_brute_force(*apb)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_lattice_covers_on_random_corpus(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        assert_lattice_covers_match_brute_force(dfa, synlat.build_profile_table(dfa))
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cba"]))
+def test_lattice_covers_on_random_languages(seed, alphabet):
+    dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet))
+    assert_lattice_covers_match_brute_force(dfa, synlat.build_profile_table(dfa))
