@@ -92,7 +92,7 @@ def build_profile_table(dfa: Dfa, budget: int = DEFAULT_PROFILE_BUDGET) -> Profi
     finals_mask = sum(1 << q for q in dfa.finals)
     columns = [tuple(row[li] for row in dfa.delta) for li in range(len(dfa.alphabet))]
     letter_ops = [lambda p, col=col: sum(1 << q for q, t in enumerate(col) if p >> t & 1) for col in columns]
-    profiles, _, pre, _ = close_values([finals_mask], letter_ops, (), budget, "realized profiles")
+    profiles, _, pre = close_values([finals_mask], letter_ops, (), budget, "realized profiles")
     return ProfileTable(dfa, profiles, zip(*pre), 0)
 
 

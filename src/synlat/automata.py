@@ -80,16 +80,16 @@ class _Stop(Exception):
 
 
 def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int | None = None):
-    """Fixpoint closure in discovery order, on values only; returns (values, index, right, pairs).
+    """Fixpoint closure in discovery order, on values only; returns (values, index, right).
 
     Seeds are deduplicated in order.  Each value i in turn gets every letter
     op fn(vi), then, for each j <= i, every pair op fn(vi, vj) in op order;
-    right[i][k] and pairs[p][i][j] record the index each op k or p gave.
-    A value beyond the first budget raises BudgetError(what, budget).
-    Without pair ops the closure is breadth first over the letter ops.
-    With a stop count it returns as soon as it holds that many values, so no
-    op runs after the last value is found: right then holds the complete
-    rows only, and the last row of each pair table may be partial.
+    right[i][k] records the index letter op k gave, and a pair op's value is
+    only added if it is new.  A value beyond the first budget raises
+    BudgetError(what, budget).  Without pair ops the closure is breadth first
+    over the letter ops.  With a stop count it returns as soon as it holds
+    that many values, so no op runs after the last value is found: right then
+    holds the complete rows only.
     """
     values = []
     index = {}
@@ -107,25 +107,34 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
         return i
 
     right = []
-    pairs = [[] for _ in pair_ops]
     try:
         for v in seeds:
             add(v)
         for i, vi in enumerate(values):   # values grows as it is visited
             right.append(tuple([add(fn(vi)) for fn in letter_ops]))
             if pair_ops:
-                rows = [[] for _ in pair_ops]
-                for table, row in zip(pairs, rows):
-                    table.append(row)
-                ops = list(zip([row.append for row in rows], pair_ops))
                 for vj in values[:i + 1]:
-                    for append, fn in ops:
+                    for fn in pair_ops:
                         v = fn(vi, vj)
-                        k = get(v)   # most pairs give a known value: no call to add
-                        append(add(v) if k is None else k)
+                        if v not in index:   # most pairs give a known value: no call to add
+                            add(v)
     except _Stop:
         pass
-    return values, index, right, pairs
+    return values, index, right
+
+
+def number(values, seeds, letter_ops, pair_ops, what: str):
+    """(order, index, right): close_values of seeds, stopped once it holds len(values) values.
+
+    The replay numbers values found by another closure in this closure's
+    discovery order, and runs no op after the last of them is found.  Raises
+    InconsistencyError unless it holds exactly the given values.
+    """
+    n = len(values)
+    order, index, right = close_values(seeds, letter_ops, pair_ops, n, what, stop=n)
+    if len(order) != n or not all(map(index.__contains__, values)):
+        raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
+    return order, index, right
 
 
 def spanning_tree(right) -> list[tuple[int, int]]:
@@ -172,31 +181,10 @@ def tree_paths(right):
     return paths, tree
 
 
-def least_paths(values, seed, ops, what: str):
-    """tree_paths of the closure of seed under ops, for each of values in turn, and its tree.
-
-    Returns (paths, tree): tree lists (j, parent, k) for each value j but
-    the seed's, numbered as in values, where j is first reached as op k of
-    parent; parents come before their children.  The search is budgeted at
-    len(values), so it does no more work than the closure that found them.
-    Raises InconsistencyError unless it reaches exactly the given values.
-    """
-    try:
-        _, index, right, _ = close_values([seed], ops, (), len(values), what)
-        found = [index[v] for v in values]
-    except (BudgetError, KeyError):
-        raise InconsistencyError(f"the least-form search does not reach exactly the {what}") from None
-    paths, tree = tree_paths(right)
-    ids = [0] * len(found)   # the closure's numbering to the values'
-    for j, i in enumerate(found):
-        ids[i] = j
-    return [paths[i] for i in found], [(ids[i], ids[p], k) for i, (p, k) in enumerate(tree, 1)]
-
-
 def access_words(dfa: Dfa) -> tuple[str, ...]:
     """Shortlex-least word reaching each state (all states must be reachable)."""
     letter_ops = [lambda q, a=a: dfa.delta[q][a] for a in range(len(dfa.alphabet))]
-    states, index, right, _ = close_values([dfa.initial], letter_ops, (), dfa.n_states, "states")
+    states, index, right = close_values([dfa.initial], letter_ops, (), dfa.n_states, "states")
     if len(states) != dfa.n_states:
         raise ValueError("automaton has unreachable states")
     words = tree_words(spanning_tree(right), dfa.alphabet)

@@ -5,11 +5,12 @@ intersection and contains the empty intersection (the full language); the
 lattice automaton additionally closes under union and contains the empty
 union.  Transitions are letter quotients, finals are the states containing λ,
 and the inclusion order is carried as a Hasse diagram (the dashed edges in
-the usual drawing convention).  Both closures run on the states' bitmasks
-through automata.close_values, the closure engine the syntactic algebras
-share.  Each state's witness is its least form over the closure's
-generators, read off a breadth-first tree (automata.least_paths): a meet
-form over the access words, or a lattice form over the meet witnesses.
+the usual drawing convention).  Each automaton closes its states first,
+on bitmasks through automata.close_values: ⊤ under "∧ residual", the
+residuals ranked by their access words, then ⊥ under "∨ meet state".  Each
+witness is its state's least form over those generators, read off that
+closure's breadth-first tree (automata.tree_paths); automata.number then
+numbers the states as the pairwise closure under ∩ (∪) discovers them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
-from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, least_paths
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, number, tree_paths
 from . import terms
-from .terms import meet_form_key, word_key
+from .terms import word_key
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,19 @@ class LatticeAutomaton:
 WHAT = "canonical automaton states"
 
 
-def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, unit: int, op, generators):
-    """Assemble the automaton on closed = (values, index) of close_values.  generators are
-    (form, bits) pairs in the order of their forms' key; each state's witness
-    is its least form over them, the tuple of the forms that op combines with
-    unit along the breadth-first tree (automata.least_paths)."""
-    values, index = closed
-    forms = [f for f, _ in generators]
-    ops = [lambda v, g=g: op(v, g) for _, g in generators]
-    paths, _ = least_paths(values, unit, ops, WHAT)
-    witnesses = tuple(tuple(map(forms.__getitem__, p)) for p in paths)
+def _least_forms(closed, generators) -> list:
+    """Each value's least form over generators, in the order of closed = close_values of one
+    seed under "op generator k": the generators along its breadth-first tree (tree_paths)."""
+    paths, _ = tree_paths(closed[2])
+    return [tuple(map(generators.__getitem__, p)) for p in paths]
+
+
+def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, numbered, generators):
+    """Assemble the automaton on numbered = (values, index, _) of automata.number; each
+    witness is its state's least form over generators, read off closed (_least_forms)."""
+    forms = _least_forms(closed, generators)
+    values, index, _ = numbered
+    witnesses = tuple(forms[closed[1][v]] for v in values)
     delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
@@ -118,38 +122,38 @@ def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, unit: int, op, generator
 
 
 def _meet_states(pt: ProfileTable, dfa: Dfa, budget: int):
+    """(words, meets, numbered): meets closes ⊤ under "∧ residual", the residuals ranked
+    by their access words' word_key, words the access words in that rank; numbered
+    numbers its values as the residuals and ⊤ closed under pairwise ∧ discover them."""
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
-    return close_values([*pt.residual_bits, top(pt).bits], (), [and_], budget, WHAT)[:2]
-
-
-def _meet_automaton(pt: ProfileTable, dfa: Dfa, closed) -> MeetAutomaton:
-    """The residuals, ranked by their access words' word_key, generate every state from ⊤."""
-    generators = sorted(zip(access_words(dfa), pt.residual_bits), key=lambda g: word_key(g[0]))
-    return _automaton(MeetAutomaton, pt, dfa, closed, top(pt).bits, and_, generators)
+    words, residuals = zip(*sorted(zip(access_words(dfa), pt.residual_bits), key=lambda g: word_key(g[0])))
+    meets = close_values([top(pt).bits], [lambda v, r=r: v & r for r in residuals], (), budget, WHAT)
+    return words, meets, number(meets[0], [*pt.residual_bits, top(pt).bits], (), [and_], WHAT)
 
 
 def build_meet_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> MeetAutomaton:
     """Residual states in DFA order, then ⊤, then new meets in discovery order."""
-    return _meet_automaton(pt, dfa, _meet_states(pt, dfa, budget))
+    words, meets, numbered = _meet_states(pt, dfa, budget)
+    return _automaton(MeetAutomaton, pt, dfa, meets, numbered, words)
 
 
 def state_closures(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET):
-    """(meets, joins): the (values, index) of the meet automaton's state closure
-    and of its join closure with ⊥, meet states first: the lattice automaton's
-    states in its order, residuals first."""
-    meets = _meet_states(pt, dfa, budget)
-    return meets, close_values([*meets[0], bottom(pt).bits], (), [or_], budget, WHAT)[:2]
+    """(words, meets, joins, numbered): _meet_states' words and meets; joins closes ⊥
+    under "∨ meet state k", k in the order of meets; numbered numbers its values as
+    the meet automaton's states and ⊥ closed under pairwise ∨ discover them, so
+    numbered[0] lists the lattice automaton's states in its order, residuals first."""
+    words, meets, meet_states = _meet_states(pt, dfa, budget)
+    joins = close_values([bottom(pt).bits], [lambda v, m=m: v | m for m in meets[0]], (), budget, WHAT)
+    return words, meets, joins, number(joins[0], [*meet_states[0], bottom(pt).bits], (), [or_], WHAT)
 
 
 def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> LatticeAutomaton:
     """Join closure of the meet automaton's states, with ⊥; meet states first.
 
-    Both closures run before any witness, so a refusal comes first.  The meet
-    states, ranked by their witnesses' meet_form_key, generate every state
-    from ⊥.
+    Every closure runs before any witness, so a refusal comes first.  The
+    meets closure lists the meet states in the order of their least meet
+    forms (tree_paths), so it ranks them for the closure of ⊥ with no sort.
     """
-    meets, joins = state_closures(pt, dfa, budget)
-    ma = _meet_automaton(pt, dfa, meets)
-    generators = sorted(zip(ma.witnesses, meets[0]), key=lambda g: meet_form_key(g[0]))
-    return _automaton(LatticeAutomaton, pt, dfa, joins, bottom(pt).bits, or_, generators)
+    words, meets, joins, numbered = state_closures(pt, dfa, budget)
+    return _automaton(LatticeAutomaton, pt, dfa, joins, numbered, _least_forms(meets, words))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -136,36 +137,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command line with the cyclic collector off, then restore its state: a command
+    leaves few objects in cycles, so its collections can wait until it returns."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        budgets = Budgets(args.budget_profiles, args.budget_states, args.budget_elements, args.budget_quadruples)
-        command = {"automaton": cmd_automaton, "algebra": cmd_algebra, "reversible": cmd_reversible}[args.command]
-        out = command(args, budgets)
-    except (RegexSyntaxError, TermSyntaxError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InconsistencyError, ValueError) as exc:   # a ValueError past input validation is a bug
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    try:
-        sys.stdout.write(out)
-        sys.stdout.flush()   # a short document would otherwise fail only at the exit flush
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        # The buffer keeps the bytes that failed, and the flush at interpreter exit would retry
-        # them, print a second error and exit 120.  Point stdout at the null device instead.
+        args = _build_parser().parse_args(argv)
         try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):   # not backed by a file: nothing is flushed at exit
+            budgets = Budgets(args.budget_profiles, args.budget_states, args.budget_elements, args.budget_quadruples)
+            command = {"automaton": cmd_automaton, "algebra": cmd_algebra, "reversible": cmd_reversible}[args.command]
+            out = command(args, budgets)
+        except (RegexSyntaxError, TermSyntaxError, InputError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except BudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except (InconsistencyError, ValueError) as exc:   # a ValueError past input validation is a bug
+            print(f"internal inconsistency: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()   # a short document would otherwise fail only at the exit flush
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            # The buffer keeps the bytes that failed, and the flush at interpreter exit would retry
+            # them, print a second error and exit 120.  Point stdout at the null device instead.
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):   # not backed by a file: nothing is flushed at exit
+                return EXIT_OUTPUT
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
             return EXIT_OUTPUT
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, fd)
-        os.close(null)
-        return EXIT_OUTPUT
-    return EXIT_OK
+        return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -343,7 +343,7 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
     keeps each class's lowest-numbered derivative, the one along its shortlex-least word.
     """
     letter_ops = [lambda node, a=a: derivative(node, a) for a in ast.alphabet]
-    order, _, delta, _ = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
+    order, _, delta = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
     finals = frozenset(i for i, n in enumerate(order) if nullable(n))
     labels = tuple(map(regex_to_str, order))
     return minimize(Dfa(ast.alphabet, tuple(delta), 0, finals, labels))

@@ -30,7 +30,7 @@ from functools import reduce
 from operator import and_, lshift, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
-from .automata import Dfa, close_values, spanning_tree, tree_paths, tree_words
+from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
 from .canonical import HasseDiagram, hasse_from_leq, state_closures
 from .errors import InconsistencyError
 from . import terms
@@ -114,7 +114,7 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     tree, which is its shortlex-least word.
     """
     letter_ops = _state_ops(dfa, range(len(dfa.alphabet)))
-    mappings, index, right, _ = close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements")
+    mappings, index, right = close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements")
     table = CayleyTable(tuple(right))
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
@@ -225,13 +225,13 @@ def _meet_values(seed, letter_ops, image, top_map: int, budget: int, what: str):
     The monoid is seed closed under letter_ops, the letters in sorted order,
     so its elements come in the order of their word_key-least words and
     monoid_right is its right table; image(m) packs element m's action on
-    the columns.  The meet values are top_map and the images closed under
-    ∧ image t, and meet_image[i][t] is value i ∧ image t.
+    the columns.  The meet values are top_map closed under ∧ image t, and
+    meet_image[i][t] is value i ∧ image t.
     """
-    monoid, _, monoid_right, _ = close_values([seed], letter_ops, (), budget, what)
+    monoid, _, monoid_right = close_values([seed], letter_ops, (), budget, what)
     images = list(map(image, monoid))
     meet_ops = [lambda v, y=y: v & y for y in images]
-    values, index, meet_image, _ = close_values([top_map, *images], meet_ops, (), budget, what)
+    values, index, meet_image = close_values([top_map], meet_ops, (), budget, what)
     return monoid_right, values, index, meet_image
 
 
@@ -281,11 +281,12 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
 
     The monoid is closed over the sorted letters, so its elements come in the
     order of their word_key-least words; image t maps residual q to the
-    residual of q·t.  The values are ⊤ and the images closed under ∧ image t
-    (_meet_values, shared with the lattice algebras), each packed into one int (_packing), so their count n is known before
-    they are numbered: close_values replays the discovery order on int tables
-    of the values only until it holds n of them, and the tables are those int
-    tables renumbered (_relabel).
+    residual of q·t.  The values are ⊤ closed under ∧ image t (_meet_values,
+    shared with the lattice algebras), each packed into one int (_packing),
+    so their count n is known before they are numbered: automata.number
+    replays the discovery order on int tables of the values only until it
+    holds n of them, and the tables are those int tables renumbered
+    (_relabel).
     Each witness is the least meet form, fewest words first, then sorted
     word keys: the path to its value along the breadth-first tree of the
     values' closure (automata.tree_paths).  A refusal comes from the monoid's
@@ -311,9 +312,7 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     meet, mul = _semiring_tables(letters, values, index, meet_image, tree, monoid_tree, quotient)
     ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
     n = len(values)
-    order, final, _, _ = close_values(seeds, (), ops, budget, what, stop=n)
-    if len(order) != n:
-        raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
+    order, final, _ = number(range(n), seeds, (), ops, what)
     rank = [final[p] for p in range(n)]
     meet_table = _relabel(meet, order, rank)
     words = tree_words(monoid_tree, letters)
@@ -379,9 +378,9 @@ def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
 
     Read off the closures _lattice_algebra finds the values with: monoid_right,
     the letter table of the monoid's images over the sorted letters;
-    meet_image, the table of the meet values, ⊤ and the images closed under
-    "∧ image t"; and join_right, the table of the closure of ⊥ under "∨ meet
-    value k", whose value i is element ids[i].  An image determines its
+    meet_image, the table of the meet values, ⊤ closed under "∧ image t";
+    and join_right, the table of the closure of ⊥ under "∨ meet value k",
+    whose value i is element ids[i].  An image determines its
     word's transformation, since the residuals come first among the columns.
 
     A least lattice form has least meet forms of distinct meet values as its
@@ -483,13 +482,13 @@ def _lattice_algebra(
     and ∪, so the values are ⊥ and the joins of the meet values: ⊤ and the
     meets of the monoid's images, the values 1 reaches by letter quotients.
     Three closures find them before any is numbered: the images over the
-    sorted letters and the meet values under "∧ image t" (_meet_values), and
-    ⊥ under "∨ meet value k".  A refusal comes from one of them, before any witness or
-    table.  The numbering closure then runs only until it holds their count
-    n, and raises InconsistencyError unless it holds exactly those values.
-    The letter rows it did not visit are looked up, and the ∧ and ∨ tables
-    and the order are read off masks over the join-irreducibles
-    (_mask_lattice).
+    sorted letters, ⊤ under "∧ image t" (_meet_values), and ⊥ under "∨ meet
+    value k".  A refusal comes from one of them, before any witness or
+    table.  automata.number then replays the closure above only until it
+    holds their count n, and raises InconsistencyError unless it holds
+    exactly those values.  The letter rows it did not visit are looked up,
+    and the ∧ and ∨ tables and the order are read off masks over the
+    join-irreducibles (_mask_lattice).
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
@@ -506,15 +505,12 @@ def _lattice_algebra(
     letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
     sorted_ops = [letter_ops[dfa.letter_index(a)] for a in sorted(dfa.alphabet)]
     monoid_right, meets, _, meet_image = _meet_values(one_map, sorted_ops, lambda v: v, top_map, budget, what)
-    joins, _, join_right, _ = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
-    n = len(joins)
+    joins, _, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
 
     letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
     seeds = [one_map, *letter_maps, top_map, 0]
-    values, index, right, _ = close_values(seeds, letter_ops, [and_, or_], n, what, stop=n)
-    ids = list(map(index.get, joins))
-    if len(values) != n or None in ids:
-        raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
+    values, index, right = number(joins, seeds, letter_ops, [and_, or_], what)
+    ids = list(map(index.__getitem__, joins))
     one, top_id, bottom_id = index[one_map], index[top_map], index[0]
     witnesses, trees = _least_lattice_forms(dfa, monoid_right, meet_image, join_right, ids)
     try:
@@ -561,7 +557,7 @@ def transition_lattice_algebra(
     state closures alone (canonical.state_closures): no witness, transition
     or order of the automaton is built.
     """
-    _, (states, _) = state_closures(pt, dfa)
+    *_, (states, _, _) = state_closures(pt, dfa)
     return _lattice_algebra(pt, dfa, tuple(AtomSet(pt, v) for v in states), budget)
 
 

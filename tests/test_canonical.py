@@ -1,10 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 import synlat
 from synlat.automata import Dfa
-from synlat.canonical import build_lattice_automaton, build_meet_automaton, hasse
+from synlat.canonical import _meet_states, build_lattice_automaton, build_meet_automaton, hasse
+from synlat.terms import meet_form_key
 
-from conftest import build, random_regex_corpus
+from conftest import build, random_ast, random_regex_corpus
 from test_automata import states_by_name
 
 ORDER_BUDGET = 600   # skips only the lattice quotients over 2,000 elements, whose builds take 30 s and more
@@ -209,3 +213,33 @@ def test_meet_automaton_budget():
     _, dfa, pt = build("a+b+", "ab")
     with pytest.raises(synlat.BudgetError):
         build_meet_automaton(pt, dfa, budget=3)
+
+
+def assert_meet_closure_ranks_the_witnesses(dfa, pt):
+    """The lattice automaton takes the meet states as its generators in the order of the closure
+    of ⊤ under "∧ residual", unsorted: that is the meet_form_key order of their witnesses."""
+    ma = build_meet_automaton(pt, dfa)
+    _, (meets, _, _), _ = _meet_states(pt, dfa, len(ma.states))
+    witness = {s.bits: w for s, w in zip(ma.states, ma.witnesses)}
+    keys = [meet_form_key(witness[v]) for v in meets]
+    assert len(keys) == len(witness)
+    assert all(k < later for k, later in zip(keys, keys[1:]))
+
+
+def test_meet_closure_ranks_the_witnesses_of_a_plus_b_plus():
+    _, dfa, pt = build("a+b+", "ab")
+    assert_meet_closure_ranks_the_witnesses(dfa, pt)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_meet_closure_ranks_the_witnesses_on_random_corpus(seed):
+    for ast in random_regex_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(ast)
+        assert_meet_closure_ranks_the_witnesses(dfa, synlat.build_profile_table(dfa))
+
+
+@given(st.integers(min_value=0), st.sampled_from(["ab", "ba", "abc", "cba"]))
+def test_meet_closure_ranks_the_witnesses_on_random_languages(seed, alphabet):
+    # witness words compare by (length, string), which is not the order of a reversed alphabet
+    dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet, max_nodes=10))
+    assert_meet_closure_ranks_the_witnesses(dfa, synlat.build_profile_table(dfa))

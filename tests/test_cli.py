@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -368,6 +369,29 @@ def test_algebra_text_needs_the_product_table():
     lattice_aut = synlat.build_lattice_automaton(pt, dfa)
     with pytest.raises(ValueError, match="^algebra was built without multiplication tables$"):
         render.algebra_text("lattice", dfa, pt, alg, None, lattice_aut, False)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_with_the_collector_off_and_restores_its_state(capsys, monkeypatch, enabled):
+    seen = []
+    real = synlat.cli.build_profile_table
+
+    def build_profile_table(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synlat.cli, "build_profile_table", build_profile_table)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run_cli(capsys, "automaton", "--regex", "a+b+", "--alphabet", "ab", "--level", "meet")
+        after_run = gc.isenabled()
+        with pytest.raises(SystemExit):   # argparse rejects the level
+            main(["automaton", "--regex", "a", "--alphabet", "a", "--level", "nope"])
+        after_exit = gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, seen, after_run, after_exit) == (EXIT_OK, [False], enabled, enabled)
 
 
 def test_parser_reuse_carries_no_state(capsys):

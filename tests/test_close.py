@@ -1,7 +1,7 @@
 """The breadth-first tree read of least forms against the layered search and the witness replay.
 
 Every witness in the package is its least form, read off close_values'
-breadth-first spanning tree (automata.tree_paths, automata.least_paths).
+breadth-first spanning tree (automata.tree_paths).
 layered_least_forms is the layered least-form search the semiring used
 before: every tree read of the builders must equal it.  reference_close is
 the closure engine that built witnesses before: it maintains them while it
@@ -20,7 +20,7 @@ import pytest
 import synlat
 from synlat import terms
 from synlat.atoms import quotient_bits, top
-from synlat.automata import access_words, close_values, least_paths
+from synlat.automata import access_words, close_values, number
 from synlat.cli import main
 from synlat.errors import EXIT_INCONSISTENT, BudgetError, InconsistencyError
 from synlat.syntactic import semiring_action_bits
@@ -178,11 +178,11 @@ def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
 
 def assert_engine_matches_reference(monkeypatch, dfa, pt):
     calls = []
-    for name in ("automata", "syntactic"):   # least_paths calls automata's; the algebras syntactic's
+    for name in ("canonical", "syntactic"):   # the automata call canonical's; the algebras syntactic's
         module = getattr(synlat, name)
         monkeypatch.setattr(module, "tree_paths", checked_tree_paths(calls, name))
     synlat.build_lattice_automaton(pt, dfa)   # the meet automaton's witnesses first
-    assert calls == ["automata"] * 2
+    assert calls == ["canonical"] * 2
     synlat.syntactic_semiring(pt, dfa)
     assert calls[2:] == ["syntactic"]
     for build_algebra in (synlat.syntactic_lattice_algebra, synlat.transition_lattice_algebra):
@@ -229,33 +229,57 @@ def test_least_forms_replace_six_replayed_witnesses():
     }
 
 
+def recorded_ops(calls):
+    """op(name, fn): fn, each of its calls appended to calls as (name, *operands)."""
+
+    def op(name, fn):
+        def run(*args):
+            calls.append((name, *args))
+            return fn(*args)
+
+        return run
+
+    return op
+
+
 def test_close_values_order_and_tables():
     # seeds 0 and 1, the repeated 0 dropped; row i runs the letter op, then both pair
     # ops for each j <= i, so row 2 finds 3 by its letter op before 4 = (2 + 2) % 5
-    values, index, right, pairs = close_values(
-        [0, 1, 0], [lambda v: min(v + 1, 4)], [lambda a, b: max(a, b), lambda a, b: (a + b) % 5], 10, "values"
+    calls = []
+    op = recorded_ops(calls)
+    values, index, right = close_values(
+        [0, 1, 0], [lambda v: min(v + 1, 4)], [op("max", max), op("sum", lambda a, b: (a + b) % 5)], 10, "values"
     )
     assert values == [0, 1, 2, 3, 4]
     assert index == {v: i for i, v in enumerate(values)}
     assert right == [(1,), (2,), (3,), (4,), (4,)]
-    assert pairs[0] == [[0], [1, 1], [2, 2, 2], [3, 3, 3, 3], [4, 4, 4, 4, 4]]
-    assert pairs[1][4] == [4, 0, 1, 2, 3]
+    assert calls == [(name, i, j) for i in range(5) for j in range(i + 1) for name in ("max", "sum")]
     with pytest.raises(BudgetError, match="values exceeded budget of 4"):
         close_values([0, 1], [lambda v: min(v + 1, 4)], (), 4, "values")
 
 
-def test_least_paths_reads_least_forms_and_guards_the_values():
-    # ops "∨ 4", "∨ 1", "∨ 2", "∨ 3": 3 is reached by op 3 alone, 5 by ops 0 and 1, and 7
-    # by 0 and 3 before 0, 1 and 2; the tree names each value by its place in the list
-    ops = [lambda v, y=y: v | y for y in (4, 1, 2, 3)]
-    got, tree = least_paths([7, 0, 5, 3, 1, 2, 4, 6], 0, ops, "values")
-    assert got == [(0, 3), (), (0, 1), (3,), (1,), (2,), (0,), (0, 2)]
-    # 4, 1, 2, 3 from 0, then 5, 6, 7 from 4
-    assert tree == [(6, 1, 0), (4, 1, 1), (5, 1, 2), (3, 1, 3), (2, 6, 1), (7, 6, 2), (0, 6, 3)]
-    with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):
-        least_paths([0, 1, 2, 3, 4, 5, 6], 0, ops, "values")   # it reaches 7 too
-    with pytest.raises(InconsistencyError, match="^the least-form search does not reach exactly the values$"):
-        least_paths([0, 1, 2, 3, 4, 5, 6, 8], 0, ops, "values")   # and never 8
+def test_number_stops_at_the_last_value_and_guards_the_values():
+    # 1 closed under "· 3" and pairwise "·" mod 7 finds 1, 3, 2, 6 by rows 0 to 2's letter op,
+    # 4 by 2 · 2 in row 2 and 5 by 6 · 2 in row 3; the unstopped closure goes on to row 5
+    calls = []
+    op = recorded_ops(calls)
+    ops = [op("·3", lambda v: v * 3 % 7)], [op("·", lambda v, w: v * w % 7)]
+    full, _, full_right = close_values([1], *ops, 10, "units")
+    assert full == [1, 3, 2, 6, 4, 5]
+    unstopped = calls[:]
+    for values, last, rows in [([5, 4, 6, 2, 3, 1], ("·", 6, 2), 4), ([6, 2, 1, 3], ("·3", 2), 2)]:
+        calls.clear()
+        order, index, right = number(values, [1], *ops, "units")
+        assert order == full[:len(values)]   # a prefix of the unstopped closure
+        assert index == {v: i for i, v in enumerate(order)}
+        assert calls == unstopped[:len(calls)] and calls[-1] == last   # no op after the last value
+        assert len(calls) < len(unstopped)
+        assert right == full_right[:rows]   # the complete rows only
+    message = "^the numbering closure does not reach exactly the units$"
+    with pytest.raises(InconsistencyError, match=message):
+        number([1, 3, 2, 6, 4, 5, 0], [1], *ops, "units")   # the closure holds too few values
+    with pytest.raises(InconsistencyError, match=message):
+        number([1, 3, 2, 6, 4, 0], [1], *ops, "units")   # it holds 5, foreign to them
 
 
 def no_witness_op(*_):
@@ -274,7 +298,7 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     ]
     sizes = [len(b(10**6)) for b in builds]
     assert sizes[:2] == [6, 7]   # the lattice automaton refuses after the meet states are closed
-    for module in (synlat.automata, synlat.syntactic):
+    for module in (synlat.automata, synlat.canonical, synlat.syntactic):
         monkeypatch.setattr(module, "tree_paths", no_witness_op)
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
@@ -285,7 +309,7 @@ def test_transition_algebra_runs_no_automaton_witness_search(monkeypatch):
     # its columns are the lattice automaton's states, taken from the state closures alone
     _, dfa, pt = build("a+b+", "ab")
     states = synlat.build_lattice_automaton(pt, dfa).states
-    monkeypatch.setattr(synlat.canonical, "least_paths", no_witness_op)
+    monkeypatch.setattr(synlat.canonical, "tree_paths", no_witness_op)
     assert synlat.transition_lattice_algebra(pt, dfa).columns == states
 
 
@@ -333,11 +357,11 @@ def with_changed_closure(monkeypatch, closure, change):
     calls = []
 
     def changed(*args, **kwargs):
-        values, index, right, pairs = real(*args, **kwargs)
+        values, index, right = real(*args, **kwargs)
         if len(calls) == closure:
             change(values, index)
         calls.append(args)
-        return values, index, right, pairs
+        return values, index, right
 
     monkeypatch.setattr(synlat.syntactic, "close_values", changed)
 
