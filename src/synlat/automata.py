@@ -84,8 +84,9 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
 
     Seeds are deduplicated in order.  Each value i in turn gets every letter
     op fn(vi), then, for each j <= i, every pair op fn(vi, vj) in op order;
-    right[i][k] records the index letter op k gave, and a pair op's value is
-    only added if it is new.  A value beyond the first budget raises
+    right[i][k] records the index letter op k gave.  Every op's value is
+    looked up first and added only if it is new, so the common hit costs one
+    dict lookup.  A value beyond the first budget raises
     BudgetError(what, budget).  Without pair ops the closure is breadth first
     over the letter ops.  With a stop count it returns as soon as it holds
     that many values, so no op runs after the last value is found: right then
@@ -96,27 +97,32 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
     get = index.get
 
     def add(v):
-        i = get(v)
-        if i is None:
-            if len(values) >= budget:
-                raise BudgetError(what, budget)
-            i = index[v] = len(values)
-            values.append(v)
-            if i + 1 == stop:
-                raise _Stop
+        """v's index; v must be new."""
+        if len(values) >= budget:
+            raise BudgetError(what, budget)
+        i = index[v] = len(values)
+        values.append(v)
+        if i + 1 == stop:
+            raise _Stop
         return i
 
     right = []
     try:
         for v in seeds:
-            add(v)
+            if v not in index:
+                add(v)
         for i, vi in enumerate(values):   # values grows as it is visited
-            right.append(tuple([add(fn(vi)) for fn in letter_ops]))
+            row = []
+            for fn in letter_ops:
+                v = fn(vi)
+                j = get(v)
+                row.append(add(v) if j is None else j)
+            right.append(tuple(row))
             if pair_ops:
                 for vj in values[:i + 1]:
                     for fn in pair_ops:
                         v = fn(vi, vj)
-                        if v not in index:   # most pairs give a known value: no call to add
+                        if v not in index:
                             add(v)
     except _Stop:
         pass

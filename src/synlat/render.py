@@ -182,32 +182,37 @@ def _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress):
     return list(cell_labels), list(cell_labels.values()), cell_labels
 
 
-def _mul_table(level, algebra):
-    """The product table; a lattice algebra built with with_tables=False has none."""
-    mul = algebra.table if level == "monoid" else algebra.mul_table
-    if mul is None:
+def _mul_table(algebra):
+    """A semiring's or lattice algebra's product table; one built with with_tables=False has none."""
+    if algebra.mul_table is None:
         raise ValueError("algebra was built without multiplication tables")
-    return mul
+    return algebra.mul_table
 
 
 def table_images(level, dfa, algebra, states):
-    """images[e][k]: the state states[k] acted on by element e.
+    """images[e][k]: the state states[k] acted on by element e, built column by column.
 
-    Each state X is the initial column's image under some element c, and
-    X·e is then the initial column's image under c·e, read off the product
-    table.
+    A monoid element's mapping acts on every DFA state, so the columns are
+    read off the mappings and no row of the Cayley table is built.  For the
+    other levels each state X is the initial column's image under some
+    element c, and X·e is then the initial column's image under c·e, read
+    off the product table.
     """
-    initial = [e.mapping[dfa.initial] for e in algebra.elements]
-    mul = _mul_table(level, algebra)
-    reached = {}
-    for c, x in enumerate(initial):
-        reached.setdefault(x, c)
-    try:
-        columns = [list(map(initial.__getitem__, mul[reached[x]])) for x in states]
-    except KeyError:
-        raise InconsistencyError("column is not an image of the initial column") from None
+    if level == "monoid":
+        by_state = list(zip(*(e.mapping for e in algebra.elements)))
+        columns = [by_state[q] for q in states]
+    else:
+        initial = [e.mapping[dfa.initial] for e in algebra.elements]
+        mul = _mul_table(algebra)
+        reached = {}
+        for c, x in enumerate(initial):
+            reached.setdefault(x, c)
+        try:
+            columns = [list(map(initial.__getitem__, mul[reached[x]])) for x in states]
+        except KeyError:
+            raise InconsistencyError("column is not an image of the initial column") from None
     if not columns:   # zip would give no rows at all, not one empty row per element
-        return [[] for _ in initial]
+        return [[] for _ in algebra.elements]
     return list(map(list, zip(*columns)))
 
 
@@ -232,7 +237,7 @@ def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
     else:
         indices = _Memo(lambda bits: tuple(bit_indices(bits)))   # each distinct image converted once
         images = [[indices[x.bits] for x in e.mapping] for e in algebra.elements]
-        tables = {"mul": _mul_table(level, algebra), "meet": algebra.meet_table}
+        tables = {"mul": _mul_table(algebra), "meet": algebra.meet_table}
         if level == "lattice":
             tables["join"] = algebra.join_table
         covers = hasse_of_elements(algebra).covers

@@ -56,6 +56,8 @@ class CayleyTable(Sequence):
     other element j is parent(j)·a for the element and letter that first
     reach it, with parent(j) < j.  Row i is then filled left to right:
     i·0 = i and i·j = right[i·parent(j)][a], one list lookup per cell.
+    Only the JSON document reads every row, and the identity check the rows
+    of the idempotents; the text table reads the elements' mappings.
     """
 
     def __init__(self, right: tuple[tuple[int, ...], ...]):
@@ -102,19 +104,37 @@ class SyntacticMonoid:
         return e
 
 
+def _identity_code(dfa: Dfa) -> str:
+    """The identity transformation, coded as in _state_ops."""
+    return "".join(map(chr, range(dfa.n_states)))
+
+
 def _state_ops(dfa: Dfa, letters):
-    """Right multiplication by each letter index in letters, on tuples of DFA states."""
-    return [lambda m, li=li: tuple(dfa.delta[q][li] for q in m) for li in letters]
+    """Right multiplication by each letter index in letters, on coded transformations.
+
+    A transformation m is coded as the str whose q-th character is
+    chr(m[q]).  Then m·a is m.translate(column), column[q] = chr(q·a): every
+    code is below len(column), so str.translate maps each character, and the
+    per-state loop runs in C (on CPython's ASCII fast path up to 128
+    states).  Codes cover up to 0x10FFFF states, far past any state budget
+    that can be reached.  tuple(map(ord, m)) decodes m.
+    """
+    columns = ["".join([chr(row[li]) for row in dfa.delta]) for li in letters]
+    return [lambda m, column=column: m.translate(column) for column in columns]
 
 
 def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticMonoid:
     """Transformation monoid of the canonical DFA, closed breadth first over the letters.
 
-    Each element's witness is its word along the breadth-first spanning
-    tree, which is its shortlex-least word.
+    The closure runs on coded transformations (_state_ops) from the
+    identity's code; each value is decoded once afterwards, so mappings and
+    index hold tuples of states.  Each element's witness is its word along
+    the breadth-first spanning tree, which is its shortlex-least word.
     """
     letter_ops = _state_ops(dfa, range(len(dfa.alphabet)))
-    mappings, index, right = close_values([tuple(range(dfa.n_states))], letter_ops, (), budget, "monoid elements")
+    codes, _, right = close_values([_identity_code(dfa)], letter_ops, (), budget, "monoid elements")
+    mappings = [tuple(map(ord, c)) for c in codes]
+    index = {m: i for i, m in enumerate(mappings)}
     table = CayleyTable(tuple(right))
     elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
@@ -301,8 +321,8 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     residual = pt.residual_bits
     full = pack((top(pt).bits,) * dfa.n_states)
     monoid_right, values, index, meet_image = _meet_values(
-        tuple(range(dfa.n_states)), _state_ops(dfa, map(dfa.letter_index, letters)),
-        lambda m: pack(map(residual.__getitem__, m)), full, budget, what,
+        _identity_code(dfa), _state_ops(dfa, map(dfa.letter_index, letters)),
+        lambda m: pack(map(residual.__getitem__, map(ord, m))), full, budget, what,
     )
 
     monoid_tree = spanning_tree(monoid_right)

@@ -12,6 +12,7 @@ from synlat.cli import main
 from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, InconsistencyError
 
 from conftest import build
+from test_reversible import _no_rows
 
 
 def run_cli(capsys, *argv):
@@ -431,7 +432,7 @@ def test_table_images_match_direct_action(pattern, alphabet):
     monoid = synlat.syntactic_monoid(dfa)
     states = list(range(dfa.n_states))
     for e, row in zip(monoid.elements, render.table_images("monoid", dfa, monoid, states)):
-        assert row == [e.mapping[q] for q in states]
+        assert row == [synlat.run(dfa, q, e.witness) for q in states]
 
     semiring = synlat.syntactic_semiring(pt, dfa)
     states = synlat.build_meet_automaton(pt, dfa).states
@@ -446,6 +447,19 @@ def test_table_images_match_direct_action(pattern, alphabet):
     # no columns: one empty row per element
     for level, algebra in (("monoid", monoid), ("semiring", semiring), ("lattice", lattice)):
         assert render.table_images(level, dfa, algebra, []) == [[] for _ in algebra.elements]
+
+
+@pytest.mark.parametrize("pattern", ["a+b+", "(a|b)*a(a|b)(a|b)"])
+def test_monoid_table_builds_no_cayley_row(monkeypatch, capsys, pattern):
+    # the table's cells are the elements' mappings; only the json document reads the rows
+    argv = ["algebra", "--level", "monoid", "--regex", pattern, "--alphabet", "ab"]
+    flags = [("--format", "table"), ("--suppress-derivable-columns",)]
+    expected = [run_cli(capsys, *argv, *flag) for flag in flags]
+    assert {(code, err) for code, _, err in expected} == {(EXIT_OK, "")}
+    _no_rows(monkeypatch)
+    assert [run_cli(capsys, *argv, *flag) for flag in flags] == expected
+    with pytest.raises(AssertionError, match="^a Cayley table row was built$"):
+        main(argv + ["--format", "json"])
 
 
 @pytest.mark.parametrize("level,fmt", [("monoid", "json"), ("semiring", "json"), ("semiring", "dot"),

@@ -59,6 +59,10 @@ GOLDEN = [
     ("algebra", "(a|b)*", "ab", "monoid", "suppress", "99b3cc08427bec9fe76a938ed0892f5a88d61e18ac1341ea4cca70891a0bc49f"),
     ("algebra", "(a|b)*", "ab", "semiring", "suppress", "617256db50b8e5e2c0de406fb2414b30f89d2d5872eef37b08bec9bee10cc4b7"),
     ("algebra", "(a|b)*", "ab", "lattice", "suppress", "48b5f9006424a3780e545fa36ba574001756bb30b18cc8c5371b2497bfaeea9e"),
+    # monoid tables that keep columns: a+b+ drops the sink and keeps three states; the other keeps all 32
+    ("algebra", "a+b+", "ab", "monoid", "suppress", "99f9394c0db54d91feb98e8d8b201148f7c4cba517e9ff8482905deedbfeeeb8"),
+    ("algebra", "(a|b)*a(a|b)(a|b)(a|b)(a|b)", "ab", "monoid", "suppress",
+     "c9a8ae0022414b0af4460ebb5ceec97e38dc4ebf30b07d04fdd163747305f4ed"),
     # a 100-element monoid on 10 states
     ("algebra", "(aa|ab|bab)*(a|b)b(a|b)", "ab", "monoid", "json",
      "9367f36b92e5c797e55ea98349b9a9c0f598608d8c18e1d35337317a6002158d"),

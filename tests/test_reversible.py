@@ -16,6 +16,7 @@ from synlat.syntactic import CayleyTable
 
 from conftest import build, random_regex_corpus
 from test_automata import states_by_name
+from test_syntactic import dihedral_dfa
 
 
 def test_forbidden_configuration_of_a_plus_b_plus():
@@ -146,6 +147,14 @@ def test_omega_powers_from_idempotent_flags_match_omega_power():
         m = synlat.syntactic_monoid(synlat.compile_canonical_dfa(ast))
         idempotent = [synlat.omega_power(m, e) == e for e in range(len(m))]
         assert _omega_powers(m, idempotent) == [synlat.omega_power(m, e) for e in range(len(m))], ast
+
+
+def test_omega_powers_on_states_past_ascii():
+    # D_130: 260 elements on 130 states, coded past ASCII in the monoid's closure
+    m = synlat.syntactic_monoid(dihedral_dfa(130))
+    omega = [synlat.omega_power(m, e) for e in range(len(m))]
+    assert set(omega) == {m.identity}   # a group's only idempotent
+    assert _omega_powers(m, [e == m.identity for e in range(len(m))]) == omega
 
 
 def test_identity_check_matches_brute_force_on_a_plus_b_plus():

@@ -7,6 +7,7 @@ import synlat
 from synlat import terms as tm
 from synlat.atoms import residual_atoms
 from synlat.canonical import hasse_from_leq
+from synlat.errors import BudgetError
 from synlat.syntactic import (
     SyntacticLatticeAlgebra,
     LatticeAlgebraElement,
@@ -172,6 +173,78 @@ def test_cayley_table_slices_are_built_rows(apb):
     assert table[0:2] == [table[0], table[1]]
     assert table[::-1] == list(reversed(table))
     assert table[len(table):] == []
+
+
+def reference_monoid(dfa, budget=None):
+    """(mappings, right, witnesses): breadth-first search on tuples of states, letters in alphabet order.
+
+    None if the monoid has more than budget elements.
+    """
+    identity = tuple(range(dfa.n_states))
+    mappings, words, index, right = [identity], [""], {identity: 0}, []
+    for m, w in zip(mappings, words):   # both grow as they are visited
+        row = []
+        for li, a in enumerate(dfa.alphabet):
+            t = tuple(dfa.delta[q][li] for q in m)
+            if t not in index:
+                if len(mappings) == budget:
+                    return None
+                index[t] = len(mappings)
+                mappings.append(t)
+                words.append(w + a)
+            row.append(index[t])
+        right.append(tuple(row))
+    return mappings, right, words
+
+
+def assert_monoid_matches_reference(dfa):
+    mappings, right, words = reference_monoid(dfa)
+    m = synlat.syntactic_monoid(dfa)
+    assert [e.mapping for e in m.elements] == mappings
+    assert all(type(q) is int for q in m.elements[-1].mapping)
+    assert m.table.right == tuple(right)
+    assert [e.witness for e in m.elements] == words
+    assert m.index == {t: i for i, t in enumerate(mappings)}
+    return m
+
+
+def dihedral_dfa(q):
+    """Minimal DFA of the dihedral group D_q (2q elements) acting on 0..q-1 by a rotation (a) and a reflection (b)."""
+    gens = (tuple((i + 1) % q for i in range(q)), tuple((-i) % q for i in range(q)))
+    delta = tuple(tuple(g[s] for g in gens) for s in range(q))
+    dfa = synlat.minimize(synlat.Dfa(("a", "b"), delta, 0, frozenset({0})))
+    assert dfa.n_states == q
+    return dfa
+
+
+@pytest.mark.parametrize("q", [130, 300])
+def test_coded_monoid_past_ascii_states(q):
+    # states from 128 up are coded past ASCII, and from 256 up past one byte a character
+    m = assert_monoid_matches_reference(dihedral_dfa(q))
+    assert len(m) == 2 * q
+
+
+def test_coded_monoid_of_t4():
+    assert len(assert_monoid_matches_reference(t4_dfa())) == 256
+
+
+@st.composite
+def transformation_dfas(draw):
+    n = draw(st.integers(1, 8))
+    letters = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, n - 1)] * letters)
+    delta = draw(st.lists(row, min_size=n, max_size=n))
+    return synlat.Dfa(tuple("abc"[:letters]), tuple(delta), 0, frozenset())
+
+
+@given(transformation_dfas())
+def test_coded_monoid_on_random_transformations(dfa):
+    # three letters on eight states can make millions of elements: past 2,000 both must refuse
+    if reference_monoid(dfa, 2_000) is None:
+        with pytest.raises(BudgetError, match="^monoid elements exceeded budget of 2000$"):
+            synlat.syntactic_monoid(dfa, 2_000)
+    else:
+        assert_monoid_matches_reference(dfa)
 
 
 # --- semiring ---
