@@ -9,6 +9,7 @@ convention of the meet/lattice automaton drawings.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .atoms import ProfileTable, bit_indices, bottom, residual_atoms, top
 from .automata import Dfa
@@ -72,39 +73,72 @@ class _Memo(dict):
 def render_json(payload: dict) -> str:
     """json.dumps(payload, ensure_ascii=False, indent=2) and a newline, byte for byte.
 
-    With indent the stdlib runs its pure-Python encoder.  This writer joins
-    each list of plain ints in one step and leaves every other scalar to the
-    encoder without indent, which runs in C.  The tables repeat a few ids
-    many times, so each distinct int and dict key is converted once per
-    call.  Keys must be strings, as in every payload here.
+    With indent the stdlib runs its pure-Python encoder, which builds a
+    string per container and copies it into its parent's.  This writer
+    appends every piece of the document to one flat list and joins it once
+    at the end.  A table, a list of lists of plain ints, is recognized by
+    one type check run in C and written with one join per row.  The tables
+    repeat a few ids, and the elements a few witness words, many times, so
+    each distinct int and string is encoded once per call.  Keys must be
+    strings, as in every payload here.
     """
-    return _json(payload, "\n", _Memo(str), _Memo(_encode_scalar)) + "\n"
+    out = []
+    _json(payload, "\n", out, _Memo(str), _Memo(_encode_scalar))
+    out.append("\n")
+    return "".join(out)
 
 
-def _json(obj, nl: str, ints: _Memo, keys: _Memo) -> str:
-    """obj as indented JSON; nl is a newline followed by obj's own indent.
+def _json(obj, nl: str, out: list, ints: _Memo, strs: _Memo) -> None:
+    """Append obj as indented JSON to out; nl is a newline followed by obj's own indent.
 
-    ints and keys hold the strings of the ints and dict keys met so far in
+    ints and strs hold the encodings of the ints and strings met so far in
     this document.  Only plain ints enter ints: True == 1 shares 1's slot.
+    Anything else goes to the encoder without indent, so bools still print
+    as true and false.
     """
-    if type(obj) is int:
-        return ints[obj]
-    if isinstance(obj, dict):
+    kind = type(obj)
+    if kind is int:
+        out.append(ints[obj])
+    elif kind is str:
+        out.append(strs[obj])
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = nl + "  "
-        items = (keys[k] + ": " + _json(v, inner, ints, keys) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, (list, tuple)):
+        sep, comma = "{" + inner, "," + inner
+        for k, v in obj.items():
+            out += (sep, strs[k], ": ")
+            _json(v, inner, out, ints, strs)
+            sep = comma
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = nl + "  "
-        if set(map(type, obj)) == {int}:   # not bools, which print as true and false
-            items = map(ints.__getitem__, obj)
+        sep, comma = "[" + inner, "," + inner
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            out += (sep, comma.join(map(ints.__getitem__, obj)), nl, "]")
+            return
+        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
+            cell = inner + "  "
+            between, open_row, close_row = "," + cell, "[" + cell, inner + "]"
+            for row in obj:
+                if row:
+                    out += (sep, open_row, between.join(map(ints.__getitem__, row)), close_row)
+                else:
+                    out += (sep, "[]")
+                sep = comma
         else:
-            items = (_json(v, inner, ints, keys) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    return _encode_scalar(obj)
+            for v in obj:
+                out.append(sep)
+                _json(v, inner, out, ints, strs)
+                sep = comma
+        out += (nl, "]")
+    else:
+        out.append(_encode_scalar(obj))
 
 
 # --- automaton documents ---

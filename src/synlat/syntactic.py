@@ -28,6 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, lshift, or_
+from typing import NamedTuple
 
 from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
 from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
@@ -39,9 +40,13 @@ from .terms import LatticeForm, MeetForm
 DEFAULT_ELEMENT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class DfaTransformation:
-    """Action of a word on the DFA states, with its shortlex-least witness."""
+class DfaTransformation(NamedTuple):
+    """Action of a word on the DFA states, with its shortlex-least witness.
+
+    A named tuple: a monoid has thousands, and a tuple is built in half the
+    time of a frozen dataclass.  It compares equal to the plain tuple
+    (mapping, witness).
+    """
 
     mapping: tuple[int, ...]
     witness: str
@@ -136,7 +141,7 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     mappings = [tuple(map(ord, c)) for c in codes]
     index = {m: i for i, m in enumerate(mappings)}
     table = CayleyTable(tuple(right))
-    elements = tuple(DfaTransformation(m, w) for m, w in zip(mappings, tree_words(table.tree, dfa.alphabet)))
+    elements = tuple(map(DfaTransformation._make, zip(mappings, tree_words(table.tree, dfa.alphabet))))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
 
 
@@ -446,9 +451,11 @@ def _mask_lattice(meet_values, join_tree):
     mask(v) set iff join-irreducible b lies below v, distinct values have
     distinct masks, and ∧ and ∨ are & and | on the masks.  A
     join-irreducible below p ∨ k lies below p or below k, so mask(j) =
-    mask(p) | mask(k) along the tree.  j covers i exactly when mask(j) is
-    mask(i) plus one join-irreducible whose lower join-irreducibles all lie
-    in mask(i): n·|join-irreducibles| steps, listed as hasse_from_leq does.
+    mask(p) | mask(k) along the tree.  Each ∧ and ∨ row is one comprehension,
+    one & or | and one dict lookup a cell.  j covers i exactly when mask(j)
+    is mask(i) plus one join-irreducible whose lower join-irreducibles all
+    lie in mask(i): n·|join-irreducibles| steps, listed as hasse_from_leq
+    does.
     """
     irreducible = []
     for m in meet_values:
@@ -463,8 +470,8 @@ def _mask_lattice(meet_values, join_tree):
     at = {m: i for i, m in enumerate(masks)}
     if len(at) != n:
         raise InconsistencyError("two lattice algebra elements have the same join-irreducibles below them")
-    meet = tuple(tuple(map(at.__getitem__, map(m.__and__, masks))) for m in masks)
-    join = tuple(tuple(map(at.__getitem__, map(m.__or__, masks))) for m in masks)
+    meet = tuple(tuple([at[m & x] for x in masks]) for m in masks)
+    join = tuple(tuple([at[m | x] for x in masks]) for m in masks)
     covers = []
     for i, m in enumerate(masks):
         ups = [at[m | 1 << b] for b, low in enumerate(lower) if not m >> b & 1 and low & m == low]

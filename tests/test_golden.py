@@ -72,6 +72,10 @@ GOLDEN = [
     ("algebra", "abcab", "cba", "semiring", "json", "8e998ba7c904a914e0f1520ecc7624ccdcfa1d470ceb52a6d469c504b6b43c21"),
     ("algebra", "(ab|ba)*", "ba", "semiring", "json", "c57cfbe5bf429bb2cea837e8e947ca54ac9c12a807b9301b421bd80c43178b8e"),
     ("algebra", "b(a|c)*a", "cab", "semiring", "json", "159efa02fd103d3051745e6d8fffe7302cbeff3f05d911fa1d931f82bb5cf1a7"),
+    # a 71-element lattice algebra as JSON, and a DFA document, whose states carry bools
+    ("algebra", "(a|bc)*(c|%e)", "abc", "lattice", "json",
+     "5c3db9368811727999d4757c1208ed60054112ec6dbacffa432d3a92e8129934"),
+    ("automaton", "a+b+", "ab", "dfa", "json", "39d9c1a0404d7d39bb9e927b5f9e7c6c870954dbf1bde10c117e65584e9ca5cc"),
 ]
 
 

@@ -1,11 +1,16 @@
 """render_json and text_table against the code they replace.
 
 render_json must write exactly json.dumps(payload, ensure_ascii=False,
-indent=2) + "\\n".  It writes lists of plain ints on a fast path, so the
-payloads mix ints with bools (which must not take it), big and negative
-ints, None, empty containers and strings that need escaping.  It converts
-each distinct int and dict key once per call, so the payloads draw keys and
-ints from small sets too, to be met again.
+indent=2) + "\\n".  It appends every piece to one flat list, and writes a
+list of plain ints, and a table (a list or tuple of such lists, found by one
+type check over all its cells), one join per row.  So the payloads mix ints
+with bools (which must not take either path), big and negative ints, None,
+empty containers and strings that need escaping, and the int tables get a
+strategy of their own: empty rows, rows nested one level deeper, and a bool
+or None in one cell of any row.  It encodes each distinct int and string,
+key or value, once per call, so the payloads draw keys, strings and ints
+from small sets too, to be met again.  Real documents (a lattice algebra,
+a monoid, a semiring and a verdict) are compared whole.
 
 text_table must pad and strip as the per-cell ljust/rstrip code below did.
 """
@@ -14,7 +19,9 @@ import json
 
 from hypothesis import given, strategies as st
 
-from synlat.render import render_json, text_table
+import synlat
+from conftest import build
+from synlat.render import algebra_payload, render_json, reversible_payload, text_table
 
 ESCAPED = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "é", "λ", "⊤", "😀"])
 TEXT = st.text(ESCAPED | st.characters(), max_size=8)
@@ -24,7 +31,8 @@ INTS = (
     | st.integers(min_value=2**64, max_value=2**80)
     | st.integers(min_value=-(2**80), max_value=-(2**64))
 )
-SCALARS = st.none() | st.booleans() | INTS | TEXT
+WORDS = st.sampled_from(["λ", "a", "ab", "", "1", "true", '"'])
+SCALARS = st.none() | st.booleans() | INTS | TEXT | WORDS
 KEYS = st.sampled_from(["id", "images", "λ", "", '"', "1", "true"]) | TEXT
 
 
@@ -39,6 +47,77 @@ PAYLOADS = st.dictionaries(KEYS, st.recursive(SCALARS, containers, max_leaves=12
 @given(PAYLOADS)
 def test_render_json_matches_indented_json_dumps(payload):
     assert render_json(payload) == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def as_json(payload):
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+ROWS = st.lists(INTS, max_size=5)   # the empty list gives an empty row
+DEEPER = st.lists(ROWS | ROWS.map(tuple), max_size=3)
+
+
+@st.composite
+def int_tables(draw):
+    """A list or tuple of int rows, some of them tuples, empty or nested one level deeper,
+    with at most one cell of one row spoiled by a bool or None."""
+    rows = draw(st.lists(ROWS | ROWS.map(tuple) | DEEPER, min_size=1, max_size=6))
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    if cells and draw(st.booleans()):
+        r, c = draw(st.sampled_from(cells))
+        row = list(rows[r])
+        row[c] = draw(st.booleans() | st.none())
+        rows[r] = type(rows[r])(row)
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+@st.composite
+def nested_tables(draw):
+    """Int tables at depths 1 to 4 inside dicts, beside other values."""
+    payload = {draw(KEYS): draw(int_tables())}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        payload = {draw(KEYS): draw(SCALARS), draw(KEYS): payload, draw(KEYS): draw(int_tables())}
+    return payload
+
+
+@given(nested_tables())
+def test_render_json_writes_int_tables_as_json_dumps(payload):
+    assert render_json(payload) == as_json(payload)
+
+
+def test_render_json_tables_with_one_bad_cell():
+    for bad in (True, False, None):
+        for table in (
+            [[1, 2], [3, bad]],
+            [(bad, 0), (1,)],
+            ([0], [], [1, [bad]]),
+            [[0, 1], [[2, 3], [bad]]],
+            [[], [bad]],
+            [[2**70, -1], [bad, 1]],
+        ):
+            payload = {"t": table, "d": {"t": table, "x": [table, 1]}}
+            assert render_json(payload) == as_json(payload)
+
+
+def test_render_json_matches_json_dumps_on_real_documents():
+    _, dfa, pt = build("(a|b)*abb", "ab")
+    lattice = synlat.syntactic_lattice_algebra(pt, dfa)
+    assert len(lattice) == 137
+    _, dfa2, pt2 = build("(aa|ab|bab)*(a|b)b(a|b)", "ab")
+    monoid = synlat.syntactic_monoid(dfa2)
+    assert len(monoid.elements) == 100
+    _, dfa3, pt3 = build("(a|b)*a(a|b)(a|b)", "ab")
+    semiring = synlat.syntactic_semiring(pt3, dfa3)
+    _, dfa4, pt4 = build("a+b+", "ab")
+    report = synlat.is_reversible(dfa4, pt4, synlat.syntactic_monoid(dfa4))
+    assert not report.reversible and report.forbidden is not None and report.identity_counterexample is not None
+    for payload in (
+        algebra_payload("(a|b)*abb", "ab", "lattice", dfa, pt, lattice),
+        algebra_payload("(aa|ab|bab)*(a|b)b(a|b)", "ab", "monoid", dfa2, pt2, monoid),
+        algebra_payload("(a|b)*a(a|b)(a|b)", "ab", "semiring", dfa3, pt3, semiring),
+        reversible_payload(report),
+    ):
+        assert render_json(payload) == as_json(payload)
 
 
 def test_render_json_edge_cases():
