@@ -148,6 +148,30 @@ def quotient_bits(pt: ProfileTable, x: int, letter: str) -> int:
     return y
 
 
+def pack_images(pt: ProfileTable, cols, maps) -> list[int]:
+    """The image of each map t in maps on the atom-set bitmasks cols, packed
+    into one int: column c holds cols[t[c]], pt.n_profiles bits a column,
+    column 0 lowest.  The semiring and the lattice algebras (syntactic) and
+    the identity check (reversible) pack their values so: pointwise ∧ and ∨
+    of packed columns are & and |."""
+    width = pt.n_profiles
+    return [sum(cols[x] << q * width for q, x in enumerate(t)) for t in maps]
+
+
+def unpack_columns(pt: ProfileTable, v: int, n_columns: int) -> tuple[int, ...]:
+    """The n_columns atom-set bitmasks packed into v (pack_images)."""
+    width = pt.n_profiles
+    mask = (1 << width) - 1
+    return tuple([v >> s & mask for s in range(0, width * n_columns, width)])
+
+
+def quotient_columns(pt: ProfileTable, v: int, n_columns: int, letter: str) -> int:
+    """Each column's letter quotient, on n_columns columns packed into v (pack_images)."""
+    width = pt.n_profiles
+    mask = (1 << width) - 1
+    return sum([quotient_bits(pt, v >> s & mask, letter) << s for s in range(0, width * n_columns, width)])
+
+
 def own_bits(pt: ProfileTable, x: AtomSet) -> int:
     """The bits of x, which must belong to pt."""
     if x.table is not pt:

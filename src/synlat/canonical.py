@@ -108,13 +108,18 @@ def _least_forms(closed, generators) -> list:
     return [tuple(map(generators.__getitem__, p)) for p in paths]
 
 
+def quotient_moves(pt: ProfileTable, dfa: Dfa, values, index):
+    """delta[i][a]: index of the letter quotient of state values[i] by the letter at alphabet position a."""
+    return tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
+
+
 def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, numbered, generators):
     """Assemble the automaton on numbered = (values, index, _) of automata.number; each
     witness is its state's least form over generators, read off closed (_least_forms)."""
     forms = _least_forms(closed, generators)
     values, index, _ = numbered
     witnesses = tuple(forms[closed[1][v]] for v in values)
-    delta = tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
+    delta = quotient_moves(pt, dfa, values, index)
     finals = frozenset(i for i, v in enumerate(values) if v >> pt.lambda_profile & 1)
     states = tuple(AtomSet(pt, v) for v in values)
     initial = index[pt.residual_bits[dfa.initial]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .atoms import AtomSet, ProfileTable, build_profile_table, join, meet, residual_atoms
+from .atoms import AtomSet, ProfileTable, build_profile_table, join, meet, pack_images, residual_atoms, unpack_columns
 from .automata import Dfa, run
 from .errors import BudgetError, InconsistencyError
 from .syntactic import SyntacticMonoid, omega_power, syntactic_monoid
@@ -125,9 +125,9 @@ def check_reversibility_identity(
     pose the same checks, so only the first p of each s is checked, and the
     distinct ω-powers are exactly the idempotents.  Swapping v and w swaps
     the two sides, so only v < w is checked.  Each element's residual
-    bitmasks are packed into one int, a field of pt.n_profiles bits per
-    state, so one substitution is checked on all states at once and the
-    lowest differing field is the first failing state.
+    bitmasks are packed into one int, one column per state
+    (atoms.pack_images), so one substitution is checked on all states at
+    once and the first differing column is the first failing state.
 
     With x^ω = s, the sides differ exactly in the bits of
     diff(v, w) = (s·v ∧ w) ⊕ (s·w ∧ v) outside s·u.  So D_s, the OR of diff
@@ -141,16 +141,14 @@ def check_reversibility_identity(
     built.
     """
     n = len(m.elements)
-    idempotent = [all(f[x] == x for x in f) for f in (e.mapping for e in m.elements)]
+    idempotent = [all(f[x] == x for x in f) for f, _ in m.elements]
     needed = (sum(idempotent) + 1) * (n * (n - 1) // 2)
     if quadruple_budget is not None and needed > quadruple_budget:
         raise BudgetError("identity-check quadruples", quadruple_budget, needed)
     first = {}  # ω-power -> the first p that has it, in p order
     for p, s in enumerate(_omega_powers(m, idempotent)):
         first.setdefault(s, p)
-    width = pt.n_profiles
-    sb = pt.residual_bits
-    packed = [sum(sb[x] << q * width for q, x in enumerate(e.mapping)) for e in m.elements]
+    packed = pack_images(pt, pt.residual_bits, [e.mapping for e in m.elements])
     for s, pi in first.items():
         spacked = [packed[x] for x in m.table[s]]   # s·x, packed
         d = 0
@@ -158,7 +156,7 @@ def check_reversibility_identity(
             sv, rv = spacked[vi], packed[vi]
             for sw, rw in zip(spacked[vi + 1:], packed[vi + 1:]):
                 d |= (sv & rw) ^ (sw & rv)
-        ui = next((ui for ui in range(n) if d & ~spacked[ui]), None)
+        ui = next((ui for ui in range(n) if d & ~spacked[ui]), None) if d else None
         if ui is not None:
             return _first_failing_pair(m, pt, spacked, packed, pi, ui)
     return None
@@ -166,7 +164,6 @@ def check_reversibility_identity(
 
 def _first_failing_pair(m, pt, spacked, packed, pi, ui) -> IdentityCounterexample:
     """The first pair v < w, and its first state, at which substitution (p, u) fails."""
-    width = pt.n_profiles
     base = spacked[ui]
     for vi in range(len(packed) - 1):
         sv, rv = spacked[vi], packed[vi]
@@ -174,13 +171,12 @@ def _first_failing_pair(m, pt, spacked, packed, pi, ui) -> IdentityCounterexampl
             lhs = base | (sv & packed[wi])
             rhs = base | (spacked[wi] & rv)
             if lhs != rhs:
-                diff = lhs ^ rhs
-                q = ((diff & -diff).bit_length() - 1) // width
-                mask = (1 << width) - 1
+                lhs, rhs = unpack_columns(pt, lhs, pt.dfa.n_states), unpack_columns(pt, rhs, pt.dfa.n_states)
+                q = next(q for q, x in enumerate(lhs) if x != rhs[q])
                 e = m.elements
                 return IdentityCounterexample(
                     e[pi].witness, e[ui].witness, e[vi].witness, e[wi].witness, q,
-                    AtomSet(pt, lhs >> q * width & mask), AtomSet(pt, rhs >> q * width & mask),
+                    AtomSet(pt, lhs[q]), AtomSet(pt, rhs[q]),
                 )
     raise InconsistencyError("identity check: the OR of the pair differences fails a u that no pair fails")
 

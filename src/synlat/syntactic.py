@@ -14,10 +14,10 @@ goes through the stored witness forms and can break the lattice-algebra
 laws.  transition_lattice_algebra identifies forms that act equally on every
 state of the canonical lattice automaton, the largest congruence inside the
 residual relation; its product is composition and it satisfies the laws.
-Each quotient finds its values before it numbers them: the monoid's
-images, the meet values and their joins, each closed on packed ints.  The
-numbering closure stops once it holds them all; the witnesses are read off
-the three values closures' breadth-first trees, ∧, ∨ and the order off
+Each quotient finds its values before it numbers them: the monoid, closed
+as coded transformations of the columns, then the meet values of its images
+and their joins, on packed ints.  The numbering closure stops once it holds
+them all; the witnesses are read off the three closures' breadth-first trees, ∧, ∨ and the order off
 masks over the join-irreducibles, and the product table is walked along the
 witnesses' trees, one table lookup per cell, so no builder evaluates a form.
 """
@@ -27,12 +27,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, lshift, or_
+from operator import and_, or_
 from typing import NamedTuple
 
-from .atoms import AtomSet, ProfileTable, own_bits, quotient_bits, residual_atoms, top
+from .atoms import AtomSet, ProfileTable, own_bits, pack_images, quotient_columns, residual_atoms, top, unpack_columns
 from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
-from .canonical import HasseDiagram, hasse_from_leq, state_closures
+from .canonical import HasseDiagram, hasse_from_leq, quotient_moves, state_closures
 from .errors import InconsistencyError
 from . import terms
 from .terms import LatticeForm, MeetForm
@@ -79,12 +79,17 @@ class CayleyTable(Sequence):
         row = self._rows[i]
         if row is None:
             i = range(len(self._rows))[i]
-            right = self.right
-            cells = [i]
-            for p, a in self.tree:
-                cells.append(right[cells[p]][a])
-            row = self._rows[i] = tuple(cells)
+            row = self._rows[i] = tuple(_walk(self.right, self.tree, i))
         return row
+
+
+def _walk(table, tree, start: int) -> list[int]:
+    """The cells along a breadth-first tree from start: cell 0 is start, and
+    cell j is table[cell p][a] for (p, a) = tree[j - 1], p < j."""
+    cells = [start]
+    for p, a in tree:
+        cells.append(table[cells[p]][a])
+    return cells
 
 
 @dataclass(frozen=True)
@@ -109,13 +114,14 @@ class SyntacticMonoid:
         return e
 
 
-def _identity_code(dfa: Dfa) -> str:
-    """The identity transformation, coded as in _state_ops."""
-    return "".join(map(chr, range(dfa.n_states)))
+def _identity_code(delta) -> str:
+    """The identity transformation of delta's states, coded as in _state_ops."""
+    return "".join(map(chr, range(len(delta))))
 
 
-def _state_ops(dfa: Dfa, letters):
-    """Right multiplication by each letter index in letters, on coded transformations.
+def _state_ops(delta, letters):
+    """Right multiplication by each letter index in letters, on coded transformations
+    of the states of delta, a transition table: delta[q][a] is q·a.
 
     A transformation m is coded as the str whose q-th character is
     chr(m[q]).  Then m·a is m.translate(column), column[q] = chr(q·a): every
@@ -124,7 +130,7 @@ def _state_ops(dfa: Dfa, letters):
     states).  Codes cover up to 0x10FFFF states, far past any state budget
     that can be reached.  tuple(map(ord, m)) decodes m.
     """
-    columns = ["".join([chr(row[li]) for row in dfa.delta]) for li in letters]
+    columns = ["".join([chr(row[li]) for row in delta]) for li in letters]
     return [lambda m, column=column: m.translate(column) for column in columns]
 
 
@@ -136,8 +142,8 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     index hold tuples of states.  Each element's witness is its word along
     the breadth-first spanning tree, which is its shortlex-least word.
     """
-    letter_ops = _state_ops(dfa, range(len(dfa.alphabet)))
-    codes, _, right = close_values([_identity_code(dfa)], letter_ops, (), budget, "monoid elements")
+    letter_ops = _state_ops(dfa.delta, range(len(dfa.alphabet)))
+    codes, _, right = close_values([_identity_code(dfa.delta)], letter_ops, (), budget, "monoid elements")
     mappings = [tuple(map(ord, c)) for c in codes]
     index = {m: i for i, m in enumerate(mappings)}
     table = CayleyTable(tuple(right))
@@ -221,43 +227,43 @@ def _atomset_mappings(pt: ProfileTable, mappings):
     return [tuple(map(atoms.__getitem__, m)) for m in mappings]
 
 
-def _packing(pt: ProfileTable, n_columns: int):
-    """(pack, unpack, quotient) for tuples of n_columns atom-set bitmasks packed
-    into one int, pt.n_profiles bits a column.
+def _meet_values(pt: ProfileTable, dfa: Dfa, cols, delta, budget: int, what: str):
+    """(monoid_right, meet values, their index, meet_image, generators) of the
+    column bitmasks cols, whose a-quotients are cols[delta[c][a]].
 
-    Pointwise ∧ and ∨ of packed tuples are & and |; quotient(v, a) unpacks,
-    takes each column's letter quotient and repacks.
+    The monoid is the identity closed under the coded letter ops (_state_ops)
+    over the sorted letters, so its elements come in the order of their
+    word_key-least words, and monoid_right is its right table.  Image t packs
+    (atoms.pack_images) cols[t[c]] as column c: distinct columns give distinct
+    images, and the image of t·a is the a-quotient of image t, so the images
+    come in the order their closure under letter quotients would find them.
+    The meet values are ⊤ closed under ∧ image t, and meet_image[i][t] is
+    value i ∧ image t; ⊤ ∧ image t is image t, so generators, the values of
+    1 and of each letter in alphabet order, are read off meet_image[0].
     """
-    width = pt.n_profiles
-    mask = (1 << width) - 1
-    shifts = range(0, width * n_columns, width)
-
-    def pack(cells) -> int:
-        return sum(map(lshift, cells, shifts))
-
-    def unpack(v: int) -> tuple[int, ...]:
-        return tuple([v >> s & mask for s in shifts])
-
-    def quotient(v: int, a: str) -> int:
-        return pack([quotient_bits(pt, x, a) for x in unpack(v)])
-
-    return pack, unpack, quotient
-
-
-def _meet_values(seed, letter_ops, image, top_map: int, budget: int, what: str):
-    """(monoid_right, meet values, their index, meet_image) on packed values.
-
-    The monoid is seed closed under letter_ops, the letters in sorted order,
-    so its elements come in the order of their word_key-least words and
-    monoid_right is its right table; image(m) packs element m's action on
-    the columns.  The meet values are top_map closed under ∧ image t, and
-    meet_image[i][t] is value i ∧ image t.
-    """
-    monoid, _, monoid_right = close_values([seed], letter_ops, (), budget, what)
-    images = list(map(image, monoid))
+    letters = sorted(range(len(dfa.alphabet)), key=dfa.alphabet.__getitem__)
+    monoid, _, monoid_right = close_values([_identity_code(delta)], _state_ops(delta, letters), (), budget, what)
+    images = pack_images(pt, cols, (map(ord, m) for m in monoid))
+    full = pack_images(pt, (top(pt).bits,), [[0] * len(cols)])[0]   # ⊤ in every column
     meet_ops = [lambda v, y=y: v & y for y in images]
-    values, index, meet_image = close_values([top_map], meet_ops, (), budget, what)
-    return monoid_right, values, index, meet_image
+    values, index, meet_image = close_values([full], meet_ops, (), budget, what)
+    image = meet_image[0]
+    generators = [image[0]] + [image[monoid_right[0][letters.index(a)]] for a in range(len(letters))]
+    return monoid_right, values, index, meet_image, generators
+
+
+def _least_meet_forms(dfa: Dfa, monoid_right, meet_image):
+    """(forms, monoid_tree, meet_tree): each meet value's least meet form, fewest
+    words first, then sorted word keys, and the trees it is read off: the path
+    to its value along the meet values' tree (automata.tree_paths), each step
+    a monoid element's word along monoid_tree, its letters alphabet positions.
+    """
+    letters = sorted(dfa.alphabet)
+    tree = spanning_tree(monoid_right)
+    words = tree_words(tree, letters)
+    paths, meet_tree = tree_paths(meet_image)
+    forms = [tuple(map(words.__getitem__, p)) for p in paths]
+    return forms, [(t, dfa.letter_index(letters[a])) for t, a in tree], meet_tree
 
 
 def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
@@ -270,33 +276,11 @@ def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
     and i·k = (i·k′) ∧ (i·t) with i·⊤ = ⊤: one lookup per cell.
     """
     for i in range(len(right)):
-        action = [i]   # i·t for each monoid element t
-        for p, a in monoid_tree:
-            action.append(right[action[p]][a])
+        action = _walk(right, monoid_tree, i)   # i·t for each monoid element t
         row = [top_id]
         for k, t in meet_tree:
             row.append(meet[row[k]][action[t]])
         yield row
-
-
-def _semiring_tables(letters, values, index, meet_image, tree, monoid_tree, quotient):
-    """The meet and product tables on the values' ids.
-
-    meet_image[i][t] is i ∧ image t, and value j ≥ 1 is first reached as
-    k ∧ image t with k < j, so i∧j = (i∧k)∧image t.  The values are the meet
-    values, so the product is _meet_products' rows, on |values| letter
-    quotients per letter, quotient(v, a) on packed values; tree is
-    spanning_tree(meet_image).
-    """
-    meet = []
-    for i in range(len(values)):
-        row = [i]
-        for k, t in tree:
-            row.append(meet_image[row[k]][t])
-        meet.append(row)
-    by_letter = [tuple(index[quotient(v, a)] for a in letters) for v in values]
-    mul = list(_meet_products(by_letter, meet, 0, monoid_tree, tree))
-    return meet, mul
 
 
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
@@ -304,49 +288,38 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     semiring of a language", 2001), numbered as the closure of {1, letters, ⊤}
     under meet and product discovers them; the README gives the argument.
 
-    The monoid is closed over the sorted letters, so its elements come in the
-    order of their word_key-least words; image t maps residual q to the
-    residual of q·t.  The values are ⊤ closed under ∧ image t (_meet_values,
-    shared with the lattice algebras), each packed into one int (_packing),
-    so their count n is known before they are numbered: automata.number
-    replays the discovery order on int tables of the values only until it
+    The values are _meet_values' meet values on the residuals, image t
+    mapping residual q to the residual of q·t, so their count n is known
+    before they are numbered: automata.number replays the discovery order
+    from 1, the letters and ⊤ on int tables of the values only until it
     holds n of them, and the tables are those int tables renumbered
-    (_relabel).
-    Each witness is the least meet form, fewest words first, then sorted
-    word keys: the path to its value along the breadth-first tree of the
-    values' closure (automata.tree_paths).  A refusal comes from the monoid's
-    or the values' closure, before any table or witness: the monoid's
-    elements have distinct images.
+    (_relabel).  Value j ≥ 1 is first reached as k ∧ image t with k < j, so
+    row i of ∧ walks meet_image along that tree: i∧j = (i∧k)∧image t.  The
+    product is _meet_products' rows, on |values| letter quotients per letter.
+    Each witness is the least meet form (_least_meet_forms).  A refusal
+    comes from the monoid's or the values' closure, before any table or
+    witness: the monoid's elements have distinct images.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
     what = "semiring elements"
-    pack, unpack, quotient = _packing(pt, dfa.n_states)
-    letters = sorted(dfa.alphabet)
-    residual = pt.residual_bits
-    full = pack((top(pt).bits,) * dfa.n_states)
-    monoid_right, values, index, meet_image = _meet_values(
-        _identity_code(dfa), _state_ops(dfa, map(dfa.letter_index, letters)),
-        lambda m: pack(map(residual.__getitem__, map(ord, m))), full, budget, what,
-    )
-
-    monoid_tree = spanning_tree(monoid_right)
-    letter_maps = [pack(residual[row[li]] for row in dfa.delta) for li in range(len(dfa.alphabet))]
-    seeds = [index[pack(residual)]] + [index[m] for m in letter_maps] + [0]
-    least, tree = tree_paths(meet_image)
-    meet, mul = _semiring_tables(letters, values, index, meet_image, tree, monoid_tree, quotient)
-    ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
+    closed = _meet_values(pt, dfa, pt.residual_bits, dfa.delta, budget, what)
+    monoid_right, values, index, meet_image, generators = closed
+    forms, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
     n = len(values)
-    order, final, _ = number(range(n), seeds, (), ops, what)
+    meet = [_walk(meet_image, meet_tree, i) for i in range(n)]
+    by_letter = [tuple(index[quotient_columns(pt, v, dfa.n_states, a)] for a in dfa.alphabet) for v in values]
+    mul = list(_meet_products(by_letter, meet, 0, monoid_tree, meet_tree))
+    ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
+    order, final, _ = number(range(n), [*generators, 0], (), ops, what)
     rank = [final[p] for p in range(n)]
     meet_table = _relabel(meet, order, rank)
-    words = tree_words(monoid_tree, letters)
     elements = tuple(
-        SemiringElement(m, tuple(map(words.__getitem__, least[p])))
-        for m, p in zip(_atomset_mappings(pt, [unpack(values[p]) for p in order]), order)
+        SemiringElement(m, forms[p])
+        for m, p in zip(_atomset_mappings(pt, [unpack_columns(pt, values[p], dfa.n_states) for p in order]), order)
     )
     return SyntacticSemiring(
-        pt, dfa, elements, 0, final[0], tuple(final[index[m]] for m in letter_maps),
+        pt, dfa, elements, 0, final[0], tuple(final[g] for g in generators[1:]),
         meet_table, _relabel(mul, order, rank), _meet_order(meet_table),
     )
 
@@ -401,42 +374,29 @@ class SyntacticLatticeAlgebra:
 def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
     """Each element's least lattice form: fewest inners first, then sorted inner keys.
 
-    Read off the closures _lattice_algebra finds the values with: monoid_right,
-    the letter table of the monoid's images over the sorted letters;
-    meet_image, the table of the meet values, ⊤ closed under "∧ image t";
-    and join_right, the table of the closure of ⊥ under "∨ meet value k",
-    whose value i is element ids[i].  An image determines its
-    word's transformation, since the residuals come first among the columns.
+    Read off the closures _lattice_algebra finds the values with: those of
+    _meet_values, and join_right, the table of the closure of ⊥ under
+    "∨ meet value k", whose value i is element ids[i].
 
     A least lattice form has least meet forms of distinct meet values as its
     inners: putting the least meet form of an inner's value in its place
     gives a form no later, and two inners of one value, or one inside
     another, would leave a form with fewer inners.  The meet values come in
-    the order of their least meet forms, which automata.tree_paths reads off
-    their closure; so a least lattice form is a set of meet values, and
-    automata.tree_paths reads it off the closure of ⊥ under "∨ meet value k".
+    the order of their least meet forms (_least_meet_forms); so a least
+    lattice form is a set of meet values, and automata.tree_paths reads it
+    off the closure of ⊥ under "∨ meet value k".
 
     Returns (forms, trees), trees the three trees the forms are read off, for
     _lattice_products: the monoid's, its letters as dfa.alphabet positions;
     the meet values'; and the tree of ⊥ on the elements' ids, (j, parent, k)
     for j = parent ∨ meet value k, parents before their children.
     """
-    letters = sorted(dfa.alphabet)
-    monoid_tree = spanning_tree(monoid_right)
-    words = tree_words(monoid_tree, letters)
-    meet_paths, meet_tree = tree_paths(meet_image)
-    inners = [tuple(map(words.__getitem__, p)) for p in meet_paths]
+    inners, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
     paths, join_tree = tree_paths(join_right)
     forms = [()] * len(ids)
     for i, p in zip(ids, paths):
         forms[i] = tuple(map(inners.__getitem__, p))
-    position = list(map(dfa.letter_index, letters))
-    trees = (
-        [(t, position[a]) for t, a in monoid_tree],
-        meet_tree,
-        [(ids[j], ids[p], k) for j, (p, k) in enumerate(join_tree, 1)],
-    )
-    return forms, trees
+    return forms, (monoid_tree, meet_tree, [(ids[j], ids[p], k) for j, (p, k) in enumerate(join_tree, 1)])
 
 
 def _mask_lattice(meet_values, join_tree):
@@ -497,25 +457,27 @@ def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
 
 
 def _lattice_algebra(
-    pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, budget: int, with_tables: bool = True
+    pt: ProfileTable, dfa: Dfa, columns: tuple[AtomSet, ...] | None, delta, budget: int, with_tables: bool = True
 ) -> SyntacticLatticeAlgebra:
     """The closure of {1, letters, ⊤, ⊥} under right multiplication by
     letters, pointwise ∧ and pointwise ∨, acting on the column states (None:
-    the residuals), numbered in discovery order; each element's least lattice
-    form as its witness (_least_lattice_forms), and the product table.
+    the residuals; delta their transitions, as in _meet_values), numbered in
+    discovery order; each element's least lattice form as its witness
+    (_least_lattice_forms), and the product table.
 
     Each value is its tuple of column bitmasks packed into one int
-    (_packing), so ∧ and ∨ are & and |.  Letter quotients distribute over ∩
-    and ∪, so the values are ⊥ and the joins of the meet values: ⊤ and the
-    meets of the monoid's images, the values 1 reaches by letter quotients.
-    Three closures find them before any is numbered: the images over the
-    sorted letters, ⊤ under "∧ image t" (_meet_values), and ⊥ under "∨ meet
-    value k".  A refusal comes from one of them, before any witness or
-    table.  automata.number then replays the closure above only until it
-    holds their count n, and raises InconsistencyError unless it holds
-    exactly those values.  The letter rows it did not visit are looked up,
-    and the ∧ and ∨ tables and the order are read off masks over the
-    join-irreducibles (_mask_lattice).
+    (atoms.pack_images), so ∧ and ∨ are & and |.  Letter quotients distribute
+    over ∩ and ∪, so the values are ⊥ and the joins of the meet values: ⊤
+    and the meets of the monoid's images, the values 1 reaches by letter
+    quotients.  Three closures find them before any is numbered: the monoid
+    as coded transformations, ⊤ under "∧ image t" (_meet_values), and ⊥
+    under "∨ meet value k".  A refusal comes from one of them, before any
+    letter quotient, witness or table.  automata.number then replays the
+    closure above from the seeds read off them until it holds their count
+    n, and raises InconsistencyError unless it holds exactly those values.
+    The letter rows it did not visit are looked up, and the ∧ and ∨ tables
+    and the order are read off masks over the join-irreducibles
+    (_mask_lattice).
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
@@ -526,19 +488,14 @@ def _lattice_algebra(
         raise ValueError("profile table was built from a different DFA")
     what = "lattice algebra elements"
     cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
-    pack, unpack, quotient = _packing(pt, len(cols))
-    one_map = pack(cols)
-    top_map = pack((top(pt).bits,) * len(cols))
-    letter_ops = [lambda v, a=a: quotient(v, a) for a in dfa.alphabet]
-    sorted_ops = [letter_ops[dfa.letter_index(a)] for a in sorted(dfa.alphabet)]
-    monoid_right, meets, _, meet_image = _meet_values(one_map, sorted_ops, lambda v: v, top_map, budget, what)
+    monoid_right, meets, _, meet_image, generators = _meet_values(pt, dfa, cols, delta, budget, what)
     joins, _, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
 
-    letter_maps = [quotient(one_map, a) for a in dfa.alphabet]
-    seeds = [one_map, *letter_maps, top_map, 0]
+    seeds = [meets[g] for g in (*generators, 0)] + [0]   # 1, the letters, ⊤ and ⊥
+    letter_ops = [lambda v, a=a: quotient_columns(pt, v, len(cols), a) for a in dfa.alphabet]
     values, index, right = number(joins, seeds, letter_ops, [and_, or_], what)
     ids = list(map(index.__getitem__, joins))
-    one, top_id, bottom_id = index[one_map], index[top_map], index[0]
+    one, *letter_ids, top_id, bottom_id = map(index.__getitem__, seeds)
     witnesses, trees = _least_lattice_forms(dfa, monoid_right, meet_image, join_right, ids)
     try:
         right += [tuple([index[fn(v)] for fn in letter_ops]) for v in values[len(right):]]
@@ -550,10 +507,10 @@ def _lattice_algebra(
         mul_table = _lattice_products(right, meet_table, join_table, top_id, bottom_id, trees)
     elements = tuple(
         LatticeAlgebraElement(m, w)
-        for m, w in zip(_atomset_mappings(pt, [unpack(v) for v in values]), witnesses)
+        for m, w in zip(_atomset_mappings(pt, [unpack_columns(pt, v, len(cols)) for v in values]), witnesses)
     )
     return SyntacticLatticeAlgebra(
-        pt, dfa, elements, one, top_id, bottom_id, tuple(index[m] for m in letter_maps),
+        pt, dfa, elements, one, top_id, bottom_id, tuple(letter_ids),
         meet_table, join_table, mul_table, order, columns,
     )
 
@@ -567,7 +524,7 @@ def syntactic_lattice_algebra(
     the product table depends on the stored witnesses and the lattice-algebra
     laws can fail (see transition_lattice_algebra for the lawful quotient).
     """
-    return _lattice_algebra(pt, dfa, None, budget, with_tables)
+    return _lattice_algebra(pt, dfa, None, dfa.delta, budget, with_tables)
 
 
 def transition_lattice_algebra(
@@ -580,12 +537,13 @@ def transition_lattice_algebra(
     action on the residuals: the transition lattice algebra of the lattice
     automaton.  Elements are maps on its states (the columns, in automaton
     order, residuals first), and the product is composition of those maps,
-    independent of the witnesses.  The columns come from the automaton's
-    state closures alone (canonical.state_closures): no witness, transition
-    or order of the automaton is built.
+    independent of the witnesses.  The columns and their transitions come
+    from the automaton's state closures alone (canonical.state_closures and
+    canonical.quotient_moves): no witness or order of the automaton is built.
     """
-    *_, (states, _, _) = state_closures(pt, dfa)
-    return _lattice_algebra(pt, dfa, tuple(AtomSet(pt, v) for v in states), budget)
+    *_, (states, index, _) = state_closures(pt, dfa)
+    delta = quotient_moves(pt, dfa, states, index)
+    return _lattice_algebra(pt, dfa, tuple(AtomSet(pt, v) for v in states), delta, budget)
 
 
 def multiply_lattice_elements(alg: SyntacticLatticeAlgebra, e1: int, e2: int) -> int:

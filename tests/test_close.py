@@ -395,15 +395,32 @@ def test_a_wrong_value_count_exits_4(monkeypatch, capsys):
     assert err == "internal inconsistency: the numbering closure does not reach exactly the lattice algebra elements\n"
 
 
+def forbid_tables_and_witnesses(monkeypatch):
+    """Make every letter quotient and tree read raise, in each module the builders reach them through."""
+
+    def built(*_):
+        raise AssertionError("a letter quotient, table or witness was built")
+
+    for module in (synlat.atoms, synlat.automata, synlat.syntactic):
+        for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, built)
+
+
 @pytest.mark.parametrize("budget", [5, 43])
 def test_refused_semiring_builds_no_table_or_witness(monkeypatch, budget):
     # the 44-element semiring of a 15-element monoid: 5 stops the monoid's closure, 43 the values'
     _, dfa, pt = build("(a|b)*a(a|b)(a|b)", "ab")
-
-    def built(*_):
-        raise AssertionError("a table or witness was built")
-
-    for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths"):
-        monkeypatch.setattr(synlat.syntactic, name, built)
+    forbid_tables_and_witnesses(monkeypatch)
     with pytest.raises(BudgetError, match=f"^semiring elements exceeded budget of {budget}$"):
         synlat.syntactic_semiring(pt, dfa, budget)
+
+
+@pytest.mark.parametrize("budget", [4, 10, 21])
+def test_refused_residual_lattice_build_evaluates_no_letter_quotient(monkeypatch, budget):
+    # one short of the 5 images, the 11 meet values and the 22 lattice values in turn: the
+    # monoid is closed as coded transformations, so nothing before the refusal takes a letter quotient
+    _, dfa, pt = build("a+b+", "ab")
+    forbid_tables_and_witnesses(monkeypatch)
+    with pytest.raises(BudgetError, match=f"^lattice algebra elements exceeded budget of {budget}$"):
+        synlat.syntactic_lattice_algebra(pt, dfa, budget)

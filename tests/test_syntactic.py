@@ -494,6 +494,39 @@ def test_counts_chain(monoid, semiring, algebra):
     assert (len(monoid), len(semiring), len(algebra)) == (5, 11, 22)
 
 
+def assert_one_meet_layer(dfa, pt):
+    """The semiring's witnesses are the residual lattice quotient's inners; returns the
+    number of semiring elements compared and how many of them map every column to ∅."""
+    semiring = synlat.syntactic_semiring(pt, dfa)
+    try:
+        algebra = synlat.syntactic_lattice_algebra(pt, dfa, 300, with_tables=False)
+    except BudgetError:
+        return 0, 0
+    empty = 0
+    for e in semiring.elements:
+        witness = algebra.elements[algebra.index[e.mapping]].witness
+        if all(x == synlat.bottom(pt) for x in e.mapping):
+            # ∅ everywhere is ⊥ in the lattice, whose least form is the empty join
+            empty += 1
+            assert witness == ()
+        else:
+            assert witness == (e.witness,)
+    return len(semiring), empty
+
+
+def test_semiring_and_residual_quotient_read_one_meet_layer(apb):
+    assert assert_one_meet_layer(*apb) == (11, 1)
+
+
+def test_semiring_and_residual_quotient_read_one_meet_layer_on_random_corpus():
+    counts = []
+    for seed in range(1, 6):
+        for ast in random_regex_corpus(seed=seed, count=60):
+            dfa = synlat.compile_canonical_dfa(ast)
+            counts.append(assert_one_meet_layer(dfa, synlat.build_profile_table(dfa)))
+    assert [sum(c) for c in zip(*counts)] == [1297, 243]   # lattice quotients past 300 elements skipped
+
+
 def test_lattice_order_has_ba_bottom_and_top(algebra, apb):
     dfa, pt = apb
     ba_map = tuple(synlat.bottom(pt) for _ in range(dfa.n_states))
