@@ -14,7 +14,7 @@ from itertools import chain
 from .atoms import ProfileTable, bit_indices, bottom, residual_atoms, top
 from .automata import Dfa
 from .errors import InconsistencyError
-from .syntactic import hasse_of_elements
+from .syntactic import IntRows, Memo, hasse_of_elements
 
 
 def _quote(s: str) -> str:
@@ -57,44 +57,33 @@ def text_table(header, rows) -> str:
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-class _Memo(dict):
-    """fn(x) for each key x, computed on its first lookup only."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, x):
-        s = self[x] = self.fn(x)
-        return s
-
-
 def render_json(payload: dict) -> str:
     """json.dumps(payload, ensure_ascii=False, indent=2) and a newline, byte for byte.
 
     With indent the stdlib runs its pure-Python encoder, which builds a
     string per container and copies it into its parent's.  This writer
     appends every piece of the document to one flat list and joins it once
-    at the end.  A table, a list of lists of plain ints, is recognized by
-    one type check run in C and written with one join per row.  The tables
-    repeat a few ids, and the elements a few witness words, many times, so
-    each distinct int and string is encoded once per call.  Keys must be
-    strings, as in every payload here.
+    at the end.  Rows of ints are written with one join per row: an IntRows
+    (an algebra's table) as it is, since it holds plain ints only, and a
+    list or tuple of lists of ints once one type check run in C finds plain
+    ints in every cell.  The tables repeat a few ids, and the elements
+    a few witness words, many times, so each distinct int and string is
+    encoded once per call.  Keys must be strings, as in every payload here.
     """
     out = []
-    _json(payload, "\n", out, _Memo(str), _Memo(_encode_scalar))
+    _json(payload, "\n", out, Memo(str), Memo(_encode_scalar))
     out.append("\n")
     return "".join(out)
 
 
-def _json(obj, nl: str, out: list, ints: _Memo, strs: _Memo) -> None:
+def _json(obj, nl: str, out: list, ints: Memo, strs: Memo) -> None:
     """Append obj as indented JSON to out; nl is a newline followed by obj's own indent.
 
     ints and strs hold the encodings of the ints and strings met so far in
     this document.  Only plain ints enter ints: True == 1 shares 1's slot.
-    Anything else goes to the encoder without indent, so bools still print
-    as true and false.
+    An IntRows is trusted to hold plain ints; every list and tuple is
+    checked.  Anything else goes to the encoder without indent, so bools
+    still print as true and false.
     """
     kind = type(obj)
     if kind is int:
@@ -112,17 +101,20 @@ def _json(obj, nl: str, out: list, ints: _Memo, strs: _Memo) -> None:
             _json(v, inner, out, ints, strs)
             sep = comma
         out += (nl, "}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is IntRows or isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = nl + "  "
         sep, comma = "[" + inner, "," + inner
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            out += (sep, comma.join(map(ints.__getitem__, obj)), nl, "]")
-            return
-        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
+        rows = kind is IntRows
+        if not rows:
+            kinds = set(map(type, obj))
+            if kinds == {int}:
+                out += (sep, comma.join(map(ints.__getitem__, obj)), nl, "]")
+                return
+            rows = kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}
+        if rows:
             cell = inner + "  "
             between, open_row, close_row = "," + cell, "[" + cell, inner + "]"
             for row in obj:
@@ -217,7 +209,8 @@ def _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress):
 
 
 def _mul_table(algebra):
-    """A semiring's or lattice algebra's product table; one built with with_tables=False has none."""
+    """A semiring's or lattice algebra's product table, an IntRows whose rows are built as they
+    are read; a lattice algebra built with with_tables=False has none."""
     if algebra.mul_table is None:
         raise ValueError("algebra was built without multiplication tables")
     return algebra.mul_table
@@ -262,14 +255,15 @@ def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
 
 
 def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
-    """The algebra document; its tuples serialize as JSON arrays."""
+    """The algebra document; its tuples and IntRows serialize as JSON arrays (json.dumps
+    needs default=tuple for the IntRows), so writing it builds every table row."""
     if level == "monoid":
         residuals = [residual_atoms(pt, q).indices() for q in range(dfa.n_states)]
         images = [list(map(residuals.__getitem__, e.mapping)) for e in algebra.elements]
-        tables = {"mul": tuple(algebra.table)}
+        tables = {"mul": algebra.table}
         covers = ()
     else:
-        indices = _Memo(lambda bits: tuple(bit_indices(bits)))   # each distinct image converted once
+        indices = Memo(lambda bits: tuple(bit_indices(bits)))   # each distinct image converted once
         images = [[indices[x.bits] for x in e.mapping] for e in algebra.elements]
         tables = {"mul": _mul_table(algebra), "meet": algebra.meet_table}
         if level == "lattice":

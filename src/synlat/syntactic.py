@@ -19,14 +19,16 @@ as coded transformations of the columns, then the meet values of its images
 and their joins, on packed ints.  The numbering closure stops once it holds
 them all; the witnesses are read off the three closures' breadth-first trees, ∧, ∨ and the order off
 masks over the join-irreducibles, and the product table is walked along the
-witnesses' trees, one table lookup per cell, so no builder evaluates a form.
+witnesses' trees, one lookup per cell, so no builder evaluates a form.
+Every table of every algebra is an IntRows: each row is built on its first
+read, so a format builds only the rows it prints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -52,35 +54,56 @@ class DfaTransformation(NamedTuple):
     witness: str
 
 
-class CayleyTable(Sequence):
-    """The monoid's multiplication table, each row built on first access.
+class Memo(dict):
+    """fn(x) for each key x, computed on its first lookup only."""
 
-    right[i][a] is element i times letter a: the right Cayley graph
-    (Froidure and Pin, "Algorithms for computing finite semigroups", 1997).
-    The elements are numbered breadth first from the identity 0, so every
-    other element j is parent(j)·a for the element and letter that first
-    reach it, with parent(j) < j.  Row i is then filled left to right:
-    i·0 = i and i·j = right[i·parent(j)][a], one list lookup per cell.
-    Only the JSON document reads every row, and the identity check the rows
-    of the idempotents; the text table reads the elements' mappings.
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, x):
+        v = self[x] = self.fn(x)
+        return v
+
+
+class IntRows(Sequence):
+    """n rows of plain ints, row i the tuple row(i), built on its first access.
+
+    Every table of every algebra is one: the monoid's product, the
+    semiring's ∧ and product, the lattice quotients' ∧, ∨ and product.  So a
+    format builds only the rows it reads: dot none, the text table one
+    product row per column state, the JSON document every row.  It equals,
+    hashes and prints as the tuple of its rows, so it stands wherever that
+    tuple did, and render._json writes it without looking at its cells.
+    rows holds the rows built so far and builds a missing one on lookup (a
+    Memo), so iterating runs in C but for the rows it builds; self[i] adds a
+    Python call a row, and a walker over every cell reads tuple(self).
     """
 
-    def __init__(self, right: tuple[tuple[int, ...], ...]):
-        self.right = right
-        self.tree = spanning_tree(right)   # (parent(j), a) for j = 1, 2, ...
-        self._rows: list[tuple[int, ...] | None] = [None] * len(right)
+    def __init__(self, n: int, row):
+        self.n = n
+        self.rows = Memo(row)
 
     def __len__(self):
-        return len(self._rows)
+        return self.n
 
     def __getitem__(self, i: int | slice):
         if isinstance(i, slice):
-            return [self[k] for k in range(len(self._rows))[i]]
-        row = self._rows[i]
-        if row is None:
-            i = range(len(self._rows))[i]
-            row = self._rows[i] = tuple(_walk(self.right, self.tree, i))
-        return row
+            return [self.rows[k] for k in range(self.n)[i]]
+        return self.rows[range(self.n)[i]]
+
+    def __iter__(self):
+        return map(self.rows.__getitem__, range(self.n))
+
+    def __eq__(self, other):
+        return tuple(self) == other   # another IntRows answers tuple's NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def _walk(table, tree, start: int) -> list[int]:
@@ -97,9 +120,10 @@ class SyntacticMonoid:
     dfa: Dfa
     elements: tuple[DfaTransformation, ...]
     identity: int
-    table: CayleyTable = field(compare=False)   # table[i][j] = class of witness_i · witness_j
-    letter_elements: tuple[int, ...]            # per alphabet position
+    table: IntRows = field(compare=False)   # table[i][j] = class of witness_i · witness_j
+    letter_elements: tuple[int, ...]        # per alphabet position
     index: dict[tuple[int, ...], int] = field(compare=False, repr=False)   # mapping -> element
+    right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)   # right[i][a] = i · letter a
 
     def __len__(self):
         return len(self.elements)
@@ -110,7 +134,7 @@ class SyntacticMonoid:
     def element_of_word(self, word: str) -> int:
         e = self.identity
         for a in word:
-            e = self.table.right[e][self.dfa.letter_index(a)]
+            e = self.right[e][self.dfa.letter_index(a)]
         return e
 
 
@@ -141,14 +165,24 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     identity's code; each value is decoded once afterwards, so mappings and
     index hold tuples of states.  Each element's witness is its word along
     the breadth-first spanning tree, which is its shortlex-least word.
+
+    The closure's letter table right, right[i][a] = element i times letter
+    a, is the right Cayley graph (Froidure and Pin, "Algorithms for
+    computing finite semigroups", 1997).  Every element j ≥ 1 is
+    parent(j)·a for the element and letter that first reach it, with
+    parent(j) < j, so row i of the product table is filled left to right:
+    i·0 = i and i·j = right[i·parent(j)][a], one list lookup per cell.
+    Only the JSON document reads every row, and the identity check the rows
+    of the idempotents; the text table reads the elements' mappings.
     """
     letter_ops = _state_ops(dfa.delta, range(len(dfa.alphabet)))
     codes, _, right = close_values([_identity_code(dfa.delta)], letter_ops, (), budget, "monoid elements")
     mappings = [tuple(map(ord, c)) for c in codes]
     index = {m: i for i, m in enumerate(mappings)}
-    table = CayleyTable(tuple(right))
-    elements = tuple(map(DfaTransformation._make, zip(mappings, tree_words(table.tree, dfa.alphabet))))
-    return SyntacticMonoid(dfa, elements, 0, table, right[0], index)
+    tree = spanning_tree(right)   # (parent(j), a) for j = 1, 2, ...
+    table = IntRows(len(right), lambda i: tuple(_walk(right, tree, i)))
+    elements = tuple(map(DfaTransformation._make, zip(mappings, tree_words(tree, dfa.alphabet))))
+    return SyntacticMonoid(dfa, elements, 0, table, right[0], index, tuple(right))
 
 
 def omega_power(m: SyntacticMonoid, e: int) -> int:
@@ -182,15 +216,20 @@ class SyntacticSemiring:
     one: int
     top: int
     letter_elements: tuple[int, ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
-    order: HasseDiagram
+    meet_table: IntRows
+    mul_table: IntRows
+    build_order: Callable[[], HasseDiagram] = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(terms.meet_form_str(e.witness) for e in self.elements)
+
+    @cached_property
+    def order(self) -> HasseDiagram:
+        """Cover relation of e ≤ f iff e∧f = e, built on first use: only dot and JSON read it."""
+        return self.build_order()
 
 
 def semiring_action_bits(pt: ProfileTable, mapping: tuple[int, ...], x: int) -> int:
@@ -211,14 +250,10 @@ def extend_semiring_action(pt: ProfileTable, mapping, x: AtomSet) -> AtomSet:
     return AtomSet(pt, semiring_action_bits(pt, tuple(m.bits for m in mapping), own_bits(pt, x)))
 
 
-def _meet_order(meet_table) -> HasseDiagram:
-    """Cover relation of e ≤ f iff e∧f = e: the pointwise order of the mappings."""
-    return hasse_from_leq([sum(1 << j for j, k in enumerate(row) if k == i) for i, row in enumerate(meet_table)])
-
-
-def _relabel(table, order, rank):
-    """t[a][b] = rank[table[order[a]][order[b]]]: an int table renumbered, order[a] the old id of a."""
-    return tuple(tuple(map(rank.__getitem__, map(row.__getitem__, order))) for row in map(table.__getitem__, order))
+def _meet_order(meet, order, rank) -> HasseDiagram:
+    """Cover relation of e ≤ f iff e∧f = e, the pointwise order of the mappings, read off
+    the ∧ rows meet on other ids: element a has id order[a], and id p is element rank[p]."""
+    return hasse_from_leq([sum(1 << rank[q] for q, k in enumerate(meet[p]) if k == p) for p in order])
 
 
 def _atomset_mappings(pt: ProfileTable, mappings):
@@ -266,21 +301,21 @@ def _least_meet_forms(dfa: Dfa, monoid_right, meet_image):
     return forms, [(t, dfa.letter_index(letters[a])) for t, a in tree], meet_tree
 
 
-def _meet_products(right, meet, top_id: int, monoid_tree, meet_tree):
-    """Row by row, i·k for each meet value k: the product walked along the trees of the witnesses.
+def _meet_product(right, meet, monoid_tree, meet_tree, i: int) -> list[int]:
+    """i·k for each meet value k: row i of the product, walked along the trees of the witnesses.
 
     right[i][a] is element i times letter a and meet[i][j] is i ∧ j, both on
-    the elements' ids.  Monoid element t ≥ 1 is first reached as parent(t)·a
-    (monoid_tree), and meet value k ≥ 1 as k′ ∧ image t (meet_tree).  Letter
-    quotients distribute over ∩, so i·t = right[i·parent(t)][a] with i·1 = i,
-    and i·k = (i·k′) ∧ (i·t) with i·⊤ = ⊤: one lookup per cell.
+    the elements' ids, ⊤ id 0.  Monoid element t ≥ 1 is first reached as
+    parent(t)·a (monoid_tree), and meet value k ≥ 1 as k′ ∧ image t
+    (meet_tree).  Letter quotients distribute over ∩, so i·t =
+    right[i·parent(t)][a] with i·1 = i, and i·k = (i·k′) ∧ (i·t) with i·⊤ =
+    ⊤: one lookup per cell.
     """
-    for i in range(len(right)):
-        action = _walk(right, monoid_tree, i)   # i·t for each monoid element t
-        row = [top_id]
-        for k, t in meet_tree:
-            row.append(meet[row[k]][action[t]])
-        yield row
+    action = _walk(right, monoid_tree, i)   # i·t for each monoid element t
+    row = [0]
+    for k, t in meet_tree:
+        row.append(meet[row[k]][action[t]])
+    return row
 
 
 def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> SyntacticSemiring:
@@ -291,14 +326,17 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     The values are _meet_values' meet values on the residuals, image t
     mapping residual q to the residual of q·t, so their count n is known
     before they are numbered: automata.number replays the discovery order
-    from 1, the letters and ⊤ on int tables of the values only until it
-    holds n of them, and the tables are those int tables renumbered
-    (_relabel).  Value j ≥ 1 is first reached as k ∧ image t with k < j, so
-    row i of ∧ walks meet_image along that tree: i∧j = (i∧k)∧image t.  The
-    product is _meet_products' rows, on |values| letter quotients per letter.
-    Each witness is the least meet form (_least_meet_forms).  A refusal
-    comes from the monoid's or the values' closure, before any table or
-    witness: the monoid's elements have distinct images.
+    from 1, the letters and ⊤ on int rows of the values only until it holds
+    n of them.  Value j ≥ 1 is first reached as k ∧ image t with k < j, so
+    row i of ∧ walks meet_image along that tree: i∧j = (i∧k)∧image t.  A
+    product row is _meet_product's, on |values| letter quotients per letter,
+    built when the replay or a final row first reads it.  Each final row is the row of the same
+    value renumbered on its first read, rank[row[order[b]]] for the row of
+    order[a], and the order is read off the values' ∧ rows on first use; so
+    dot builds no table row, and the text table only the product rows of
+    its columns.  Each witness is the least meet form (_least_meet_forms).
+    A refusal comes from the monoid's or the values' closure, before any
+    row or witness: the monoid's elements have distinct images.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -307,20 +345,23 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     monoid_right, values, index, meet_image, generators = closed
     forms, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
     n = len(values)
-    meet = [_walk(meet_image, meet_tree, i) for i in range(n)]
+    meet = [_walk(meet_image, meet_tree, i) for i in range(n)]   # the order reads every row
     by_letter = [tuple(index[quotient_columns(pt, v, dfa.n_states, a)] for a in dfa.alphabet) for v in values]
-    mul = list(_meet_products(by_letter, meet, 0, monoid_tree, meet_tree))
+    mul = Memo(partial(_meet_product, by_letter, meet, monoid_tree, meet_tree))
     ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
     order, final, _ = number(range(n), [*generators, 0], (), ops, what)
     rank = [final[p] for p in range(n)]
-    meet_table = _relabel(meet, order, rank)
+
+    def renumbered(rows):
+        return IntRows(n, lambda a: tuple(map(rank.__getitem__, map(rows[order[a]].__getitem__, order))))
+
     elements = tuple(
         SemiringElement(m, forms[p])
         for m, p in zip(_atomset_mappings(pt, [unpack_columns(pt, values[p], dfa.n_states) for p in order]), order)
     )
     return SyntacticSemiring(
         pt, dfa, elements, 0, final[0], tuple(final[g] for g in generators[1:]),
-        meet_table, _relabel(mul, order, rank), _meet_order(meet_table),
+        renumbered(meet), renumbered(mul), lambda: _meet_order(meet, order, rank),
     )
 
 
@@ -341,9 +382,9 @@ class SyntacticLatticeAlgebra:
     top: int
     bottom: int
     generators: tuple[int, ...]              # P: letter images, per alphabet position
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...] | None
+    meet_table: IntRows
+    join_table: IntRows
+    mul_table: IntRows | None
     order: HasseDiagram
     columns: tuple[AtomSet, ...] | None = None   # states acted on; None: the residuals
     index: dict[tuple[AtomSet, ...], int] = field(init=False, compare=False, repr=False)   # mapping -> element
@@ -400,8 +441,10 @@ def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
 
 
 def _mask_lattice(meet_values, join_tree):
-    """(meet, join, order) of the lattice values: ⊥ and the joins of meet_values,
-    joined along join_tree as in _least_lattice_forms, on the elements' ids.
+    """(masks, at, meet, join, order) of the lattice values: ⊥ and the joins of
+    meet_values, joined along join_tree as in _least_lattice_forms, on the
+    elements' ids; at maps each mask to its element, a list indexed by mask
+    unless that list would be long next to n.
 
     The values under & and | form a finite distributive lattice.  Its
     join-irreducibles are the nonzero meet values that are not the | of the
@@ -411,11 +454,13 @@ def _mask_lattice(meet_values, join_tree):
     mask(v) set iff join-irreducible b lies below v, distinct values have
     distinct masks, and ∧ and ∨ are & and | on the masks.  A
     join-irreducible below p ∨ k lies below p or below k, so mask(j) =
-    mask(p) | mask(k) along the tree.  Each ∧ and ∨ row is one comprehension,
-    one & or | and one dict lookup a cell.  j covers i exactly when mask(j)
-    is mask(i) plus one join-irreducible whose lower join-irreducibles all
-    lie in mask(i): n·|join-irreducibles| steps, listed as hasse_from_leq
-    does.
+    mask(p) | mask(k) along the tree.  Row i of ∧ is at[mask(i) & x] for
+    each mask x, and row i of ∨ the same with |, each built on its first
+    read by one comprehension, one & or | and one lookup a cell.  j covers i
+    exactly when mask(j) is mask(i) plus one join-irreducible whose lower
+    join-irreducibles all lie in mask(i): n·|join-irreducibles| steps,
+    listed as hasse_from_leq does, on the masks alone, so the order builds
+    no table row.
     """
     irreducible = []
     for m in meet_values:
@@ -430,30 +475,51 @@ def _mask_lattice(meet_values, join_tree):
     at = {m: i for i, m in enumerate(masks)}
     if len(at) != n:
         raise InconsistencyError("two lattice algebra elements have the same join-irreducibles below them")
-    meet = tuple(tuple([at[m & x] for x in masks]) for m in masks)
-    join = tuple(tuple([at[m | x] for x in masks]) for m in masks)
+    if 1 << len(irreducible) <= 64 * n:   # a list indexed by mask: a dict would compare equal ints a cell
+        at = [None] * (1 << len(irreducible))
+        for i, m in enumerate(masks):
+            at[m] = i
+
+    def meet_row(i):
+        m = masks[i]
+        return tuple([at[m & x] for x in masks])
+
+    def join_row(i):
+        m = masks[i]
+        return tuple([at[m | x] for x in masks])
+
     covers = []
     for i, m in enumerate(masks):
         ups = [at[m | 1 << b] for b, low in enumerate(lower) if not m >> b & 1 and low & m == low]
         covers.extend((i, j) for j in sorted(ups))
-    return meet, join, HasseDiagram(tuple(covers))
+    return masks, at, IntRows(n, meet_row), IntRows(n, join_row), HasseDiagram(tuple(covers))
 
 
-def _lattice_products(right, meet, join, top_id: int, bottom_id: int, trees):
-    """mul[i][j]: element i times element j, by row walks over the trees of _least_lattice_forms.
+def _lattice_products(right, masks, at, top_id: int, trees) -> IntRows:
+    """mul[i][j]: element i times element j, each row walked on first read over the
+    trees of _least_lattice_forms, on _mask_lattice's masks.
 
-    j's witness is the join, along the tree of ⊥, of least meet forms, so
-    i·j = (i·j′) ∨ (i·k) with i·⊥ = ⊥, i·k from _meet_products; one lookup
-    per cell.
+    Monoid element t ≥ 1 is first reached as parent(t)·a, meet value k ≥ 1
+    as k′ ∧ image t, and j as the join of its parent j′ and a meet value k.
+    Letter quotients distribute over ∩ and ∪, so i·t = right[i·parent(t)][a]
+    with i·1 = i, mask(i·k) = mask(i·k′) & mask(i·t) with i·⊤ = ⊤, and
+    mask(i·j) = mask(i·j′) | mask(i·k) with i·⊥ = ⊥, mask 0: one lookup a
+    cell, and at maps the row's masks to elements once at the end.  So a
+    product row reads no ∧ or ∨ row.
     """
     monoid_tree, meet_tree, join_tree = trees
-    table = []
-    for inner in _meet_products(right, meet, top_id, monoid_tree, meet_tree):
-        row = [bottom_id] * len(right)
+
+    def row(i):
+        action = _walk(right, monoid_tree, i)   # i·t for each monoid element t
+        inner = [masks[top_id]]
+        for k, t in meet_tree:
+            inner.append(inner[k] & masks[action[t]])
+        cells = [0] * len(masks)
         for j, p, k in join_tree:
-            row[j] = join[row[p]][inner[k]]
-        table.append(tuple(row))
-    return tuple(table)
+            cells[j] = cells[p] | inner[k]
+        return tuple(map(at.__getitem__, cells))
+
+    return IntRows(len(masks), row)
 
 
 def _lattice_algebra(
@@ -475,14 +541,15 @@ def _lattice_algebra(
     letter quotient, witness or table.  automata.number then replays the
     closure above from the seeds read off them until it holds their count
     n, and raises InconsistencyError unless it holds exactly those values.
-    The letter rows it did not visit are looked up, and the ∧ and ∨ tables
+    The letter rows it did not visit are looked up, and the ∧ and ∨ rows
     and the order are read off masks over the join-irreducibles
     (_mask_lattice).
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
     i's witness on column c.  _lattice_products walks it along the trees the
-    witnesses are read off, on the letter, ∧ and ∨ tables.
+    witnesses are read off, on the letter rows and the masks.  Every table
+    row is built on its first read, so dot builds none.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
@@ -499,12 +566,10 @@ def _lattice_algebra(
     witnesses, trees = _least_lattice_forms(dfa, monoid_right, meet_image, join_right, ids)
     try:
         right += [tuple([index[fn(v)] for fn in letter_ops]) for v in values[len(right):]]
-        meet_table, join_table, order = _mask_lattice(meets, trees[2])
+        masks, at, meet_table, join_table, order = _mask_lattice(meets, trees[2])
     except KeyError:
         raise InconsistencyError(f"the {what} are not closed under their operations") from None
-    mul_table = None
-    if with_tables:
-        mul_table = _lattice_products(right, meet_table, join_table, top_id, bottom_id, trees)
+    mul_table = _lattice_products(right, masks, at, top_id, trees) if with_tables else None
     elements = tuple(
         LatticeAlgebraElement(m, w)
         for m, w in zip(_atomset_mappings(pt, [unpack_columns(pt, v, len(cols)) for v in values]), witnesses)
@@ -609,7 +674,7 @@ def check_lattice_algebra_axioms(alg: SyntacticLatticeAlgebra, max_violations: i
     if alg.mul_table is None:
         raise ValueError("algebra was built without multiplication tables")
     n = len(alg.elements)
-    A, O, M = alg.meet_table, alg.join_table, alg.mul_table
+    A, O, M = map(tuple, (alg.meet_table, alg.join_table, alg.mul_table))   # every row, once
     one, tp, bt = alg.one, alg.top, alg.bottom
     P = sorted(set(alg.generators))
     violations: list[AxiomViolation] = []

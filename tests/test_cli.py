@@ -462,6 +462,44 @@ def test_monoid_table_builds_no_cayley_row(monkeypatch, capsys, pattern):
         main(argv + ["--format", "json"])
 
 
+@pytest.mark.parametrize(
+    "level,pattern,alphabet",
+    [("semiring", "a+b+", "ab"), ("semiring", "(a|b)*a(a|b)(a|b)", "ab"),
+     ("lattice", "a+b+", "ab"), ("lattice", "(a|bc)*(c|%e)", "abc"), ("lattice", "(a|b)*abb", "ab")],
+)
+def test_each_format_builds_only_the_table_rows_it_reads(monkeypatch, capsys, level, pattern, alphabet):
+    # dot reads the order alone, the text table one product row per column state, json every row
+    from synlat import cli
+
+    name = "syntactic_semiring" if level == "semiring" else "syntactic_lattice_algebra"
+    builder, built = getattr(cli, name), []
+
+    def keep(*args, **kwargs):
+        built.append(builder(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, name, keep)
+    _, dfa, pt = build(pattern, alphabet)
+    automaton = synlat.build_meet_automaton if level == "semiring" else synlat.build_lattice_automaton
+    columns = len(automaton(pt, dfa).states)
+
+    def rows_built(*flags):
+        """Rows built of the ∧ (and ∨) tables, then of the product table, and the element count."""
+        argv = ["algebra", "--level", level, "--regex", pattern, "--alphabet", alphabet, *flags]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        alg = built.pop()
+        lattice_tables = [alg.meet_table] + ([alg.join_table] if level == "lattice" else [])
+        return [len(t.rows) for t in lattice_tables], len(alg.mul_table.rows), len(alg)
+
+    lattice_rows, mul_rows, _ = rows_built("--format", "dot")
+    assert (set(lattice_rows), mul_rows) == ({0}, 0)
+    for flags in (["--format", "table"], ["--suppress-derivable-columns"]):
+        lattice_rows, mul_rows, _ = rows_built(*flags)
+        assert set(lattice_rows) == {0} and 1 <= mul_rows <= columns
+    lattice_rows, mul_rows, n = rows_built("--format", "json")
+    assert set(lattice_rows) == {n} and mul_rows == n
+
+
 @pytest.mark.parametrize("level,fmt", [("monoid", "json"), ("semiring", "json"), ("semiring", "dot"),
                                        ("lattice", "json"), ("lattice", "dot")])
 def test_suppress_derivable_columns_leaves_json_and_dot_alone(capsys, level, fmt):

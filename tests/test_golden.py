@@ -112,3 +112,19 @@ def test_transition_lattice_algebra_matches_golden_digest(pattern, alphabet, siz
     assert len(alg) == size
     blob = repr(([e.witness for e in alg.elements], alg.meet_table, alg.join_table, alg.mul_table)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [("dot", "0d6adcd5a1400f83de37d09710748adbaa1f80c4d3526c2530297741e76a43cb"),
+     ("table", "d4916711d68dc470c9bf069578b099913a9e31636bc31a6d82e89f6476cc019a")],
+)
+def test_1665_element_lattice_algebra_matches_golden_digest(capsys, fmt, digest):
+    """The largest pinned lattice algebra, a|abb(abb)* over abc, in the formats that read few of its
+    table rows: dot none, the text table one product row per column state."""
+    argv = ["algebra", "--level", "lattice", "--regex", "a|abb(abb)*", "--alphabet", "abc",
+            "--format", fmt, "--budget-elements", "2000"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest

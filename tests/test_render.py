@@ -2,10 +2,11 @@
 
 render_json must write exactly json.dumps(payload, ensure_ascii=False,
 indent=2) + "\\n".  It appends every piece to one flat list, and writes a
-list of plain ints, and a table (a list or tuple of such lists, found by one
-type check over all its cells), one join per row.  So the payloads mix ints
-with bools (which must not take either path), big and negative ints, None,
-empty containers and strings that need escaping, and the int tables get a
+list of plain ints, and a table (an algebra's IntRows, trusted unchecked,
+or a list or tuple of such lists, found by one type check over all its
+cells), one join per row.  So the payloads mix ints with bools (which
+must not take either path), big and negative ints, None, empty
+containers and strings that need escaping, and the int tables get a
 strategy of their own: empty rows, rows nested one level deeper, and a bool
 or None in one cell of any row.  It encodes each distinct int and string,
 key or value, once per call, so the payloads draw keys, strings and ints
@@ -50,7 +51,8 @@ def test_render_json_matches_indented_json_dumps(payload):
 
 
 def as_json(payload):
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    # an algebra document's tables are IntRows, each equal to the tuple of its rows
+    return json.dumps(payload, ensure_ascii=False, indent=2, default=tuple) + "\n"
 
 
 ROWS = st.lists(INTS, max_size=5)   # the empty list gives an empty row

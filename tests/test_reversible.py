@@ -12,7 +12,7 @@ from synlat.reversible import (
     identity_counterexample_from_configuration,
     is_reversible,
 )
-from synlat.syntactic import CayleyTable
+from synlat.syntactic import IntRows
 
 from conftest import build, random_regex_corpus
 from test_automata import states_by_name
@@ -189,10 +189,11 @@ def test_quadruple_budget_counts_reduced_substitutions():
 
 
 def _no_rows(monkeypatch):
-    def no_rows(table, i):
+    def no_rows(table, *i):
         raise AssertionError("a Cayley table row was built")
 
-    monkeypatch.setattr(CayleyTable, "__getitem__", no_rows)
+    monkeypatch.setattr(IntRows, "__getitem__", no_rows)
+    monkeypatch.setattr(IntRows, "__iter__", no_rows)
 
 
 def test_quadruple_budget_refusal_builds_no_table_row(monkeypatch):

@@ -175,6 +175,60 @@ def test_cayley_table_slices_are_built_rows(apb):
     assert table[len(table):] == []
 
 
+def algebra_tables(dfa, pt, budget=synlat.syntactic.DEFAULT_ELEMENT_BUDGET):
+    """Every table of every algebra of the language with at most budget elements, each an IntRows
+    with no row built yet."""
+    tables = []
+    builds = [
+        lambda: [synlat.syntactic_monoid(dfa, budget).table],
+        lambda: [(s := synlat.syntactic_semiring(pt, dfa, budget)).meet_table, s.mul_table],
+        lambda: [(a := synlat.syntactic_lattice_algebra(pt, dfa, budget)).meet_table, a.join_table, a.mul_table],
+        lambda: [(a := synlat.transition_lattice_algebra(pt, dfa, budget)).meet_table, a.join_table, a.mul_table],
+    ]
+    for tables_of in builds:
+        try:
+            tables += tables_of()
+        except BudgetError:
+            pass
+    return tables
+
+
+def assert_rows_act_as_their_tuple(fresh, table):
+    """fresh, a table no row of which is built, acts as the tuple of table's rows, table the same table
+    built again."""
+    ref = tuple(map(tuple, table))
+    n = len(ref)
+    assert len(fresh) == n
+    assert fresh[-1] == ref[-1] and fresh[-n] == ref[0]   # rows read by negative index first
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            fresh[i]
+    for s in (slice(None, None, -2), slice(1, 3), slice(n, None)):
+        assert fresh[s] == list(ref[s])
+    assert list(fresh) == list(ref)
+    assert fresh == ref and ref == fresh and not fresh != ref and fresh == table
+    assert fresh != ref[:-1] and fresh != list(ref)
+    assert repr(fresh) == repr(ref) and hash(fresh) == hash(ref)
+    assert all(type(row) is tuple and len(row) == n for row in fresh)
+    assert all(type(x) is int for row in fresh for x in row)   # render._json writes the cells unchecked
+
+
+@pytest.mark.parametrize("pattern,alphabet", [("a+b+", "ab"), ("(a|b)*abb", "ab"), ("(a|bc)*(c|%e)", "abc")])
+def test_algebra_tables_act_as_tuples_of_int_rows(pattern, alphabet):
+    _, dfa, pt = build(pattern, alphabet)
+    for fresh, table in zip(algebra_tables(dfa, pt), algebra_tables(dfa, pt), strict=True):
+        assert_rows_act_as_their_tuple(fresh, table)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_algebra_tables_act_as_tuples_of_int_rows_on_random_corpus(seed):
+    for ast in random_regex_corpus(seed=seed, count=20):
+        dfa = synlat.compile_canonical_dfa(ast)
+        pt = synlat.build_profile_table(dfa)
+        for fresh, table in zip(algebra_tables(dfa, pt, 300), algebra_tables(dfa, pt, 300), strict=True):
+            assert_rows_act_as_their_tuple(fresh, table)
+
+
 def reference_monoid(dfa, budget=None):
     """(mappings, right, witnesses): breadth-first search on tuples of states, letters in alphabet order.
 
@@ -202,7 +256,7 @@ def assert_monoid_matches_reference(dfa):
     m = synlat.syntactic_monoid(dfa)
     assert [e.mapping for e in m.elements] == mappings
     assert all(type(q) is int for q in m.elements[-1].mapping)
-    assert m.table.right == tuple(right)
+    assert m.right == tuple(right)
     assert [e.witness for e in m.elements] == words
     assert m.index == {t: i for i, t in enumerate(mappings)}
     return m
@@ -771,7 +825,7 @@ def assert_recorded_tables_match_direct_operations(dfa, pt):
     monoid = synlat.syntactic_monoid(dfa)
     index = {e.mapping: i for i, e in enumerate(monoid.elements)}
     letters = range(len(dfa.alphabet))
-    assert monoid.table.right == tuple(
+    assert monoid.right == tuple(
         tuple(index[tuple(dfa.delta[q][a] for q in e.mapping)] for a in letters) for e in monoid.elements
     )
 
