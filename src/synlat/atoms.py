@@ -165,13 +165,6 @@ def unpack_columns(pt: ProfileTable, v: int, n_columns: int) -> tuple[int, ...]:
     return tuple([v >> s & mask for s in range(0, width * n_columns, width)])
 
 
-def quotient_columns(pt: ProfileTable, v: int, n_columns: int, letter: str) -> int:
-    """Each column's letter quotient, on n_columns columns packed into v (pack_images)."""
-    width = pt.n_profiles
-    mask = (1 << width) - 1
-    return sum([quotient_bits(pt, v >> s & mask, letter) << s for s in range(0, width * n_columns, width)])
-
-
 def own_bits(pt: ProfileTable, x: AtomSet) -> int:
     """The bits of x, which must belong to pt."""
     if x.table is not pt:

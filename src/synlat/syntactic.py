@@ -14,25 +14,25 @@ goes through the stored witness forms and can break the lattice-algebra
 laws.  transition_lattice_algebra identifies forms that act equally on every
 state of the canonical lattice automaton, the largest congruence inside the
 residual relation; its product is composition and it satisfies the laws.
-Each quotient finds its values before it numbers them: the monoid, closed
-as coded transformations of the columns, then the meet values of its images
-and their joins, on packed ints.  The numbering closure stops once it holds
-them all; the witnesses are read off the three closures' breadth-first trees, ∧, ∨ and the order off
-masks over the join-irreducibles, and the product table is walked along the
-witnesses' trees, one lookup per cell, so no builder evaluates a form.
-Every table of every algebra is an IntRows: each row is built on its first
-read, so a format builds only the rows it prints.
+Each algebra finds its values before it numbers them: the monoid, closed
+as coded transformations of the columns, the meet values of its images and
+a lattice quotient's joins of those, on packed ints.  The numbering closure
+stops once it holds them all.  Letter quotients, witnesses and table rows
+are walked along those closures' breadth-first trees, one op or lookup a
+cell, so no builder evaluates a form.  Every table of every algebra is an
+IntRows: each row is built on its first read, so a format builds only the
+rows it prints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import NamedTuple
 
-from .atoms import AtomSet, ProfileTable, own_bits, pack_images, quotient_columns, residual_atoms, top, unpack_columns
+from .atoms import AtomSet, ProfileTable, own_bits, pack_images, residual_atoms, top, unpack_columns
 from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
 from .canonical import HasseDiagram, hasse_from_leq, quotient_moves, state_closures
 from .errors import InconsistencyError
@@ -73,12 +73,13 @@ class IntRows(Sequence):
     Every table of every algebra is one: the monoid's product, the
     semiring's ∧ and product, the lattice quotients' ∧, ∨ and product.  So a
     format builds only the rows it reads: dot none, the text table one
-    product row per column state, the JSON document every row.  It equals,
-    hashes and prints as the tuple of its rows, so it stands wherever that
-    tuple did, and render._json writes it without looking at its cells.
-    rows holds the rows built so far and builds a missing one on lookup (a
-    Memo), so iterating runs in C but for the rows it builds; self[i] adds a
-    Python call a row, and a walker over every cell reads tuple(self).
+    product row per column state and a semiring's ∧ rows those read, the
+    JSON document every row.  It equals, hashes and prints as the tuple of
+    its rows, so it stands wherever that tuple did, and render._json writes
+    it without looking at its cells.  rows holds the rows built so far and
+    builds a missing one on lookup (a Memo), so iterating runs in C but for
+    the rows it builds; self[i] adds a Python call a row, and a walker over
+    every cell reads tuple(self).
     """
 
     def __init__(self, n: int, row):
@@ -113,6 +114,18 @@ def _walk(table, tree, start: int) -> list[int]:
     for p, a in tree:
         cells.append(table[cells[p]][a])
     return cells
+
+
+def _quotients(tree, steps, op, seed: int) -> list[tuple[int, ...]]:
+    """Each packed value's letter quotients along the tree of its closure, one op a cell:
+    value j ≥ 1 of a closure of one seed, ⊤ or ⊥, under "op generator k" is
+    first reached as op(value p, generator k) for (p, k) = tree[j - 1], and
+    steps[k] holds generator k's quotients.  A letter quotient distributes
+    over ∩ and ∪, so j·a = op(p·a, k·a); the seed is its own quotient."""
+    rows = [(seed,) * len(steps[0])]
+    for p, k in tree:
+        rows.append(tuple(map(op, rows[p], steps[k])))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -218,18 +231,13 @@ class SyntacticSemiring:
     letter_elements: tuple[int, ...]
     meet_table: IntRows
     mul_table: IntRows
-    build_order: Callable[[], HasseDiagram] = field(compare=False, repr=False)
+    order: HasseDiagram
 
     def __len__(self):
         return len(self.elements)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(terms.meet_form_str(e.witness) for e in self.elements)
-
-    @cached_property
-    def order(self) -> HasseDiagram:
-        """Cover relation of e ≤ f iff e∧f = e, built on first use: only dot and JSON read it."""
-        return self.build_order()
 
 
 def semiring_action_bits(pt: ProfileTable, mapping: tuple[int, ...], x: int) -> int:
@@ -250,12 +258,6 @@ def extend_semiring_action(pt: ProfileTable, mapping, x: AtomSet) -> AtomSet:
     return AtomSet(pt, semiring_action_bits(pt, tuple(m.bits for m in mapping), own_bits(pt, x)))
 
 
-def _meet_order(meet, order, rank) -> HasseDiagram:
-    """Cover relation of e ≤ f iff e∧f = e, the pointwise order of the mappings, read off
-    the ∧ rows meet on other ids: element a has id order[a], and id p is element rank[p]."""
-    return hasse_from_leq([sum(1 << rank[q] for q, k in enumerate(meet[p]) if k == p) for p in order])
-
-
 def _atomset_mappings(pt: ProfileTable, mappings):
     """The bit mappings as AtomSet tuples, one AtomSet per distinct image."""
     atoms = {x: AtomSet(pt, x) for x in {x for m in mappings for x in m}}
@@ -263,18 +265,19 @@ def _atomset_mappings(pt: ProfileTable, mappings):
 
 
 def _meet_values(pt: ProfileTable, dfa: Dfa, cols, delta, budget: int, what: str):
-    """(monoid_right, meet values, their index, meet_image, generators) of the
-    column bitmasks cols, whose a-quotients are cols[delta[c][a]].
+    """(monoid_right, meet values, their index, meet_image, generators, steps)
+    of the column bitmasks cols, whose a-quotients are cols[delta[c][a]].
 
     The monoid is the identity closed under the coded letter ops (_state_ops)
     over the sorted letters, so its elements come in the order of their
     word_key-least words, and monoid_right is its right table.  Image t packs
     (atoms.pack_images) cols[t[c]] as column c: distinct columns give distinct
     images, and the image of t·a is the a-quotient of image t, so the images
-    come in the order their closure under letter quotients would find them.
+    come in the order their closure under letter quotients would find them,
+    and steps[t] holds image t's quotients by the letters in alphabet order.
     The meet values are ⊤ closed under ∧ image t, and meet_image[i][t] is
-    value i ∧ image t; ⊤ ∧ image t is image t, so generators, the values of
-    1 and of each letter in alphabet order, are read off meet_image[0].
+    value i ∧ image t; generators are the values of 1 and of each letter in
+    alphabet order, images 1 and steps[0].
     """
     letters = sorted(range(len(dfa.alphabet)), key=dfa.alphabet.__getitem__)
     monoid, _, monoid_right = close_values([_identity_code(delta)], _state_ops(delta, letters), (), budget, what)
@@ -282,9 +285,10 @@ def _meet_values(pt: ProfileTable, dfa: Dfa, cols, delta, budget: int, what: str
     full = pack_images(pt, (top(pt).bits,), [[0] * len(cols)])[0]   # ⊤ in every column
     meet_ops = [lambda v, y=y: v & y for y in images]
     values, index, meet_image = close_values([full], meet_ops, (), budget, what)
-    image = meet_image[0]
-    generators = [image[0]] + [image[monoid_right[0][letters.index(a)]] for a in range(len(letters))]
-    return monoid_right, values, index, meet_image, generators
+    columns = list(map(letters.index, range(len(letters))))   # alphabet position -> column of monoid_right
+    steps = [tuple([images[row[c]] for c in columns]) for row in monoid_right]
+    generators = list(map(index.__getitem__, (images[0], *steps[0])))
+    return monoid_right, values, index, meet_image, generators, steps
 
 
 def _least_meet_forms(dfa: Dfa, monoid_right, meet_image):
@@ -301,18 +305,18 @@ def _least_meet_forms(dfa: Dfa, monoid_right, meet_image):
     return forms, [(t, dfa.letter_index(letters[a])) for t, a in tree], meet_tree
 
 
-def _meet_product(right, meet, monoid_tree, meet_tree, i: int) -> list[int]:
-    """i·k for each meet value k: row i of the product, walked along the trees of the witnesses.
+def _meet_product(right, meet, monoid_tree, meet_tree, top_id: int, i: int) -> list[int]:
+    """i·k for each meet value k in the order of meet_tree, walked along the trees of the witnesses.
 
     right[i][a] is element i times letter a and meet[i][j] is i ∧ j, both on
-    the elements' ids, ⊤ id 0.  Monoid element t ≥ 1 is first reached as
-    parent(t)·a (monoid_tree), and meet value k ≥ 1 as k′ ∧ image t
-    (meet_tree).  Letter quotients distribute over ∩, so i·t =
+    one numbering of the elements, ⊤ top_id.  Monoid element t ≥ 1 is first
+    reached as parent(t)·a (monoid_tree), and meet value k ≥ 1 as k′ ∧
+    image t (meet_tree).  Letter quotients distribute over ∩, so i·t =
     right[i·parent(t)][a] with i·1 = i, and i·k = (i·k′) ∧ (i·t) with i·⊤ =
     ⊤: one lookup per cell.
     """
     action = _walk(right, monoid_tree, i)   # i·t for each monoid element t
-    row = [0]
+    row = [top_id]
     for k, t in meet_tree:
         row.append(meet[row[k]][action[t]])
     return row
@@ -327,41 +331,45 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     mapping residual q to the residual of q·t, so their count n is known
     before they are numbered: automata.number replays the discovery order
     from 1, the letters and ⊤ on int rows of the values only until it holds
-    n of them.  Value j ≥ 1 is first reached as k ∧ image t with k < j, so
-    row i of ∧ walks meet_image along that tree: i∧j = (i∧k)∧image t.  A
-    product row is _meet_product's, on |values| letter quotients per letter,
-    built when the replay or a final row first reads it.  Each final row is the row of the same
-    value renumbered on its first read, rank[row[order[b]]] for the row of
-    order[a], and the order is read off the values' ∧ rows on first use; so
-    dot builds no table row, and the text table only the product rows of
-    its columns.  Each witness is the least meet form (_least_meet_forms).
-    A refusal comes from the monoid's or the values' closure, before any
-    row or witness: the monoid's elements have distinct images.
+    n of them.  Value j ≥ 1 is first reached as k ∧ image t with k < j, so a
+    row of ∧ walks meet_image along that tree, i∧j = (i∧k)∧image t, a row of
+    the product is _meet_product's over the letter rows (_quotients), and
+    what lies below j is what lies below both k and image t: the order.  The
+    final rows walk meet_image and the letter rows relabelled into final ids,
+    each on its first read, so dot builds none.  Each witness is the least
+    meet form (_least_meet_forms).  A refusal comes from the monoid's or the
+    values' closure, before any row or witness: the monoid's elements have
+    distinct images.
     """
     if pt.dfa is not dfa:
         raise ValueError("profile table was built from a different DFA")
     what = "semiring elements"
     closed = _meet_values(pt, dfa, pt.residual_bits, dfa.delta, budget, what)
-    monoid_right, values, index, meet_image, generators = closed
+    monoid_right, values, index, meet_image, generators, steps = closed
     forms, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
     n = len(values)
-    meet = [_walk(meet_image, meet_tree, i) for i in range(n)]   # the order reads every row
-    by_letter = [tuple(index[quotient_columns(pt, v, dfa.n_states, a)] for a in dfa.alphabet) for v in values]
-    mul = Memo(partial(_meet_product, by_letter, meet, monoid_tree, meet_tree))
+    by_letter = [tuple(map(index.__getitem__, q)) for q in _quotients(meet_tree, steps, and_, values[0])]
+    meet = Memo(partial(_walk, meet_image, meet_tree))   # the replay's rows, on the values' ids
+    mul = Memo(partial(_meet_product, by_letter, meet, monoid_tree, meet_tree, 0))
     ops = [lambda i, j: meet[i][j], lambda i, j: mul[i][j], lambda i, j: mul[j][i]]
     order, final, _ = number(range(n), [*generators, 0], (), ops, what)
-    rank = [final[p] for p in range(n)]
-
-    def renumbered(rows):
-        return IntRows(n, lambda a: tuple(map(rank.__getitem__, map(rows[order[a]].__getitem__, order))))
-
+    image = [tuple(map(final.__getitem__, meet_image[p])) for p in order]   # the walks' inputs in final ids
+    right = [tuple(map(final.__getitem__, by_letter[p])) for p in order]
+    meet_table = IntRows(n, lambda a: tuple(map(_walk(image, meet_tree, a).__getitem__, order)))
+    mul_table = IntRows(n, lambda a: tuple(map(
+        _meet_product(right, meet_table.rows, monoid_tree, meet_tree, final[0], a).__getitem__, order)))
+    below = [sum(1 << a for a, row in enumerate(image) if row[t] == a) for t in range(len(steps))]
+    down = [(1 << n) - 1]   # ⊤'s down-set
+    for k, t in meet_tree:
+        down.append(down[k] & below[t])
+    covers = sorted((j, i) for i, j in hasse_from_leq([down[p] for p in order]).covers)   # the covers of ≥
     elements = tuple(
         SemiringElement(m, forms[p])
         for m, p in zip(_atomset_mappings(pt, [unpack_columns(pt, values[p], dfa.n_states) for p in order]), order)
     )
     return SyntacticSemiring(
         pt, dfa, elements, 0, final[0], tuple(final[g] for g in generators[1:]),
-        renumbered(meet), renumbered(mul), lambda: _meet_order(meet, order, rank),
+        meet_table, mul_table, HasseDiagram(tuple(covers)),
     )
 
 
@@ -387,16 +395,16 @@ class SyntacticLatticeAlgebra:
     mul_table: IntRows | None
     order: HasseDiagram
     columns: tuple[AtomSet, ...] | None = None   # states acted on; None: the residuals
-    index: dict[tuple[AtomSet, ...], int] = field(init=False, compare=False, repr=False)   # mapping -> element
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", {e.mapping: i for i, e in enumerate(self.elements)})
 
     def __len__(self):
         return len(self.elements)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(terms.lattice_form_str(e.witness) for e in self.elements)
+
+    @cached_property
+    def index(self) -> dict[tuple[AtomSet, ...], int]:   # mapping -> element; only element_of_form reads it
+        return {e.mapping: i for i, e in enumerate(self.elements)}
 
     def mapping_of_form(self, form: LatticeForm) -> tuple[AtomSet, ...]:
         """Action of a lattice form on every column state."""
@@ -412,12 +420,12 @@ class SyntacticLatticeAlgebra:
         return i
 
 
-def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
-    """Each element's least lattice form: fewest inners first, then sorted inner keys.
+def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right):
+    """Each lattice value's least lattice form: fewest inners first, then sorted inner keys.
 
     Read off the closures _lattice_algebra finds the values with: those of
     _meet_values, and join_right, the table of the closure of ⊥ under
-    "∨ meet value k", whose value i is element ids[i].
+    "∨ meet value k", on whose ids the forms come.
 
     A least lattice form has least meet forms of distinct meet values as its
     inners: putting the least meet form of an inner's value in its place
@@ -427,17 +435,13 @@ def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right, ids):
     lattice form is a set of meet values, and automata.tree_paths reads it
     off the closure of ⊥ under "∨ meet value k".
 
-    Returns (forms, trees), trees the three trees the forms are read off, for
-    _lattice_products: the monoid's, its letters as dfa.alphabet positions;
-    the meet values'; and the tree of ⊥ on the elements' ids, (j, parent, k)
-    for j = parent ∨ meet value k, parents before their children.
+    Returns (forms, trees), trees the three trees the forms are read off: the
+    monoid's, its letters as dfa.alphabet positions; the meet values'; and
+    the tree of ⊥, (parent, k) for value j = parent ∨ meet value k.
     """
     inners, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
     paths, join_tree = tree_paths(join_right)
-    forms = [()] * len(ids)
-    for i, p in zip(ids, paths):
-        forms[i] = tuple(map(inners.__getitem__, p))
-    return forms, (monoid_tree, meet_tree, [(ids[j], ids[p], k) for j, (p, k) in enumerate(join_tree, 1)])
+    return [tuple(map(inners.__getitem__, p)) for p in paths], (monoid_tree, meet_tree, join_tree)
 
 
 def _mask_lattice(meet_values, join_tree):
@@ -541,9 +545,10 @@ def _lattice_algebra(
     letter quotient, witness or table.  automata.number then replays the
     closure above from the seeds read off them until it holds their count
     n, and raises InconsistencyError unless it holds exactly those values.
-    The letter rows it did not visit are looked up, and the ∧ and ∨ rows
-    and the order are read off masks over the join-irreducibles
-    (_mask_lattice).
+    Its letter ops read the values' quotients off _quotients' walks, which
+    run on the values, not their ids, so that a quotient outside them is
+    the replay's to find.  The ∧ and ∨ rows and the order are read off
+    masks over the join-irreducibles (_mask_lattice).
 
     The product of i and j maps column c to the action of j's witness on
     mappings[i][c]: X∘(f·g) = (X∘f)∘g, and mappings[i][c] is the action of
@@ -555,24 +560,26 @@ def _lattice_algebra(
         raise ValueError("profile table was built from a different DFA")
     what = "lattice algebra elements"
     cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
-    monoid_right, meets, _, meet_image, generators = _meet_values(pt, dfa, cols, delta, budget, what)
-    joins, _, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
+    monoid_right, meets, _, meet_image, generators, steps = _meet_values(pt, dfa, cols, delta, budget, what)
+    joins, join_index, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
 
     seeds = [meets[g] for g in (*generators, 0)] + [0]   # 1, the letters, ⊤ and ⊥
-    letter_ops = [lambda v, a=a: quotient_columns(pt, v, len(cols), a) for a in dfa.alphabet]
-    values, index, right = number(joins, seeds, letter_ops, [and_, or_], what)
-    ids = list(map(index.__getitem__, joins))
-    one, *letter_ids, top_id, bottom_id = map(index.__getitem__, seeds)
-    witnesses, trees = _least_lattice_forms(dfa, monoid_right, meet_image, join_right, ids)
+    forms, (monoid_tree, meet_tree, join_tree) = _least_lattice_forms(dfa, monoid_right, meet_image, join_right)
+    meet_quotients = _quotients(meet_tree, steps, and_, meets[0])
+    quotients = _quotients(join_tree, meet_quotients, or_, 0)
+    letter_ops = [dict(zip(joins, column)).__getitem__ for column in zip(*quotients)]
     try:
-        right += [tuple([index[fn(v)] for fn in letter_ops]) for v in values[len(right):]]
-        masks, at, meet_table, join_table, order = _mask_lattice(meets, trees[2])
+        values, index, _ = number(joins, seeds, letter_ops, [and_, or_], what)
+        right = [tuple(map(index.__getitem__, quotients[join_index[v]])) for v in values]
+        tree = [(index[joins[j]], index[joins[p]], k) for j, (p, k) in enumerate(join_tree, 1)]
+        masks, at, meet_table, join_table, order = _mask_lattice(meets, tree)
     except KeyError:
         raise InconsistencyError(f"the {what} are not closed under their operations") from None
-    mul_table = _lattice_products(right, masks, at, top_id, trees) if with_tables else None
+    one, *letter_ids, top_id, bottom_id = map(index.__getitem__, seeds)
+    mul_table = _lattice_products(right, masks, at, top_id, (monoid_tree, meet_tree, tree)) if with_tables else None
     elements = tuple(
-        LatticeAlgebraElement(m, w)
-        for m, w in zip(_atomset_mappings(pt, [unpack_columns(pt, v, len(cols)) for v in values]), witnesses)
+        LatticeAlgebraElement(m, forms[join_index[v]])
+        for m, v in zip(_atomset_mappings(pt, [unpack_columns(pt, v, len(cols)) for v in values]), values)
     )
     return SyntacticLatticeAlgebra(
         pt, dfa, elements, one, top_id, bottom_id, tuple(letter_ids),

@@ -468,7 +468,10 @@ def test_monoid_table_builds_no_cayley_row(monkeypatch, capsys, pattern):
      ("lattice", "a+b+", "ab"), ("lattice", "(a|bc)*(c|%e)", "abc"), ("lattice", "(a|b)*abb", "ab")],
 )
 def test_each_format_builds_only_the_table_rows_it_reads(monkeypatch, capsys, level, pattern, alphabet):
-    # dot reads the order alone, the text table one product row per column state, json every row
+    # dot reads the order alone, the text table one product row per column state, json every row;
+    # a semiring's product rows are walked over its final ∧ rows, so the text table builds those
+    # its product rows read: ([∧ rows], product rows) for the table, then with suppressed columns
+    semiring_rows = {"a+b+": [([7], 6), ([6], 3)], "(a|b)*a(a|b)(a|b)": [([15], 9), ([15], 8)]}
     from synlat import cli
 
     name = "syntactic_semiring" if level == "semiring" else "syntactic_lattice_algebra"
@@ -493,9 +496,13 @@ def test_each_format_builds_only_the_table_rows_it_reads(monkeypatch, capsys, le
 
     lattice_rows, mul_rows, _ = rows_built("--format", "dot")
     assert (set(lattice_rows), mul_rows) == ({0}, 0)
-    for flags in (["--format", "table"], ["--suppress-derivable-columns"]):
+    for i, flags in enumerate((["--format", "table"], ["--suppress-derivable-columns"])):
         lattice_rows, mul_rows, _ = rows_built(*flags)
-        assert set(lattice_rows) == {0} and 1 <= mul_rows <= columns
+        assert 1 <= mul_rows <= columns
+        if level == "semiring":
+            assert (lattice_rows, mul_rows) == semiring_rows[pattern][i]
+        else:
+            assert set(lattice_rows) == {0}
     lattice_rows, mul_rows, n = rows_built("--format", "json")
     assert set(lattice_rows) == {n} and mul_rows == n
 

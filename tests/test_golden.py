@@ -128,3 +128,19 @@ def test_1665_element_lattice_algebra_matches_golden_digest(capsys, fmt, digest)
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [("dot", "ebd3c102290b6f26d01814d816058d26d1e2510d359a3ac748db4243cb43e950"),
+     ("table", "86af7c78d289d2267be734ec31f386b8bc00082e8642895606a981ae5a5e2d6d")],
+)
+def test_2732_element_semiring_matches_golden_digest(capsys, fmt, digest):
+    """The largest pinned semiring, (a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b) over ab, whose rows are walked in
+    final ids: dot reads its order alone, the text table the product rows of its columns."""
+    argv = ["algebra", "--level", "semiring", "--regex", "(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)", "--alphabet", "ab",
+            "--format", fmt, "--budget-elements", "5000"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest

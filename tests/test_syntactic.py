@@ -1,16 +1,21 @@
 import random
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, strategies as st
 
 import synlat
 from synlat import terms as tm
-from synlat.atoms import residual_atoms
-from synlat.canonical import hasse_from_leq
+from synlat.atoms import quotient_bits, residual_atoms, unpack_columns
+from synlat.automata import close_values
+from synlat.canonical import hasse_from_leq, quotient_moves, state_closures
 from synlat.errors import BudgetError
 from synlat.syntactic import (
     SyntacticLatticeAlgebra,
     LatticeAlgebraElement,
+    _least_lattice_forms,
+    _meet_values,
+    _quotients,
     check_lattice_algebra_axioms,
     extend_semiring_action,
     hasse_of_elements,
@@ -895,3 +900,48 @@ def test_lattice_covers_on_random_corpus(seed):
 def test_lattice_covers_on_random_languages(seed, alphabet):
     dfa = synlat.compile_canonical_dfa(random_ast(random.Random(seed), alphabet))
     assert_lattice_covers_match_brute_force(dfa, synlat.build_profile_table(dfa))
+
+
+# --- letter rows walked along the values closures' trees, against each column's quotient ---
+
+WALK_BUDGET = 500   # closures past it are skipped
+
+
+@st.composite
+def random_dfas(draw):
+    """A minimal DFA of up to five states over one to three letters in any order, random transitions and finals."""
+    n = draw(st.integers(1, 5))
+    alphabet = draw(st.permutations("abc"))[:draw(st.integers(1, 3))]
+    row = st.tuples(*[st.integers(0, n - 1)] * len(alphabet))
+    delta = draw(st.lists(row, min_size=n, max_size=n))
+    finals = draw(st.frozensets(st.integers(0, n - 1)))
+    return synlat.minimize(synlat.Dfa(tuple(alphabet), tuple(delta), 0, finals))
+
+
+def column_quotients(pt, v, n_columns, letter):
+    """Each column's letter quotient, on n_columns columns packed into v (atoms.pack_images)."""
+    width = pt.n_profiles
+    return sum(quotient_bits(pt, x, letter) << c * width for c, x in enumerate(unpack_columns(pt, v, n_columns)))
+
+
+@given(random_dfas())
+def test_walked_letter_rows_match_column_quotients_on_random_dfas(dfa):
+    # the semiring's meet values are the residual quotient's; the builders walk these rows where
+    # they took each column's quotient of every value before
+    pt = synlat.build_profile_table(dfa)
+    quotients = [(pt.residual_bits, dfa.delta)]
+    try:
+        *_, (states, index, _) = state_closures(pt, dfa, WALK_BUDGET)
+        quotients.append((states, quotient_moves(pt, dfa, states, index)))
+    except BudgetError:
+        pass
+    for cols, delta in quotients:
+        try:
+            monoid_right, meets, _, meet_image, _, steps = _meet_values(pt, dfa, cols, delta, WALK_BUDGET, "values")
+            joins, _, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), WALK_BUDGET, "values")
+        except BudgetError:
+            continue
+        _, (_, meet_tree, join_tree) = _least_lattice_forms(dfa, monoid_right, meet_image, join_right)
+        meet_rows = _quotients(meet_tree, steps, and_, meets[0])
+        for values, rows in [(meets, meet_rows), (joins, _quotients(join_tree, meet_rows, or_, 0))]:
+            assert rows == [tuple(column_quotients(pt, v, len(cols), a) for a in dfa.alphabet) for v in values]
