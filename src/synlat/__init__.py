@@ -40,15 +40,6 @@ from .errors import (
     SynlatError,
     TermSyntaxError,
 )
-from .oracle import (
-    OracleConfig,
-    oracle_enumerate_elements,
-    oracle_enumerate_saturated,
-    oracle_lattice_congruent,
-    oracle_monoid_congruent,
-    oracle_semiring_congruent,
-    oracle_transition_action,
-)
 from .regex import RegexAst, compile_canonical_dfa, parse_regex
 from .reversible import (
     ForbiddenWitness,
@@ -97,3 +88,26 @@ from .terms import (
 )
 
 __version__ = "0.1.0"
+
+# The test oracles, imported on first use (PEP 562): no command reads them.
+_ORACLE_NAMES = (
+    "OracleConfig",
+    "oracle_enumerate_elements",
+    "oracle_enumerate_saturated",
+    "oracle_lattice_congruent",
+    "oracle_monoid_congruent",
+    "oracle_semiring_congruent",
+    "oracle_transition_action",
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_ORACLE_NAMES])

@@ -14,19 +14,20 @@ states.  Complements are deliberately not representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import Dfa, close_values
+from .records import Record, set_field
 
 DEFAULT_PROFILE_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(Record):
     """A set of realized profiles, i.e. a positive Boolean combination of residuals."""
 
-    table: "ProfileTable"
-    bits: int
+    _fields = ("table", "bits")
+
+    def __init__(self, table: ProfileTable, bits: int):
+        set_field(self, "table", table)
+        set_field(self, "bits", bits)
 
     def __eq__(self, other):
         if not isinstance(other, AtomSet):

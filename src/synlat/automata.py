@@ -9,43 +9,50 @@ byte-reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import BudgetError, InconsistencyError
+from .records import Record, set_field
 
 DEFAULT_STATE_BUDGET = 4096   # states of any automaton built by the package
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Complete DFA.  delta[state][letter_index] is the successor state."""
 
-    alphabet: tuple[str, ...]
-    delta: tuple[tuple[int, ...], ...]
-    initial: int
-    finals: frozenset[int]
-    state_labels: tuple[str, ...] | None = None
-    _letter_index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("alphabet", "delta", "initial", "finals", "state_labels")
+    state_labels = None
 
-    def __post_init__(self):
-        n = len(self.delta)
-        if not self.alphabet:
+    def __init__(
+        self,
+        alphabet: tuple[str, ...],
+        delta: tuple[tuple[int, ...], ...],
+        initial: int,
+        finals: frozenset[int],
+        state_labels: tuple[str, ...] | None = None,
+    ):
+        n = len(delta)
+        if not alphabet:
             raise ValueError("alphabet must be non-empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        if not 0 <= self.initial < n:
+        if not 0 <= initial < n:
             raise ValueError("initial state out of range")
-        for row in self.delta:
-            if len(row) != len(self.alphabet):
+        for row in delta:
+            if len(row) != len(alphabet):
                 raise ValueError("delta row width does not match alphabet")
             for q in row:
                 if not 0 <= q < n:
                     raise ValueError("transition target out of range")
-        if not all(0 <= q < n for q in self.finals):
+        if not all(0 <= q < n for q in finals):
             raise ValueError("final state out of range")
-        if self.state_labels is not None and len(self.state_labels) != n:
+        if state_labels is not None and len(state_labels) != n:
             raise ValueError("state_labels length does not match state count")
-        object.__setattr__(self, "_letter_index", {a: i for i, a in enumerate(self.alphabet)})
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "delta", delta)
+        set_field(self, "initial", initial)
+        set_field(self, "finals", finals)
+        set_field(self, "state_labels", state_labels)
+        set_field(self, "_letter_index", {a: i for i, a in enumerate(alphabet)})
 
     @property
     def n_states(self) -> int:

@@ -15,20 +15,22 @@ numbers the states as the pairwise closure under ∩ (∪) discovers them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
 from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, number, tree_paths
+from .records import Record, set_field
 from . import terms
 from .terms import word_key
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(Record):
     """Cover pairs (lower, upper) of a partial order on an indexed node set."""
 
-    covers: tuple[tuple[int, int], ...]
+    _fields = ("covers",)
+
+    def __init__(self, covers: tuple[tuple[int, int], ...]):
+        set_field(self, "covers", covers)
 
 
 def hasse_from_leq(up) -> HasseDiagram:
@@ -62,37 +64,43 @@ def _inclusion_order(bits) -> HasseDiagram:
     return hasse_from_leq([sum(1 << j for j, y in enumerate(bits) if x | y == y) for x in bits])
 
 
-@dataclass(frozen=True)
-class MeetAutomaton:
-    table: ProfileTable
-    states: tuple[AtomSet, ...]
-    witnesses: tuple[tuple[str, ...], ...]   # meet form over access words, per state
-    delta: tuple[tuple[int, ...], ...]
-    initial: int
-    finals: frozenset[int]
-    order: HasseDiagram
+class _Automaton(Record):
+    """A meet or lattice automaton: its states, each with its witness, and their order."""
+
+    _fields = ("table", "states", "witnesses", "delta", "initial", "finals", "order")
+
+    def __init__(
+        self,
+        table: ProfileTable,
+        states: tuple[AtomSet, ...],
+        witnesses: tuple,
+        delta: tuple[tuple[int, ...], ...],
+        initial: int,
+        finals: frozenset[int],
+        order: HasseDiagram,
+    ):
+        set_field(self, "table", table)
+        set_field(self, "states", states)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "delta", delta)
+        set_field(self, "initial", initial)
+        set_field(self, "finals", finals)
+        set_field(self, "order", order)
 
     @property
     def alphabet(self):
         return self.table.dfa.alphabet
+
+
+class MeetAutomaton(_Automaton):
+    """Witnesses are meet forms over access words (tuple[str, ...]), one per state."""
 
     def labels(self) -> tuple[str, ...]:
         return tuple(terms.meet_form_str(w) for w in self.witnesses)
 
 
-@dataclass(frozen=True)
-class LatticeAutomaton:
-    table: ProfileTable
-    states: tuple[AtomSet, ...]
-    witnesses: tuple[tuple[tuple[str, ...], ...], ...]  # lattice form per state
-    delta: tuple[tuple[int, ...], ...]
-    initial: int
-    finals: frozenset[int]
-    order: HasseDiagram
-
-    @property
-    def alphabet(self):
-        return self.table.dfa.alphabet
+class LatticeAutomaton(_Automaton):
+    """Witnesses are lattice forms (tuple[tuple[str, ...], ...]), one per state."""
 
     def labels(self) -> tuple[str, ...]:
         return tuple(terms.lattice_form_str(w) for w in self.witnesses)

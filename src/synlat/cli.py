@@ -18,7 +18,6 @@ import functools
 import gc
 import os
 import sys
-from dataclasses import dataclass
 
 from . import render
 from .atoms import DEFAULT_PROFILE_BUDGET, build_profile_table
@@ -36,20 +35,31 @@ from .errors import (
     RegexSyntaxError,
     TermSyntaxError,
 )
+from .records import Record
 from .regex import compile_canonical_dfa, parse_regex
 from .reversible import DEFAULT_QUADRUPLE_BUDGET, is_reversible
 from .syntactic import DEFAULT_ELEMENT_BUDGET, syntactic_lattice_algebra, syntactic_monoid, syntactic_semiring
 
 
-@dataclass
-class Budgets:
-    profiles: int = DEFAULT_PROFILE_BUDGET
-    states: int = DEFAULT_STATE_BUDGET
-    elements: int = DEFAULT_ELEMENT_BUDGET
-    quadruples: int = DEFAULT_QUADRUPLE_BUDGET
+class Budgets(Record):
+    """Every stage's budget.  Unlike the other records it can be assigned to, so it has no hash."""
 
-    def __post_init__(self):
-        for name in ("profiles", "states", "elements", "quadruples"):
+    _fields = ("profiles", "states", "elements", "quadruples")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    profiles = DEFAULT_PROFILE_BUDGET       # the defaults, which the parser reads
+    states = DEFAULT_STATE_BUDGET
+    elements = DEFAULT_ELEMENT_BUDGET
+    quadruples = DEFAULT_QUADRUPLE_BUDGET
+
+    def __init__(self, profiles: int = profiles, states: int = states, elements: int = elements,
+                 quadruples: int = quadruples):
+        self.profiles = profiles
+        self.states = states
+        self.elements = elements
+        self.quadruples = quadruples
+        for name in self._fields:
             if getattr(self, name) <= 0:
                 raise InputError(f"budget {name} must be positive")
 

@@ -10,12 +10,12 @@ heuristic rather than a theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .atoms import AtomSet, ProfileTable, join, meet, residual_atoms, top, bottom
 from .automata import Dfa, run
 from .errors import BudgetError
+from .records import Record, set_field
 from .reversible import IdentityCounterexample
 from .syntactic import SyntacticMonoid
 from .terms import multiply_lattice_forms
@@ -23,14 +23,16 @@ from .terms import multiply_lattice_forms
 DEFAULT_SUBSET_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_word_len: int = 3
-    max_term_nodes: int = 3
+class OracleConfig(Record):
+    _fields = ("max_word_len", "max_term_nodes")
+    max_word_len = 3
+    max_term_nodes = 3
 
-    def __post_init__(self):
-        if self.max_word_len < 1 or self.max_term_nodes < 1:
+    def __init__(self, max_word_len: int = max_word_len, max_term_nodes: int = max_term_nodes):
+        if max_word_len < 1 or max_term_nodes < 1:
             raise ValueError("oracle bounds must be positive")
+        set_field(self, "max_word_len", max_word_len)
+        set_field(self, "max_term_nodes", max_term_nodes)
 
 
 def words_upto(alphabet, n):

@@ -13,60 +13,100 @@ missed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import DEFAULT_STATE_BUDGET, Dfa, close_values, minimize
 from .errors import BudgetError, InputError, RegexSyntaxError
+from .records import Record, set_field
 
 
-class Node:
+class Node(Record):
+    """A syntax tree node.  Compilation hashes and compares nodes by the
+    hundred thousand, so each class has its own __eq__ and __hash__, those a
+    frozen dataclass would have; these two serve Empty and Epsilon."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class Empty(Node):          # %0, the empty language
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Empty(Node):          # %0, the empty language
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class Epsilon(Node):        # %e, the language {λ}
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Letter(Node):
-    char: str
+    __slots__ = _fields = ("char",)
+
+    def __init__(self, char: str):
+        set_field(self, "char", char)
+
+    def __eq__(self, other):
+        return self.char == other.char if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.char,))
 
 
-@dataclass(frozen=True, slots=True)
-class Concat(Node):
-    parts: tuple[Node, ...]
+class _Parts(Node):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Node, ...]):
+        set_field(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True, slots=True)
-class Union(Node):
-    parts: tuple[Node, ...]
+class Concat(_Parts):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Star(Node):
-    inner: Node
+class Union(_Parts):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Plus(Node):           # sugar: x+ == x x*
-    inner: Node
+class _Inner(Node):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Node):
+        set_field(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.inner is other.inner or self.inner == other.inner
+
+    def __hash__(self):
+        return hash((self.inner,))
 
 
-@dataclass(frozen=True, slots=True)
-class Optional(Node):       # sugar: x? == x | %e
-    inner: Node
+class Star(_Inner):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegexAst:
-    root: Node
-    alphabet: tuple[str, ...]
+class Plus(_Inner):         # sugar: x+ == x x*
+    __slots__ = ()
+
+
+class Optional(_Inner):     # sugar: x? == x | %e
+    __slots__ = ()
+
+
+class RegexAst(Record):
+    _fields = ("root", "alphabet")
+
+    def __init__(self, root: Node, alphabet: tuple[str, ...]):
+        set_field(self, "root", root)
+        set_field(self, "alphabet", alphabet)
 
 
 MAX_NESTING = 100

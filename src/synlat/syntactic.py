@@ -27,7 +27,6 @@ rows it prints.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import NamedTuple
@@ -36,8 +35,9 @@ from .atoms import AtomSet, ProfileTable, own_bits, pack_images, residual_atoms,
 from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
 from .canonical import HasseDiagram, hasse_from_leq, quotient_moves, state_closures
 from .errors import InconsistencyError
+from .records import Record, set_field
 from . import terms
-from .terms import LatticeForm, MeetForm
+from .terms import LatticeForm
 
 DEFAULT_ELEMENT_BUDGET = 100_000
 
@@ -128,15 +128,30 @@ def _quotients(tree, steps, op, seed: int) -> list[tuple[int, ...]]:
     return rows
 
 
-@dataclass(frozen=True)
-class SyntacticMonoid:
-    dfa: Dfa
-    elements: tuple[DfaTransformation, ...]
-    identity: int
-    table: IntRows = field(compare=False)   # table[i][j] = class of witness_i · witness_j
-    letter_elements: tuple[int, ...]        # per alphabet position
-    index: dict[tuple[int, ...], int] = field(compare=False, repr=False)   # mapping -> element
-    right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)   # right[i][a] = i · letter a
+class SyntacticMonoid(Record):
+    """== and hash read neither table, index nor right, and repr shows neither index nor right."""
+
+    _fields = ("dfa", "elements", "identity", "table", "letter_elements", "index", "right")
+    _compare = ("dfa", "elements", "identity", "letter_elements")
+    _hidden = ("index", "right")
+
+    def __init__(
+        self,
+        dfa: Dfa,
+        elements: tuple[DfaTransformation, ...],
+        identity: int,
+        table: IntRows,                          # table[i][j] = class of witness_i · witness_j
+        letter_elements: tuple[int, ...],        # per alphabet position
+        index: dict[tuple[int, ...], int],       # mapping -> element
+        right: tuple[tuple[int, ...], ...],      # right[i][a] = i · letter a
+    ):
+        set_field(self, "dfa", dfa)
+        set_field(self, "elements", elements)
+        set_field(self, "identity", identity)
+        set_field(self, "table", table)
+        set_field(self, "letter_elements", letter_elements)
+        set_field(self, "index", index)
+        set_field(self, "right", right)
 
     def __len__(self):
         return len(self.elements)
@@ -213,25 +228,44 @@ def omega_power(m: SyntacticMonoid, e: int) -> int:
     raise InconsistencyError("no idempotent power found; the monoid is not closed")
 
 
-@dataclass(frozen=True)
-class SemiringElement:
+class _Element(Record):
+    """An algebra element: its action, a tuple of AtomSets, and its witness form."""
+
+    _fields = ("mapping", "witness")
+
+    def __init__(self, mapping: tuple[AtomSet, ...], witness):
+        set_field(self, "mapping", mapping)
+        set_field(self, "witness", witness)
+
+
+class SemiringElement(_Element):
     """Action on residuals (images are meet-automaton states) plus witness meet form."""
 
-    mapping: tuple[AtomSet, ...]
-    witness: MeetForm
 
+class SyntacticSemiring(Record):
+    _fields = ("pt", "dfa", "elements", "one", "top", "letter_elements", "meet_table", "mul_table", "order")
 
-@dataclass(frozen=True)
-class SyntacticSemiring:
-    pt: ProfileTable
-    dfa: Dfa
-    elements: tuple[SemiringElement, ...]
-    one: int
-    top: int
-    letter_elements: tuple[int, ...]
-    meet_table: IntRows
-    mul_table: IntRows
-    order: HasseDiagram
+    def __init__(
+        self,
+        pt: ProfileTable,
+        dfa: Dfa,
+        elements: tuple[SemiringElement, ...],
+        one: int,
+        top: int,
+        letter_elements: tuple[int, ...],
+        meet_table: IntRows,
+        mul_table: IntRows,
+        order: HasseDiagram,
+    ):
+        set_field(self, "pt", pt)
+        set_field(self, "dfa", dfa)
+        set_field(self, "elements", elements)
+        set_field(self, "one", one)
+        set_field(self, "top", top)
+        set_field(self, "letter_elements", letter_elements)
+        set_field(self, "meet_table", meet_table)
+        set_field(self, "mul_table", mul_table)
+        set_field(self, "order", order)
 
     def __len__(self):
         return len(self.elements)
@@ -373,28 +407,42 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
     )
 
 
-@dataclass(frozen=True)
-class LatticeAlgebraElement:
+class LatticeAlgebraElement(_Element):
     """Action on the column states (images are lattice-automaton states) plus witness form."""
 
-    mapping: tuple[AtomSet, ...]
-    witness: LatticeForm
 
+class SyntacticLatticeAlgebra(Record):
+    _fields = ("pt", "dfa", "elements", "one", "top", "bottom", "generators",
+               "meet_table", "join_table", "mul_table", "order", "columns")
+    columns = None
 
-@dataclass(frozen=True)
-class SyntacticLatticeAlgebra:
-    pt: ProfileTable
-    dfa: Dfa
-    elements: tuple[LatticeAlgebraElement, ...]
-    one: int
-    top: int
-    bottom: int
-    generators: tuple[int, ...]              # P: letter images, per alphabet position
-    meet_table: IntRows
-    join_table: IntRows
-    mul_table: IntRows | None
-    order: HasseDiagram
-    columns: tuple[AtomSet, ...] | None = None   # states acted on; None: the residuals
+    def __init__(
+        self,
+        pt: ProfileTable,
+        dfa: Dfa,
+        elements: tuple[LatticeAlgebraElement, ...],
+        one: int,
+        top: int,
+        bottom: int,
+        generators: tuple[int, ...],                # P: letter images, per alphabet position
+        meet_table: IntRows,
+        join_table: IntRows,
+        mul_table: IntRows | None,
+        order: HasseDiagram,
+        columns: tuple[AtomSet, ...] | None = None,   # states acted on; None: the residuals
+    ):
+        set_field(self, "pt", pt)
+        set_field(self, "dfa", dfa)
+        set_field(self, "elements", elements)
+        set_field(self, "one", one)
+        set_field(self, "top", top)
+        set_field(self, "bottom", bottom)
+        set_field(self, "generators", generators)
+        set_field(self, "meet_table", meet_table)
+        set_field(self, "join_table", join_table)
+        set_field(self, "mul_table", mul_table)
+        set_field(self, "order", order)
+        set_field(self, "columns", columns)
 
     def __len__(self):
         return len(self.elements)
@@ -634,12 +682,14 @@ def hasse_of_elements(alg) -> HasseDiagram:
     return alg.order
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
-    law: str
-    operands: tuple[int, ...]
-    lhs: int
-    rhs: int
+class AxiomViolation(Record):
+    _fields = ("law", "operands", "lhs", "rhs")
+
+    def __init__(self, law: str, operands: tuple[int, ...], lhs: int, rhs: int):
+        set_field(self, "law", law)
+        set_field(self, "operands", operands)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     def describe(self, alg=None) -> str:
         ops = ", ".join(str(o) for o in self.operands)
@@ -652,11 +702,14 @@ class AxiomViolation:
         return base
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    violations: tuple[AxiomViolation, ...]
-    checked: int
-    truncated: bool = False
+class AxiomReport(Record):
+    _fields = ("violations", "checked", "truncated")
+    truncated = False
+
+    def __init__(self, violations: tuple[AxiomViolation, ...], checked: int, truncated: bool = False):
+        set_field(self, "violations", violations)
+        set_field(self, "checked", checked)
+        set_field(self, "truncated", truncated)
 
     @property
     def ok(self) -> bool:

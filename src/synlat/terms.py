@@ -16,8 +16,6 @@ Term syntax: letters, `^` for ∧, `v` for ∨, juxtaposition or `.` for ·,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atoms import (
     AtomSet,
     ProfileTable,
@@ -34,34 +32,34 @@ from .atoms import (
 )
 from .automata import dfa_of_finite_language
 from .errors import InputError, SignatureError, TermSyntaxError
+from .records import Record, set_field
 from .regex import MAX_NESTING
 
 MeetForm = tuple[str, ...]
 LatticeForm = tuple[MeetForm, ...]
 
 
-class Term:
+class Term(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(Term):
-    char: str
+    __slots__ = _fields = ("char",)
+
+    def __init__(self, char: str):
+        set_field(self, "char", char)
 
 
-@dataclass(frozen=True, slots=True)
 class Lam(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class TopT(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class BotT(Term):
-    pass
+    __slots__ = ()
 
 
 class _Binary(Term):
@@ -69,7 +67,11 @@ class _Binary(Term):
     stack, since a term as high as MAX_TERM_HEIGHT (a word is a chain of Cats)
     would exhaust the interpreter's stack if they recursed."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def _preorder(self) -> tuple:
         """The classes of the inner nodes and the leaves, in preorder; since
@@ -106,22 +108,16 @@ class _Binary(Term):
         return "".join(out)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Cat(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Meet(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Join(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
 _RESERVED = set("^v.T_()% ")

@@ -1,0 +1,67 @@
+"""A fresh process importing synlat loads neither dataclasses, inspect nor the oracle module.
+
+Each check runs in a new interpreter with PYTHONPATH=src and looks only at
+the modules the import itself adds, so what the interpreter's site setup
+loads does not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+UNWANTED = ["dataclasses", "inspect", "synlat.oracle"]
+ORACLE_NAMES = [
+    "OracleConfig",
+    "oracle_enumerate_elements",
+    "oracle_enumerate_saturated",
+    "oracle_lattice_congruent",
+    "oracle_monoid_congruent",
+    "oracle_semiring_congruent",
+    "oracle_transition_action",
+]
+
+
+def _fresh(code: str):
+    """The JSON value code prints, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("module", ["synlat.cli", "synlat"])
+def test_import_leaves_out_dataclasses_inspect_and_the_oracle(module):
+    added = _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert module in added
+    assert [name for name in UNWANTED if name in added] == []
+
+
+def test_oracle_names_resolve_on_first_use():
+    got = _fresh(
+        "import json, sys\n"
+        "import synlat\n"
+        "listed = [n for n in dir(synlat) if n.startswith(('oracle_', 'Oracle'))]\n"
+        "loaded = 'synlat.oracle' in sys.modules\n"
+        "from synlat import oracle_monoid_congruent\n"
+        "config = synlat.OracleConfig()\n"
+        "import synlat.oracle as oracle\n"
+        "print(json.dumps([listed, loaded, oracle_monoid_congruent is oracle.oracle_monoid_congruent,\n"
+        "                  type(config) is oracle.OracleConfig]))\n"
+    )
+    assert got == [ORACLE_NAMES, False, True, True]
+
+
+def test_an_unknown_name_is_still_an_attribute_error():
+    import synlat
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        synlat.no_such_name
