@@ -13,92 +13,100 @@ missed.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .automata import DEFAULT_STATE_BUDGET, Dfa, close_values, minimize
 from .errors import BudgetError, InputError, RegexSyntaxError
 from .records import Record, set_field
 
 
 class Node(Record):
-    """A syntax tree node.  Compilation hashes and compares nodes by the
-    hundred thousand, so each class has its own __eq__ and __hash__, those a
-    frozen dataclass would have; these two serve Empty and Epsilon."""
+    """A syntax tree node.  Each node works out three fields once, in its own
+    __init__, from its children's: key, its class tag followed by its
+    children's keys, by which alt sorts a union; _hash, hashed from the tag
+    and the children's hashes, so hashing never walks the tree; and nullable,
+    whether its language holds λ.  Nodes are equal when their keys are.  A
+    class whose nullability is fixed sets it as a class attribute."""
 
-    __slots__ = ()
+    __slots__ = ("key", "_hash", "nullable")
 
     def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
+        if self is other:
+            return True
+        return self.key == other.key if isinstance(other, Node) else NotImplemented
 
     def __hash__(self):
-        return hash(())
+        return self._hash
 
 
 class Empty(Node):          # %0, the empty language
     __slots__ = ()
+    key, _hash, nullable = (0,), hash((0,)), False
 
 
 class Epsilon(Node):        # %e, the language {λ}
     __slots__ = ()
+    key, _hash, nullable = (1,), hash((1,)), True
 
 
 class Letter(Node):
     __slots__ = _fields = ("char",)
+    nullable = False
 
     def __init__(self, char: str):
         set_field(self, "char", char)
-
-    def __eq__(self, other):
-        return self.char == other.char if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.char,))
+        set_field(self, "key", (2, char))
+        set_field(self, "_hash", hash((2, char)))
 
 
-class _Parts(Node):
+class Star(Node):
+    __slots__ = _fields = ("inner",)
+    nullable = True
+
+    def __init__(self, inner: Node):
+        set_field(self, "inner", inner)
+        set_field(self, "key", (3, inner.key))
+        set_field(self, "_hash", hash((3, inner._hash)))
+
+
+class Concat(Node):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[Node, ...]):
         set_field(self, "parts", parts)
-
-    def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
+        set_field(self, "key", (4, *[p.key for p in parts]))
+        set_field(self, "_hash", hash((4, *[p._hash for p in parts])))
+        set_field(self, "nullable", all([p.nullable for p in parts]))
 
 
-class Concat(_Parts):
-    __slots__ = ()
+class Union(Node):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Node, ...]):
+        set_field(self, "parts", parts)
+        set_field(self, "key", (5, *[p.key for p in parts]))
+        set_field(self, "_hash", hash((5, *[p._hash for p in parts])))
+        set_field(self, "nullable", any([p.nullable for p in parts]))
 
 
-class Union(_Parts):
-    __slots__ = ()
-
-
-class _Inner(Node):
+class Plus(Node):           # sugar: x+ == x x*
     __slots__ = _fields = ("inner",)
 
     def __init__(self, inner: Node):
         set_field(self, "inner", inner)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.inner is other.inner or self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.inner,))
+        set_field(self, "key", (6, inner.key))
+        set_field(self, "_hash", hash((6, inner._hash)))
+        set_field(self, "nullable", inner.nullable)
 
 
-class Star(_Inner):
-    __slots__ = ()
+class Optional(Node):       # sugar: x? == x | %e
+    __slots__ = _fields = ("inner",)
+    nullable = True
 
-
-class Plus(_Inner):         # sugar: x+ == x x*
-    __slots__ = ()
-
-
-class Optional(_Inner):     # sugar: x? == x | %e
-    __slots__ = ()
+    def __init__(self, inner: Node):
+        set_field(self, "inner", inner)
+        set_field(self, "key", (7, inner.key))
+        set_field(self, "_hash", hash((7, inner._hash)))
 
 
 class RegexAst(Record):
@@ -227,22 +235,6 @@ _EMPTY = Empty()
 _EPSILON = Epsilon()
 
 
-def _key(node: Node):
-    if isinstance(node, Empty):
-        return (0,)
-    if isinstance(node, Epsilon):
-        return (1,)
-    if isinstance(node, Letter):
-        return (2, node.char)
-    if isinstance(node, Star):
-        return (3, _key(node.inner))
-    if isinstance(node, Concat):
-        return (4,) + tuple(_key(p) for p in node.parts)
-    if isinstance(node, Union):
-        return (5,) + tuple(_key(p) for p in node.parts)
-    raise TypeError(f"unnormalized node {node!r}")
-
-
 def cat(parts) -> Node:
     flat = []
     for p in parts:
@@ -270,7 +262,7 @@ def alt(parts) -> Node:
             flat.extend(p.parts)
         else:
             flat.append(p)
-    uniq = sorted(set(flat), key=_key)
+    uniq = sorted(set(flat), key=attrgetter("key"))
     if not uniq:
         return _EMPTY
     if len(uniq) == 1:
@@ -304,18 +296,6 @@ def desugar(node: Node) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
-def nullable(node: Node) -> bool:
-    if isinstance(node, Epsilon) or isinstance(node, Star):
-        return True
-    if isinstance(node, (Empty, Letter)):
-        return False
-    if isinstance(node, Concat):
-        return all(nullable(p) for p in node.parts)
-    if isinstance(node, Union):
-        return any(nullable(p) for p in node.parts)
-    raise TypeError(f"unnormalized node {node!r}")
-
-
 def derivative(node: Node, letter: str) -> Node:
     """Brzozowski derivative: the residual letter^{-1}(language of node)."""
     if isinstance(node, (Empty, Epsilon)):
@@ -338,7 +318,7 @@ def derivative(node: Node, letter: str) -> Node:
             if size > DERIVATIVE_PARTS_BUDGET:
                 raise BudgetError("derivative concatenation parts", DERIVATIVE_PARTS_BUDGET)
             branches.append(cat([derivative(head, letter), *node.parts[k + 1:]]))
-            if not nullable(head):
+            if not head.nullable:
                 break
         return alt(branches)
     raise TypeError(f"unnormalized node {node!r}")
@@ -384,6 +364,6 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
     """
     letter_ops = [lambda node, a=a: derivative(node, a) for a in ast.alphabet]
     order, _, delta = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
-    finals = frozenset(i for i, n in enumerate(order) if nullable(n))
+    finals = frozenset(i for i, n in enumerate(order) if n.nullable)
     labels = tuple(map(regex_to_str, order))
     return minimize(Dfa(ast.alphabet, tuple(delta), 0, finals, labels))

@@ -26,10 +26,10 @@ rows it prints.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, partial, reduce
 from operator import and_, or_
-from typing import NamedTuple
 
 from .atoms import AtomSet, ProfileTable, own_bits, pack_images, residual_atoms, top, unpack_columns
 from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
@@ -42,16 +42,13 @@ from .terms import LatticeForm
 DEFAULT_ELEMENT_BUDGET = 100_000
 
 
-class DfaTransformation(NamedTuple):
-    """Action of a word on the DFA states, with its shortlex-least witness.
+DfaTransformation = namedtuple("DfaTransformation", ("mapping", "witness"))
+DfaTransformation.__doc__ = """Action of a word on the DFA states, with its shortlex-least witness.
 
-    A named tuple: a monoid has thousands, and a tuple is built in half the
-    time of a frozen dataclass.  It compares equal to the plain tuple
-    (mapping, witness).
-    """
-
-    mapping: tuple[int, ...]
-    witness: str
+A named tuple of mapping (a tuple of state ids) and witness (a str): a
+monoid has thousands, and a tuple is built in half the time of a frozen
+dataclass.  It compares equal to the plain tuple (mapping, witness).
+"""
 
 
 class Memo(dict):

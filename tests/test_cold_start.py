@@ -1,8 +1,9 @@
-"""A fresh process importing synlat loads neither dataclasses, inspect nor the oracle module.
+"""A fresh process importing synlat loads neither dataclasses, inspect, typing nor the oracle module.
 
 Each check runs in a new interpreter with PYTHONPATH=src and looks only at
 the modules the import itself adds, so what the interpreter's site setup
-loads does not count.
+loads does not count; the typing check runs without site (-S), since site
+loads typing on many installs.
 """
 
 import json
@@ -26,10 +27,10 @@ ORACLE_NAMES = [
 ]
 
 
-def _fresh(code: str):
-    """The JSON value code prints, run in a fresh interpreter."""
+def _fresh(code: str, *flags: str):
+    """The JSON value code prints, run in a fresh interpreter with the given flags."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
@@ -43,6 +44,11 @@ def test_import_leaves_out_dataclasses_inspect_and_the_oracle(module):
     )
     assert module in added
     assert [name for name in UNWANTED if name in added] == []
+
+
+def test_a_cli_import_without_site_leaves_out_typing():
+    loaded = _fresh("import json, sys\nimport synlat.cli\nprint(json.dumps('typing' in sys.modules))", "-S")
+    assert loaded is False
 
 
 def test_oracle_names_resolve_on_first_use():

@@ -339,3 +339,16 @@ def test_terms_compare_as_their_class_and_fields_on_random_trees(x, y):
     copy = _rebuild_term(_term_reference(x))
     assert copy is not x
     _agree(x, copy, _term_reference)
+
+
+def test_dfa_transformation_is_a_named_tuple_of_mapping_and_witness():
+    x = sy.DfaTransformation((1, 0), "ab")
+    assert repr(x) == "DfaTransformation(mapping=(1, 0), witness='ab')"
+    assert x == ((1, 0), "ab") == sy.DfaTransformation(mapping=(1, 0), witness="ab") and hash(x) == hash(((1, 0), "ab"))
+    assert x != sy.DfaTransformation((1, 0), "ba") and x != sy.DfaTransformation((0, 1), "ab")
+    made = sy.DfaTransformation._make(iter([(1, 0), "ab"]))
+    assert type(made) is sy.DfaTransformation and made == x and (made.mapping, made.witness) == ((1, 0), "ab")
+    assert sy.DfaTransformation._fields == ("mapping", "witness") and pickle.loads(pickle.dumps(x)) == x
+    assert sy.DfaTransformation.__doc__.startswith("Action of a word on the DFA states")
+    with pytest.raises(AttributeError):
+        x.mapping = (0, 1)

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given
 
 import synlat
 from synlat import regex as rx
@@ -8,6 +9,7 @@ from synlat.automata import access_words
 from synlat.errors import BudgetError, InputError, RegexSyntaxError
 
 from conftest import ast_matches, build, random_regex_corpus, words_upto
+from test_records import _agree, _regex_reference, regex_trees
 
 
 def test_parse_plus_concat():
@@ -131,7 +133,7 @@ def recursive_derivative(node, letter):
     if isinstance(node, rx.Concat):
         head, tail = node.parts[0], rx.cat(node.parts[1:])
         branches = [rx.cat([recursive_derivative(head, letter), tail])]
-        if rx.nullable(head):
+        if head.nullable:
             branches.append(recursive_derivative(tail, letter))
         return rx.alt(branches)
     if isinstance(node, rx.Union):
@@ -197,3 +199,82 @@ def test_compiled_dfa_agrees_with_stdlib_re(seed):
         pattern = re.compile(stdlib_pattern(ast.root))
         for w in words_upto(ast.alphabet, 5):
             assert synlat.accepts(dfa, w) == (pattern.fullmatch(w) is not None), (pattern.pattern, w)
+
+
+# --- each node's key, nullable and hash, against recursive references ---
+
+def reference_key(node):
+    """The sort key alt orders unions by, recomputed over the whole tree."""
+    if isinstance(node, rx.Empty):
+        return (0,)
+    if isinstance(node, rx.Epsilon):
+        return (1,)
+    if isinstance(node, rx.Letter):
+        return (2, node.char)
+    if isinstance(node, rx.Star):
+        return (3, reference_key(node.inner))
+    if isinstance(node, rx.Concat):
+        return (4,) + tuple(reference_key(p) for p in node.parts)
+    if isinstance(node, rx.Union):
+        return (5,) + tuple(reference_key(p) for p in node.parts)
+    if isinstance(node, rx.Plus):
+        return (6, reference_key(node.inner))
+    if isinstance(node, rx.Optional):
+        return (7, reference_key(node.inner))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def reference_nullable(node):
+    """Whether the node's language holds λ, recomputed over the whole tree."""
+    if isinstance(node, (rx.Epsilon, rx.Star, rx.Optional)):
+        return True
+    if isinstance(node, (rx.Empty, rx.Letter)):
+        return False
+    if isinstance(node, rx.Plus):
+        return reference_nullable(node.inner)
+    if isinstance(node, rx.Concat):
+        return all(reference_nullable(p) for p in node.parts)
+    if isinstance(node, rx.Union):
+        return any(reference_nullable(p) for p in node.parts)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def subtrees(node):
+    yield node
+    for child in getattr(node, "parts", ()):
+        yield from subtrees(child)
+    if hasattr(node, "inner"):
+        yield from subtrees(node.inner)
+
+
+def made_from(tree):
+    """The tree, its desugared form and that form's derivatives by words of up to two letters."""
+    made = [tree, rx.desugar(tree)]
+    frontier = made[1:]
+    for _ in range(2):
+        frontier = [rx.derivative(n, a) for n in frontier for a in "ab"]
+        made.extend(frontier)
+    return made
+
+
+@given(regex_trees, regex_trees)
+def test_node_fields_match_recursive_references_on_random_trees(x, y):
+    made_x, made_y = made_from(x), made_from(y)
+    for node in made_x + made_y:
+        for n in subtrees(node):
+            assert n.key == reference_key(n)
+            assert n.nullable is reference_nullable(n)
+    for u in made_x:
+        for v in made_y:
+            _agree(u, v, _regex_reference)
+
+
+def test_hash_and_equality_do_not_walk_a_deep_chain():
+    chain = rx.Letter("a")
+    for _ in range(10_000):
+        inner = chain
+        chain = rx.Star(rx.Concat((rx.Letter("a"), inner)))
+    assert hash(chain) == hash(chain) and chain == chain
+    assert rx.Star(rx.Concat((rx.Letter("a"), inner))) == chain
+    assert rx.Star(rx.Concat((rx.Letter("b"), inner))) != chain
+    assert chain.nullable and not chain.inner.nullable
