@@ -19,7 +19,7 @@ from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
 from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, number, tree_paths
-from .records import Record, set_field
+from .records import Record
 from . import terms
 from .terms import word_key
 
@@ -28,9 +28,6 @@ class HasseDiagram(Record):
     """Cover pairs (lower, upper) of a partial order on an indexed node set."""
 
     _fields = ("covers",)
-
-    def __init__(self, covers: tuple[tuple[int, int], ...]):
-        set_field(self, "covers", covers)
 
 
 def hasse_from_leq(up) -> HasseDiagram:
@@ -68,24 +65,6 @@ class _Automaton(Record):
     """A meet or lattice automaton: its states, each with its witness, and their order."""
 
     _fields = ("table", "states", "witnesses", "delta", "initial", "finals", "order")
-
-    def __init__(
-        self,
-        table: ProfileTable,
-        states: tuple[AtomSet, ...],
-        witnesses: tuple,
-        delta: tuple[tuple[int, ...], ...],
-        initial: int,
-        finals: frozenset[int],
-        order: HasseDiagram,
-    ):
-        set_field(self, "table", table)
-        set_field(self, "states", states)
-        set_field(self, "witnesses", witnesses)
-        set_field(self, "delta", delta)
-        set_field(self, "initial", initial)
-        set_field(self, "finals", finals)
-        set_field(self, "order", order)
 
     @property
     def alphabet(self):

@@ -112,10 +112,6 @@ class Optional(Node):       # sugar: x? == x | %e
 class RegexAst(Record):
     _fields = ("root", "alphabet")
 
-    def __init__(self, root: Node, alphabet: tuple[str, ...]):
-        set_field(self, "root", root)
-        set_field(self, "alphabet", alphabet)
-
 
 MAX_NESTING = 100
 DERIVATIVE_PARTS_BUDGET = 10_000

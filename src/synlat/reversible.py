@@ -17,7 +17,7 @@ from collections import deque
 from .atoms import AtomSet, ProfileTable, build_profile_table, join, meet, pack_images, residual_atoms, unpack_columns
 from .automata import Dfa, run
 from .errors import BudgetError, InconsistencyError
-from .records import Record, set_field
+from .records import Record
 from .syntactic import SyntacticMonoid, omega_power, syntactic_monoid
 
 DEFAULT_QUADRUPLE_BUDGET = 1_000_000
@@ -26,39 +26,13 @@ DEFAULT_QUADRUPLE_BUDGET = 1_000_000
 class ForbiddenWitness(Record):
     _fields = ("f", "g", "h", "x", "y")
 
-    def __init__(self, f: int, g: int, h: int, x: str, y: str):
-        set_field(self, "f", f)
-        set_field(self, "g", g)
-        set_field(self, "h", h)
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
 
 class IdentityCounterexample(Record):
     _fields = ("p", "u", "v", "w", "state", "lhs", "rhs")
 
-    def __init__(self, p: str, u: str, v: str, w: str, state: int, lhs: AtomSet, rhs: AtomSet):
-        set_field(self, "p", p)
-        set_field(self, "u", u)
-        set_field(self, "v", v)
-        set_field(self, "w", w)
-        set_field(self, "state", state)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
 
 class ReversibilityReport(Record):
     _fields = ("reversible", "forbidden", "identity_counterexample")
-
-    def __init__(
-        self,
-        reversible: bool,
-        forbidden: ForbiddenWitness | None,
-        identity_counterexample: IdentityCounterexample | None,
-    ):
-        set_field(self, "reversible", reversible)
-        set_field(self, "forbidden", forbidden)
-        set_field(self, "identity_counterexample", identity_counterexample)
 
 
 def _escape_step(dfa: Dfa, g: int) -> tuple[int, str] | None:

@@ -71,12 +71,12 @@ class IntRows(Sequence):
     semiring's ∧ and product, the lattice quotients' ∧, ∨ and product.  So a
     format builds only the rows it reads: dot none, the text table one
     product row per column state and a semiring's ∧ rows those read, the
-    JSON document every row.  It equals, hashes and prints as the tuple of
-    its rows, so it stands wherever that tuple did, and render._json writes
-    it without looking at its cells.  rows holds the rows built so far and
-    builds a missing one on lookup (a Memo), so iterating runs in C but for
-    the rows it builds; self[i] adds a Python call a row, and a walker over
-    every cell reads tuple(self).
+    JSON document every row.  It equals, hashes, prints and pickles as the
+    tuple of its rows, so it stands wherever that tuple did, and
+    render._json writes it without looking at its cells.  rows holds the
+    rows built so far and builds a missing one on lookup (a Memo), so
+    iterating runs in C but for the rows it builds; self[i] adds a Python
+    call a row, and a walker over every cell reads tuple(self).
     """
 
     def __init__(self, n: int, row):
@@ -103,6 +103,9 @@ class IntRows(Sequence):
     def __repr__(self):
         return repr(tuple(self))
 
+    def __reduce__(self):   # row holds a local function, which pickle refuses
+        return tuple, (tuple(self),)
+
 
 def _walk(table, tree, start: int) -> list[int]:
     """The cells along a breadth-first tree from start: cell 0 is start, and
@@ -128,27 +131,11 @@ def _quotients(tree, steps, op, seed: int) -> list[tuple[int, ...]]:
 class SyntacticMonoid(Record):
     """== and hash read neither table, index nor right, and repr shows neither index nor right."""
 
+    # table[i][j] = class of witness_i · witness_j; letter_elements: per alphabet
+    # position; index: mapping -> element; right[i][a] = i · letter a
     _fields = ("dfa", "elements", "identity", "table", "letter_elements", "index", "right")
     _compare = ("dfa", "elements", "identity", "letter_elements")
     _hidden = ("index", "right")
-
-    def __init__(
-        self,
-        dfa: Dfa,
-        elements: tuple[DfaTransformation, ...],
-        identity: int,
-        table: IntRows,                          # table[i][j] = class of witness_i · witness_j
-        letter_elements: tuple[int, ...],        # per alphabet position
-        index: dict[tuple[int, ...], int],       # mapping -> element
-        right: tuple[tuple[int, ...], ...],      # right[i][a] = i · letter a
-    ):
-        set_field(self, "dfa", dfa)
-        set_field(self, "elements", elements)
-        set_field(self, "identity", identity)
-        set_field(self, "table", table)
-        set_field(self, "letter_elements", letter_elements)
-        set_field(self, "index", index)
-        set_field(self, "right", right)
 
     def __len__(self):
         return len(self.elements)
@@ -241,28 +228,6 @@ class SemiringElement(_Element):
 
 class SyntacticSemiring(Record):
     _fields = ("pt", "dfa", "elements", "one", "top", "letter_elements", "meet_table", "mul_table", "order")
-
-    def __init__(
-        self,
-        pt: ProfileTable,
-        dfa: Dfa,
-        elements: tuple[SemiringElement, ...],
-        one: int,
-        top: int,
-        letter_elements: tuple[int, ...],
-        meet_table: IntRows,
-        mul_table: IntRows,
-        order: HasseDiagram,
-    ):
-        set_field(self, "pt", pt)
-        set_field(self, "dfa", dfa)
-        set_field(self, "elements", elements)
-        set_field(self, "one", one)
-        set_field(self, "top", top)
-        set_field(self, "letter_elements", letter_elements)
-        set_field(self, "meet_table", meet_table)
-        set_field(self, "mul_table", mul_table)
-        set_field(self, "order", order)
 
     def __len__(self):
         return len(self.elements)
@@ -409,37 +374,11 @@ class LatticeAlgebraElement(_Element):
 
 
 class SyntacticLatticeAlgebra(Record):
+    # generators, P: letter images, per alphabet position; mul_table: None if
+    # built without tables; columns: the states acted on, None: the residuals
     _fields = ("pt", "dfa", "elements", "one", "top", "bottom", "generators",
                "meet_table", "join_table", "mul_table", "order", "columns")
     columns = None
-
-    def __init__(
-        self,
-        pt: ProfileTable,
-        dfa: Dfa,
-        elements: tuple[LatticeAlgebraElement, ...],
-        one: int,
-        top: int,
-        bottom: int,
-        generators: tuple[int, ...],                # P: letter images, per alphabet position
-        meet_table: IntRows,
-        join_table: IntRows,
-        mul_table: IntRows | None,
-        order: HasseDiagram,
-        columns: tuple[AtomSet, ...] | None = None,   # states acted on; None: the residuals
-    ):
-        set_field(self, "pt", pt)
-        set_field(self, "dfa", dfa)
-        set_field(self, "elements", elements)
-        set_field(self, "one", one)
-        set_field(self, "top", top)
-        set_field(self, "bottom", bottom)
-        set_field(self, "generators", generators)
-        set_field(self, "meet_table", meet_table)
-        set_field(self, "join_table", join_table)
-        set_field(self, "mul_table", mul_table)
-        set_field(self, "order", order)
-        set_field(self, "columns", columns)
 
     def __len__(self):
         return len(self.elements)
@@ -682,12 +621,6 @@ def hasse_of_elements(alg) -> HasseDiagram:
 class AxiomViolation(Record):
     _fields = ("law", "operands", "lhs", "rhs")
 
-    def __init__(self, law: str, operands: tuple[int, ...], lhs: int, rhs: int):
-        set_field(self, "law", law)
-        set_field(self, "operands", operands)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
     def describe(self, alg=None) -> str:
         ops = ", ".join(str(o) for o in self.operands)
         base = f"{self.law} at ({ops}): {self.lhs} != {self.rhs}"
@@ -702,11 +635,6 @@ class AxiomViolation(Record):
 class AxiomReport(Record):
     _fields = ("violations", "checked", "truncated")
     truncated = False
-
-    def __init__(self, violations: tuple[AxiomViolation, ...], checked: int, truncated: bool = False):
-        set_field(self, "violations", violations)
-        set_field(self, "checked", checked)
-        set_field(self, "truncated", truncated)
 
     @property
     def ok(self) -> bool:

@@ -32,7 +32,7 @@ from .atoms import (
 )
 from .automata import dfa_of_finite_language
 from .errors import InputError, SignatureError, TermSyntaxError
-from .records import Record, set_field
+from .records import Record
 from .regex import MAX_NESTING
 
 MeetForm = tuple[str, ...]
@@ -45,9 +45,6 @@ class Term(Record):
 
 class Sym(Term):
     __slots__ = _fields = ("char",)
-
-    def __init__(self, char: str):
-        set_field(self, "char", char)
 
 
 class Lam(Term):
@@ -68,10 +65,6 @@ class _Binary(Term):
     would exhaust the interpreter's stack if they recursed."""
 
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
     def _preorder(self) -> tuple:
         """The classes of the inner nodes and the leaves, in preorder; since

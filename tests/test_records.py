@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from synlat import atoms, automata, canonical as cn, cli, oracle, regex as rx, reversible as rv, syntactic as sy
 from synlat import terms as tm
 from synlat.errors import InputError
+from synlat.records import Record
 
 a, b = rx.Letter("a"), rx.Letter("b")
 sa, sb = tm.Sym("a"), tm.Sym("b")
@@ -107,6 +108,13 @@ RECORDS = [
     (cli.Budgets, [("profiles", 1, 2), ("states", 3, 4), ("elements", 5, 6), ("quadruples", 7, 8)], (), ()),
 ]
 IDS = [spec[0].__name__ for spec in RECORDS]
+GENERIC = [spec for spec in RECORDS if spec[0].__init__ is Record.__init__]
+DEFAULTS = {(sy.SyntacticLatticeAlgebra, "columns"): None, (sy.AxiomReport, "truncated"): False}
+# the classes that validate their arguments, derive a field or are built in bulk
+OWN_INIT = {automata.Dfa, cli.Budgets, oracle.OracleConfig, rx.Letter, rx.Star, rx.Concat, rx.Union,
+            rx.Plus, rx.Optional, atoms.AtomSet, sy._Element}
+ABSTRACT = {rx.Node, tm.Term}   # bases, never built
+NOT_IN_RECORDS = {atoms.AtomSet}   # equal only over one table object: test_atom_sets_are_equal_only_over_one_table
 MUTABLE = {cli.Budgets}
 SLOTTED = {rx.Empty, rx.Epsilon, rx.Letter, rx.Concat, rx.Union, rx.Star, rx.Plus, rx.Optional,
            tm.Sym, tm.Lam, tm.TopT, tm.BotT, tm.Cat, tm.Meet, tm.Join}
@@ -174,10 +182,60 @@ def test_pickling_round_trips(cls, fields, ignored, hidden):
     assert type(y) is cls and y == x and repr(y) == repr(x)
 
 
+@pytest.mark.parametrize("cls,fields,ignored,hidden", GENERIC, ids=[spec[0].__name__ for spec in GENERIC])
+def test_generic_constructor_refuses_wrong_arguments(cls, fields, ignored, hidden):
+    values = [value for _, value, _ in fields]
+    with pytest.raises(TypeError):
+        cls(*values, "extra")
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+    for i, (name, value, _) in enumerate(fields):
+        with pytest.raises(TypeError):
+            cls(*values[: i + 1], **{name: value})
+        rest = {other: v for other, v, _ in fields if other != name}
+        if (cls, name) in DEFAULTS:
+            assert getattr(cls(**rest), name) is DEFAULTS[cls, name]
+        else:
+            with pytest.raises(TypeError):
+                cls(**rest)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_public_record_class_is_pinned_and_only_the_listed_ones_write_init():
+    import synlat, synlat.cli, synlat.oracle   # every module that defines a record class
+    found = set(_subclasses(Record))
+    public = {c for c in found if not c.__name__.startswith("_") and c.__module__.startswith("synlat.")}
+    assert public - ABSTRACT - NOT_IN_RECORDS == {spec[0] for spec in RECORDS}
+    assert {c for c in found if "__init__" in vars(c)} == OWN_INIT
+
+
 @pytest.mark.parametrize("cls", sorted(SLOTTED, key=lambda c: c.__name__), ids=lambda c: c.__name__)
 def test_syntax_tree_nodes_have_slots_and_no_dict(cls):
     fields = next(spec[1] for spec in RECORDS if spec[0] is cls)
     assert not hasattr(_build(cls, fields), "__dict__")
+
+
+def test_built_algebras_pickle_through_their_tables_as_tuples():
+    dfa = rx.compile_canonical_dfa(rx.parse_regex("(a|b)*abb", "ab"))
+    monoid = sy.syntactic_monoid(dfa)
+    copy = pickle.loads(pickle.dumps(monoid))
+    assert copy == monoid and copy.table == monoid.table and type(copy.table) is tuple
+    assert (copy.index, copy.right) == (monoid.index, monoid.right)
+    pt = atoms.build_profile_table(dfa)
+    for alg in (sy.syntactic_semiring(pt, dfa), sy.syntactic_lattice_algebra(pt, dfa)):
+        copy = pickle.loads(pickle.dumps(alg))
+        for name in ("meet_table", "join_table", "mul_table"):
+            if name in alg._fields:
+                assert getattr(copy, name) == getattr(alg, name) and type(getattr(copy, name)) is tuple
+        assert copy.labels() == alg.labels() and copy.order == alg.order and copy.dfa == alg.dfa
+        assert [[s.bits for s in e.mapping] for e in copy.elements] == [[s.bits for s in e.mapping] for e in alg.elements]
+        # its AtomSets belong to the copy's own profile table, so the copy equals no original
+        assert all(s.table is copy.pt for e in copy.elements for s in e.mapping) and copy != alg
 
 
 @pytest.mark.parametrize(
