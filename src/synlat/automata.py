@@ -87,17 +87,21 @@ class _Stop(Exception):
 
 
 def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int | None = None):
-    """Fixpoint closure in discovery order, on values only; returns (values, index, right).
+    """Fixpoint closure in discovery order, on values only; returns (values, index, right, tree).
 
     Seeds are deduplicated in order.  Each value i in turn gets every letter
     op fn(vi), then, for each j <= i, every pair op fn(vi, vj) in op order;
-    right[i][k] records the index letter op k gave.  Every op's value is
-    looked up first and added only if it is new, so the common hit costs one
-    dict lookup.  A value beyond the first budget raises
-    BudgetError(what, budget).  Without pair ops the closure is breadth first
-    over the letter ops.  With a stop count it returns as soon as it holds
-    that many values, so no op runs after the last value is found: right then
-    holds the complete rows only.
+    right[i][k] records the index letter op k gave, and tree lists (i, k)
+    for each value a letter op found, in order.  Every op's value is looked
+    up first and added only if it is new, so the common hit costs one dict
+    lookup.  A value beyond the first budget raises BudgetError(what,
+    budget).  Without pair ops the closure is breadth first over the letter
+    ops; from one seed, value j is then first reached as right[i][k] for
+    (i, k) = tree[j - 1], with i < j: the breadth-first spanning tree
+    (Froidure and Pin keep it as each element's prefix and last letter).
+    With a stop count it returns as soon as it holds that many values, so no
+    op runs after the last value is found: right then holds the complete
+    rows only.
     """
     values = []
     index = {}
@@ -114,6 +118,7 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
         return i
 
     right = []
+    tree = []
     try:
         for v in seeds:
             if v not in index:
@@ -123,7 +128,10 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
             for fn in letter_ops:
                 v = fn(vi)
                 j = get(v)
-                row.append(add(v) if j is None else j)
+                if j is None:
+                    tree.append((i, len(row)))
+                    j = add(v)
+                row.append(j)
             right.append(tuple(row))
             if pair_ops:
                 for vj in values[:i + 1]:
@@ -133,7 +141,7 @@ def close_values(seeds, letter_ops, pair_ops, budget: int, what: str, stop: int 
                             add(v)
     except _Stop:
         pass
-    return values, index, right
+    return values, index, right, tree
 
 
 def number(values, seeds, letter_ops, pair_ops, what: str):
@@ -144,24 +152,10 @@ def number(values, seeds, letter_ops, pair_ops, what: str):
     InconsistencyError unless it holds exactly the given values.
     """
     n = len(values)
-    order, index, right = close_values(seeds, letter_ops, pair_ops, n, what, stop=n)
+    order, index, right, _ = close_values(seeds, letter_ops, pair_ops, n, what, stop=n)
     if len(order) != n or not all(map(index.__contains__, values)):
         raise InconsistencyError(f"the numbering closure does not reach exactly the {what}")
     return order, index, right
-
-
-def spanning_tree(right) -> list[tuple[int, int]]:
-    """(parent, letter) of values 1, 2, ... in a breadth-first closure from value 0.
-
-    right is close_values' letter table.  Value j is first reached as
-    right[i][a] for (i, a) = tree[j - 1], and i < j.
-    """
-    tree: list[tuple[int, int] | None] = [None] * len(right)
-    for i, row in enumerate(right):
-        for a, j in enumerate(row):
-            if tree[j] is None:
-                tree[j] = (i, a)
-    return tree[1:]
 
 
 def tree_words(tree, alphabet) -> list[str]:
@@ -172,35 +166,34 @@ def tree_words(tree, alphabet) -> list[str]:
     return words
 
 
-def tree_paths(right):
-    """(paths, tree): tree = spanning_tree(right), and the ops along it to each value,
-    as a tuple of op indices; value 0's is ().
+def least_forms(tree, generators) -> list[tuple]:
+    """Each value's least form over generators: the generators along tree, the
+    spanning tree of close_values from one seed; value 0's is ().
 
-    Let right be the table of a closure from one seed under ops "∧ g_k" (or
-    all "∨ g_k") for generators g_k ranked by a key.  Then each path is its
-    value's least form over the generators: fewest generators, then the
-    least tuple of ranks; it is increasing, so it is also the sorted form.
-    By induction on the breadth-first layers, whose values are visited in
-    the order of their least forms: let F be the least form of value j, F'
-    its prefix and k its last rank.  F' is the least form of its value, so
-    that value reaches j by op k; and a parent visited earlier, or the same
-    parent by an op before k, would give a form before F by inserting its
-    op into its own least form.  So j is first reached from F' by op k.
+    Let the closure run under ops "∧ g_k" (or all "∨ g_k") for generators
+    g_k ranked by a key.  Then the ops along the tree to each value give its
+    least form over the generators: fewest generators, then the least tuple
+    of ranks; it is increasing, so it is also the sorted form.  By induction
+    on the breadth-first layers, whose values are visited in the order of
+    their least forms: let F be the least form of value j, F' its prefix and
+    k its last rank.  F' is the least form of its value, so that value
+    reaches j by op k; and a parent visited earlier, or the same parent by
+    an op before k, would give a form before F by inserting its op into its
+    own least form.  So j is first reached from F' by op k.
     """
-    tree = spanning_tree(right)
-    paths = [()]
+    forms = [()]
     for i, k in tree:
-        paths.append(paths[i] + (k,))
-    return paths, tree
+        forms.append(forms[i] + (generators[k],))
+    return forms
 
 
 def access_words(dfa: Dfa) -> tuple[str, ...]:
     """Shortlex-least word reaching each state (all states must be reachable)."""
     letter_ops = [lambda q, a=a: dfa.delta[q][a] for a in range(len(dfa.alphabet))]
-    states, index, right = close_values([dfa.initial], letter_ops, (), dfa.n_states, "states")
+    states, index, _, tree = close_values([dfa.initial], letter_ops, (), dfa.n_states, "states")
     if len(states) != dfa.n_states:
         raise ValueError("automaton has unreachable states")
-    words = tree_words(spanning_tree(right), dfa.alphabet)
+    words = tree_words(tree, dfa.alphabet)
     return tuple(words[index[q]] for q in range(dfa.n_states))
 
 

@@ -9,7 +9,7 @@ the usual drawing convention).  Each automaton closes its states first,
 on bitmasks through automata.close_values: ⊤ under "∧ residual", the
 residuals ranked by their access words, then ⊥ under "∨ meet state".  Each
 witness is its state's least form over those generators, read off that
-closure's breadth-first tree (automata.tree_paths); automata.number then
+closure's breadth-first tree (automata.least_forms); automata.number then
 numbers the states as the pairwise closure under ∩ (∪) discovers them.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, bit_indices, bottom, quotient_bits, top
-from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, number, tree_paths
+from .automata import DEFAULT_STATE_BUDGET, Dfa, access_words, close_values, least_forms, number
 from .records import Record
 from . import terms
 from .terms import word_key
@@ -66,10 +66,6 @@ class _Automaton(Record):
 
     _fields = ("table", "states", "witnesses", "delta", "initial", "finals", "order")
 
-    @property
-    def alphabet(self):
-        return self.table.dfa.alphabet
-
 
 class MeetAutomaton(_Automaton):
     """Witnesses are meet forms over access words (tuple[str, ...]), one per state."""
@@ -88,13 +84,6 @@ class LatticeAutomaton(_Automaton):
 WHAT = "canonical automaton states"
 
 
-def _least_forms(closed, generators) -> list:
-    """Each value's least form over generators, in the order of closed = close_values of one
-    seed under "op generator k": the generators along its breadth-first tree (tree_paths)."""
-    paths, _ = tree_paths(closed[2])
-    return [tuple(map(generators.__getitem__, p)) for p in paths]
-
-
 def quotient_moves(pt: ProfileTable, dfa: Dfa, values, index):
     """delta[i][a]: index of the letter quotient of state values[i] by the letter at alphabet position a."""
     return tuple(tuple(index[quotient_bits(pt, v, a)] for a in dfa.alphabet) for v in values)
@@ -102,8 +91,9 @@ def quotient_moves(pt: ProfileTable, dfa: Dfa, values, index):
 
 def _automaton(cls, pt: ProfileTable, dfa: Dfa, closed, numbered, generators):
     """Assemble the automaton on numbered = (values, index, _) of automata.number; each
-    witness is its state's least form over generators, read off closed (_least_forms)."""
-    forms = _least_forms(closed, generators)
+    witness is its state's least form over generators, read off the tree of closed,
+    close_values of one seed under "op generator k" (automata.least_forms)."""
+    forms = least_forms(closed[3], generators)
     values, index, _ = numbered
     witnesses = tuple(forms[closed[1][v]] for v in values)
     delta = quotient_moves(pt, dfa, values, index)
@@ -145,7 +135,7 @@ def build_lattice_automaton(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ST
 
     Every closure runs before any witness, so a refusal comes first.  The
     meets closure lists the meet states in the order of their least meet
-    forms (tree_paths), so it ranks them for the closure of ⊥ with no sort.
+    forms (automata.least_forms), so it ranks them for the closure of ⊥ with no sort.
     """
     words, meets, joins, numbered = state_closures(pt, dfa, budget)
-    return _automaton(LatticeAutomaton, pt, dfa, joins, numbered, _least_forms(meets, words))
+    return _automaton(LatticeAutomaton, pt, dfa, joins, numbered, least_forms(meets[3], words))

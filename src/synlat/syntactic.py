@@ -32,7 +32,7 @@ from functools import cached_property, partial, reduce
 from operator import and_, or_
 
 from .atoms import AtomSet, ProfileTable, own_bits, pack_images, residual_atoms, top, unpack_columns
-from .automata import Dfa, close_values, number, spanning_tree, tree_paths, tree_words
+from .automata import Dfa, close_values, least_forms, number, tree_words
 from .canonical import HasseDiagram, hasse_from_leq, quotient_moves, state_closures
 from .errors import InconsistencyError
 from .records import Record, set_field
@@ -181,17 +181,16 @@ def syntactic_monoid(dfa: Dfa, budget: int = DEFAULT_ELEMENT_BUDGET) -> Syntacti
     The closure's letter table right, right[i][a] = element i times letter
     a, is the right Cayley graph (Froidure and Pin, "Algorithms for
     computing finite semigroups", 1997).  Every element j ≥ 1 is
-    parent(j)·a for the element and letter that first reach it, with
+    parent(j)·a for (parent(j), a) = tree[j - 1], the closure's tree, with
     parent(j) < j, so row i of the product table is filled left to right:
     i·0 = i and i·j = right[i·parent(j)][a], one list lookup per cell.
     Only the JSON document reads every row, and the identity check the rows
     of the idempotents; the text table reads the elements' mappings.
     """
     letter_ops = _state_ops(dfa.delta, range(len(dfa.alphabet)))
-    codes, _, right = close_values([_identity_code(dfa.delta)], letter_ops, (), budget, "monoid elements")
+    codes, _, right, tree = close_values([_identity_code(dfa.delta)], letter_ops, (), budget, "monoid elements")
     mappings = [tuple(map(ord, c)) for c in codes]
     index = {m: i for i, m in enumerate(mappings)}
-    tree = spanning_tree(right)   # (parent(j), a) for j = 1, 2, ...
     table = IntRows(len(right), lambda i: tuple(_walk(right, tree, i)))
     elements = tuple(map(DfaTransformation._make, zip(mappings, tree_words(tree, dfa.alphabet))))
     return SyntacticMonoid(dfa, elements, 0, table, right[0], index, tuple(right))
@@ -261,12 +260,13 @@ def _atomset_mappings(pt: ProfileTable, mappings):
 
 
 def _meet_values(pt: ProfileTable, dfa: Dfa, cols, delta, budget: int, what: str):
-    """(monoid_right, meet values, their index, meet_image, generators, steps)
-    of the column bitmasks cols, whose a-quotients are cols[delta[c][a]].
+    """(monoid_tree, meet_tree, meet values, their index, meet_image, generators,
+    steps) of the column bitmasks cols, whose a-quotients are cols[delta[c][a]].
 
     The monoid is the identity closed under the coded letter ops (_state_ops)
     over the sorted letters, so its elements come in the order of their
-    word_key-least words, and monoid_right is its right table.  Image t packs
+    word_key-least words; monoid_tree is its closure's tree, its letters
+    alphabet positions, and meet_tree the meet values'.  Image t packs
     (atoms.pack_images) cols[t[c]] as column c: distinct columns give distinct
     images, and the image of t·a is the a-quotient of image t, so the images
     come in the order their closure under letter quotients would find them,
@@ -276,29 +276,22 @@ def _meet_values(pt: ProfileTable, dfa: Dfa, cols, delta, budget: int, what: str
     alphabet order, images 1 and steps[0].
     """
     letters = sorted(range(len(dfa.alphabet)), key=dfa.alphabet.__getitem__)
-    monoid, _, monoid_right = close_values([_identity_code(delta)], _state_ops(delta, letters), (), budget, what)
+    monoid, _, monoid_right, tree = close_values([_identity_code(delta)], _state_ops(delta, letters), (), budget, what)
     images = pack_images(pt, cols, (map(ord, m) for m in monoid))
     full = pack_images(pt, (top(pt).bits,), [[0] * len(cols)])[0]   # ⊤ in every column
     meet_ops = [lambda v, y=y: v & y for y in images]
-    values, index, meet_image = close_values([full], meet_ops, (), budget, what)
+    values, index, meet_image, meet_tree = close_values([full], meet_ops, (), budget, what)
     columns = list(map(letters.index, range(len(letters))))   # alphabet position -> column of monoid_right
     steps = [tuple([images[row[c]] for c in columns]) for row in monoid_right]
     generators = list(map(index.__getitem__, (images[0], *steps[0])))
-    return monoid_right, values, index, meet_image, generators, steps
+    return [(t, letters[a]) for t, a in tree], meet_tree, values, index, meet_image, generators, steps
 
 
-def _least_meet_forms(dfa: Dfa, monoid_right, meet_image):
-    """(forms, monoid_tree, meet_tree): each meet value's least meet form, fewest
-    words first, then sorted word keys, and the trees it is read off: the path
-    to its value along the meet values' tree (automata.tree_paths), each step
-    a monoid element's word along monoid_tree, its letters alphabet positions.
-    """
-    letters = sorted(dfa.alphabet)
-    tree = spanning_tree(monoid_right)
-    words = tree_words(tree, letters)
-    paths, meet_tree = tree_paths(meet_image)
-    forms = [tuple(map(words.__getitem__, p)) for p in paths]
-    return forms, [(t, dfa.letter_index(letters[a])) for t, a in tree], meet_tree
+def _least_meet_forms(dfa: Dfa, monoid_tree, meet_tree):
+    """Each meet value's least meet form, fewest words first, then sorted word
+    keys: the monoid elements' words along monoid_tree, ranked as the meet
+    values' generators, along meet_tree (automata.least_forms)."""
+    return least_forms(meet_tree, tree_words(monoid_tree, dfa.alphabet))
 
 
 def _meet_product(right, meet, monoid_tree, meet_tree, top_id: int, i: int) -> list[int]:
@@ -341,8 +334,8 @@ def syntactic_semiring(pt: ProfileTable, dfa: Dfa, budget: int = DEFAULT_ELEMENT
         raise ValueError("profile table was built from a different DFA")
     what = "semiring elements"
     closed = _meet_values(pt, dfa, pt.residual_bits, dfa.delta, budget, what)
-    monoid_right, values, index, meet_image, generators, steps = closed
-    forms, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
+    monoid_tree, meet_tree, values, index, meet_image, generators, steps = closed
+    forms = _least_meet_forms(dfa, monoid_tree, meet_tree)
     n = len(values)
     by_letter = [tuple(map(index.__getitem__, q)) for q in _quotients(meet_tree, steps, and_, values[0])]
     meet = Memo(partial(_walk, meet_image, meet_tree))   # the replay's rows, on the values' ids
@@ -404,28 +397,23 @@ class SyntacticLatticeAlgebra(Record):
         return i
 
 
-def _least_lattice_forms(dfa: Dfa, monoid_right, meet_image, join_right):
+def _least_lattice_forms(dfa: Dfa, monoid_tree, meet_tree, join_tree):
     """Each lattice value's least lattice form: fewest inners first, then sorted inner keys.
 
-    Read off the closures _lattice_algebra finds the values with: those of
-    _meet_values, and join_right, the table of the closure of ⊥ under
-    "∨ meet value k", on whose ids the forms come.
+    Read off the trees of the closures _lattice_algebra finds the values
+    with: those of _meet_values, and join_tree, the tree of the closure of ⊥
+    under "∨ meet value k", on whose ids the forms come: (parent, k) for
+    value j = parent ∨ meet value k.
 
     A least lattice form has least meet forms of distinct meet values as its
     inners: putting the least meet form of an inner's value in its place
     gives a form no later, and two inners of one value, or one inside
     another, would leave a form with fewer inners.  The meet values come in
     the order of their least meet forms (_least_meet_forms); so a least
-    lattice form is a set of meet values, and automata.tree_paths reads it
+    lattice form is a set of meet values, and automata.least_forms reads it
     off the closure of ⊥ under "∨ meet value k".
-
-    Returns (forms, trees), trees the three trees the forms are read off: the
-    monoid's, its letters as dfa.alphabet positions; the meet values'; and
-    the tree of ⊥, (parent, k) for value j = parent ∨ meet value k.
     """
-    inners, monoid_tree, meet_tree = _least_meet_forms(dfa, monoid_right, meet_image)
-    paths, join_tree = tree_paths(join_right)
-    return [tuple(map(inners.__getitem__, p)) for p in paths], (monoid_tree, meet_tree, join_tree)
+    return least_forms(join_tree, _least_meet_forms(dfa, monoid_tree, meet_tree))
 
 
 def _mask_lattice(meet_values, join_tree):
@@ -544,11 +532,11 @@ def _lattice_algebra(
         raise ValueError("profile table was built from a different DFA")
     what = "lattice algebra elements"
     cols = pt.residual_bits if columns is None else tuple(x.bits for x in columns)
-    monoid_right, meets, _, meet_image, generators, steps = _meet_values(pt, dfa, cols, delta, budget, what)
-    joins, join_index, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
+    monoid_tree, meet_tree, meets, _, _, generators, steps = _meet_values(pt, dfa, cols, delta, budget, what)
+    joins, join_index, _, join_tree = close_values([0], [lambda v, y=y: v | y for y in meets], (), budget, what)
 
     seeds = [meets[g] for g in (*generators, 0)] + [0]   # 1, the letters, ⊤ and ⊥
-    forms, (monoid_tree, meet_tree, join_tree) = _least_lattice_forms(dfa, monoid_right, meet_image, join_right)
+    forms = _least_lattice_forms(dfa, monoid_tree, meet_tree, join_tree)
     meet_quotients = _quotients(meet_tree, steps, and_, meets[0])
     quotients = _quotients(join_tree, meet_quotients, or_, 0)
     letter_ops = [dict(zip(joins, column)).__getitem__ for column in zip(*quotients)]

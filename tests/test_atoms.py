@@ -1,4 +1,5 @@
 import random
+from operator import and_, le, or_
 
 import pytest
 
@@ -189,6 +190,21 @@ def test_table_mismatch_rejected():
         synlat.meet(synlat.top(pt1), synlat.top(pt2))
     with pytest.raises(ValueError):
         synlat.quotient_letter(pt1, synlat.top(pt2), "a")
+
+
+def test_atomset_operators_are_meet_join_and_leq():
+    _, dfa, pt = build("a+b+", "ab")
+    atoms = [synlat.residual_atoms(pt, q) for q in range(dfa.n_states)] + [synlat.top(pt), synlat.bottom(pt)]
+    for x in atoms:
+        for y in atoms:
+            assert x & y == synlat.meet(x, y)
+            assert x | y == synlat.join(x, y)
+            assert (x <= y) == synlat.leq(x, y)
+    other = synlat.top(build("a*", "ab")[2])
+    for op in (and_, or_, le):
+        with pytest.raises(ValueError, match="^AtomSets belong to different profile tables$"):
+            op(atoms[0], other)
+    assert (atoms[0] == 1) is False   # __eq__ leaves a non-AtomSet to the other operand
 
 
 def test_profile_budget():

@@ -176,6 +176,20 @@ def test_equivalent_is_equivalence_relation():
                     assert synlat.equivalent(d1, d3)
 
 
+@pytest.mark.parametrize("args,message", [
+    (((), (), 0, frozenset()), "alphabet must be non-empty"),
+    ((("a", "a"), ((0, 0),), 0, frozenset()), "alphabet letters must be distinct"),
+    ((("a",), ((0,),), -1, frozenset()), "initial state out of range"),
+    ((("a", "b"), ((0, 0), (1,)), 0, frozenset()), "delta row width does not match alphabet"),
+    ((("a",), ((0,), (2,)), 0, frozenset()), "transition target out of range"),
+    ((("a",), ((0,),), 0, frozenset({1})), "final state out of range"),
+    ((("a",), ((0,), (1,)), 0, frozenset(), ("q0",)), "state_labels length does not match state count"),
+], ids=["empty-alphabet", "repeated-letter", "initial", "row-width", "target", "final", "labels"])
+def test_dfa_refuses_each_malformed_field(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(*args)
+
+
 def test_access_words_shortlex():
     _, dfa, _ = build("a+b+", "ab")
     assert access_words(dfa) == ("", "a", "b", "ab")

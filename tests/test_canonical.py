@@ -219,7 +219,7 @@ def assert_meet_closure_ranks_the_witnesses(dfa, pt):
     """The lattice automaton takes the meet states as its generators in the order of the closure
     of ⊤ under "∧ residual", unsorted: that is the meet_form_key order of their witnesses."""
     ma = build_meet_automaton(pt, dfa)
-    _, (meets, _, _), _ = _meet_states(pt, dfa, len(ma.states))
+    _, (meets, _, _, _), _ = _meet_states(pt, dfa, len(ma.states))
     witness = {s.bits: w for s, w in zip(ma.states, ma.witnesses)}
     keys = [meet_form_key(witness[v]) for v in meets]
     assert len(keys) == len(witness)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -296,6 +297,15 @@ def test_write_error_exits_5_without_traceback(argv, unbuffered):
     assert done.returncode == EXIT_OUTPUT
     assert done.stderr.startswith("error: cannot write output: [Errno 28] ")
     assert done.stderr.count("\n") == 1   # one line, no traceback
+
+
+def test_python_m_synlat_runs_the_cli(monkeypatch, capsys):
+    # synlat/__main__.py in-process, as python -m synlat runs it
+    monkeypatch.setattr(sys, "argv", ["synlat", "reversible", "--regex", "a*", "--alphabet", "ab"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("synlat", run_name="__main__")
+    assert done.value.code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"reversible": True, "witness": None, "identity_counterexample": None}
 
 
 def test_budget_exit_code(capsys):

@@ -1,7 +1,7 @@
 """The breadth-first tree read of least forms against the layered search and the witness replay.
 
 Every witness in the package is its least form, read off close_values'
-breadth-first spanning tree (automata.tree_paths).
+breadth-first spanning tree (automata.least_forms).
 layered_least_forms is the layered least-form search the semiring used
 before: every tree read of the builders must equal it.  reference_close is
 the closure engine that built witnesses before: it maintains them while it
@@ -16,6 +16,7 @@ builders with them.
 from operator import and_, or_
 
 import pytest
+from hypothesis import given, strategies as st
 
 import synlat
 from synlat import terms
@@ -164,12 +165,25 @@ def layered_least_forms(right):
     return [least[v] for v in range(len(right))]
 
 
-def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
-    """automata.tree_paths, its paths asserted equal to layered_least_forms; records the calling module."""
+def recorded_closures(closed, real=synlat.automata.close_values):
+    """automata.close_values, each result's (tree, right) appended to closed."""
 
-    def run(right):
-        got = real(right)
-        assert got[0] == layered_least_forms(right)
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        closed.append((result[3], result[2]))
+        return result
+
+    return run
+
+
+def checked_least_forms(calls, module, closed, real=synlat.automata.least_forms):
+    """automata.least_forms, its forms asserted equal to layered_least_forms of the table of the
+    closure in closed that grew the tree; records the calling module."""
+
+    def run(tree, generators):
+        got = real(tree, generators)
+        right = next(r for t, r in closed if t is tree)
+        assert got == [tuple(map(generators.__getitem__, p)) for p in layered_least_forms(right)]
         calls.append(module)
         return got
 
@@ -178,9 +192,11 @@ def checked_tree_paths(calls, module, real=synlat.automata.tree_paths):
 
 def assert_engine_matches_reference(monkeypatch, dfa, pt):
     calls = []
+    closed = []
     for name in ("canonical", "syntactic"):   # the automata call canonical's; the algebras syntactic's
         module = getattr(synlat, name)
-        monkeypatch.setattr(module, "tree_paths", checked_tree_paths(calls, name))
+        monkeypatch.setattr(module, "close_values", recorded_closures(closed))
+        monkeypatch.setattr(module, "least_forms", checked_least_forms(calls, name, closed))
     synlat.build_lattice_automaton(pt, dfa)   # the meet automaton's witnesses first
     assert calls == ["canonical"] * 2
     synlat.syntactic_semiring(pt, dfa)
@@ -247,15 +263,36 @@ def test_close_values_order_and_tables():
     # ops for each j <= i, so row 2 finds 3 by its letter op before 4 = (2 + 2) % 5
     calls = []
     op = recorded_ops(calls)
-    values, index, right = close_values(
+    values, index, right, tree = close_values(
         [0, 1, 0], [lambda v: min(v + 1, 4)], [op("max", max), op("sum", lambda a, b: (a + b) % 5)], 10, "values"
     )
     assert values == [0, 1, 2, 3, 4]
     assert index == {v: i for i, v in enumerate(values)}
     assert right == [(1,), (2,), (3,), (4,), (4,)]
+    assert tree == [(1, 0), (2, 0)]   # the letter op's finds only: 4 came from a pair op
     assert calls == [(name, i, j) for i in range(5) for j in range(i + 1) for name in ("max", "sum")]
     with pytest.raises(BudgetError, match="values exceeded budget of 4"):
         close_values([0, 1], [lambda v: min(v + 1, 4)], (), 4, "values")
+
+
+def spanning_tree(right):
+    """(parent, op) of values 1, 2, ...: the first cell of right, row by row, that holds each value."""
+    tree = [None] * len(right)
+    for i, row in enumerate(right):
+        for k, j in enumerate(row):
+            if tree[j] is None:
+                tree[j] = (i, k)
+    return tree[1:]
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.integers(0, n - 1), st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=4))))
+def test_close_values_tree_is_the_first_cell_reaching_each_value_on_random_closures(closure):
+    # one seed under random maps of 0..n-1: value j is first reached at tree[j - 1] of its table
+    seed, maps = closure
+    values, index, right, tree = close_values([seed], [m.__getitem__ for m in maps], (), 12, "values")
+    assert tree == spanning_tree(right)
+    assert all(right[i][k] == j and i < j for j, (i, k) in enumerate(tree, 1))
 
 
 def test_number_stops_at_the_last_value_and_guards_the_values():
@@ -264,7 +301,7 @@ def test_number_stops_at_the_last_value_and_guards_the_values():
     calls = []
     op = recorded_ops(calls)
     ops = [op("·3", lambda v: v * 3 % 7)], [op("·", lambda v, w: v * w % 7)]
-    full, _, full_right = close_values([1], *ops, 10, "units")
+    full, _, full_right, _ = close_values([1], *ops, 10, "units")
     assert full == [1, 3, 2, 6, 4, 5]
     unstopped = calls[:]
     for values, last, rows in [([5, 4, 6, 2, 3, 1], ("·", 6, 2), 4), ([6, 2, 1, 3], ("·3", 2), 2)]:
@@ -299,7 +336,7 @@ def test_refused_builders_run_no_witness_op(monkeypatch):
     sizes = [len(b(10**6)) for b in builds]
     assert sizes[:2] == [6, 7]   # the lattice automaton refuses after the meet states are closed
     for module in (synlat.automata, synlat.canonical, synlat.syntactic):
-        monkeypatch.setattr(module, "tree_paths", no_witness_op)
+        monkeypatch.setattr(module, "least_forms", no_witness_op)
     for b, n in zip(builds, sizes):
         with pytest.raises(BudgetError):
             b(n - 1)
@@ -309,7 +346,7 @@ def test_transition_algebra_runs_no_automaton_witness_search(monkeypatch):
     # its columns are the lattice automaton's states, taken from the state closures alone
     _, dfa, pt = build("a+b+", "ab")
     states = synlat.build_lattice_automaton(pt, dfa).states
-    monkeypatch.setattr(synlat.canonical, "tree_paths", no_witness_op)
+    monkeypatch.setattr(synlat.canonical, "least_forms", no_witness_op)
     assert synlat.transition_lattice_algebra(pt, dfa).columns == states
 
 
@@ -343,7 +380,7 @@ def test_each_values_closure_refuses_one_short_of_its_count(monkeypatch, build_a
     counts = sizes[:3]
     assert counts[0] < counts[1] < counts[2] == n   # 5 < 11 < 22, and 5 < 12 < 33 for the transition algebra
     for module in (synlat.automata, synlat.syntactic):
-        monkeypatch.setattr(module, "tree_paths", no_witness_op)
+        monkeypatch.setattr(module, "least_forms", no_witness_op)
     for closed, count in enumerate(counts):
         sizes.clear()
         with pytest.raises(BudgetError, match=f"^lattice algebra elements exceeded budget of {count - 1}$"):
@@ -357,11 +394,11 @@ def with_changed_closure(monkeypatch, closure, change):
     calls = []
 
     def changed(*args, **kwargs):
-        values, index, right = real(*args, **kwargs)
+        values, index, right, tree = real(*args, **kwargs)
         if len(calls) == closure:
             change(values, index)
         calls.append(args)
-        return values, index, right
+        return values, index, right, tree
 
     monkeypatch.setattr(synlat.syntactic, "close_values", changed)
 
@@ -402,7 +439,7 @@ def forbid_tables_and_witnesses(monkeypatch):
         raise AssertionError("a letter quotient, table or witness was built")
 
     for module in (synlat.atoms, synlat.automata, synlat.syntactic):
-        for name in ("spanning_tree", "quotient_bits", "tree_words", "tree_paths"):
+        for name in ("quotient_bits", "tree_words", "least_forms"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, built)
 

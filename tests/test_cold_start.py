@@ -66,6 +66,15 @@ def test_oracle_names_resolve_on_first_use():
     assert got == [ORACLE_NAMES, False, True, True]
 
 
+def test_oracle_names_resolve_in_this_interpreter():
+    # the same loader in-process, where other tests may have loaded the oracle already
+    import synlat
+    import synlat.oracle as oracle
+
+    assert [n for n in dir(synlat) if n.startswith(("oracle_", "Oracle"))] == ORACLE_NAMES
+    assert [getattr(synlat, n) for n in ORACLE_NAMES] == [getattr(oracle, n) for n in ORACLE_NAMES]
+
+
 def test_an_unknown_name_is_still_an_attribute_error():
     import synlat
 

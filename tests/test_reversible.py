@@ -113,6 +113,19 @@ def test_case_construction_from_witness():
     assert (ic.p, ic.u, ic.v, ic.w) == ("a", "", "b", "ab")
 
 
+def test_case_construction_when_s_is_accepted_from_f_and_r_is_not_from_g():
+    # (a*b)*: f = h = 0 is final and g = 1 is not, so s = r = λ separate them; s is accepted
+    # from f and r is not from g, which gives u = s, v = y·r and w = s
+    _, dfa, pt = build("(a*b)*", "ab")
+    m = synlat.syntactic_monoid(dfa)
+    fw = find_forbidden_configuration(dfa, m)
+    assert (fw.f, fw.g, fw.h, fw.x, fw.y) == (0, 1, 0, "a", "b")
+    assert synlat.accepts(dfa, "", fw.f) and not synlat.accepts(dfa, "", fw.g)
+    ic = identity_counterexample_from_configuration(pt, dfa, m, fw)
+    assert (ic.p, ic.u, ic.v, ic.w, ic.state) == ("a", "", "b", "", 0)
+    assert ic.lhs != ic.rhs
+
+
 def test_quadruple_budget():
     _, dfa, pt = build("a+b+", "ab")
     m = synlat.syntactic_monoid(dfa)

@@ -11,9 +11,9 @@ from synlat.automata import close_values
 from synlat.canonical import hasse_from_leq, quotient_moves, state_closures
 from synlat.errors import BudgetError
 from synlat.syntactic import (
+    AxiomViolation,
     SyntacticLatticeAlgebra,
     LatticeAlgebraElement,
-    _least_lattice_forms,
     _meet_values,
     _quotients,
     check_lattice_algebra_axioms,
@@ -686,6 +686,22 @@ def test_syntactic_lattice_algebra_violations_are_intrinsic(algebra):
     assert "mul-left-dist-meet" in report.laws_violated()
 
 
+def test_axiom_checker_reports_elements_outside_the_span_of_the_products():
+    # on the chain ⊥ < 1 < x < ⊤ with P = {1}, the products of P are {1}, so the lattice they
+    # span with the bounds misses x; every other law holds (each row is monotone, and
+    # M[M[i][j]][k] = M[i][M[j][k]]); the checker reads the tables only
+    mul = ((0, 0, 0, 3), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 3, 3))
+    meet = tuple(tuple(min(i, j) for j in range(4)) for i in range(4))
+    join = tuple(tuple(max(i, j) for j in range(4)) for i in range(4))
+    order = hasse_from_leq([sum(1 << j for j in range(i, 4)) for i in range(4)])
+    alg = SyntacticLatticeAlgebra(None, None, tuple(range(4)), 1, 3, 0, (1,), meet, join, mul, order)
+    violation = AxiomViolation("lattice-generated-by-products-of-P", (2,), 2, -1)
+    report = check_lattice_algebra_axioms(alg)
+    assert (report.violations, report.truncated) == ((violation,), False)
+    truncated = check_lattice_algebra_axioms(alg, max_violations=0)
+    assert (truncated.violations, truncated.truncated, truncated.checked) == ((), True, report.checked)
+
+
 def test_axiom_checker_on_degenerate_language():
     # %0 collapses 1 with ⊥, so the unit and right-zero laws conflict: the
     # 2-element quotient cannot satisfy both at once
@@ -937,11 +953,10 @@ def test_walked_letter_rows_match_column_quotients_on_random_dfas(dfa):
         pass
     for cols, delta in quotients:
         try:
-            monoid_right, meets, _, meet_image, _, steps = _meet_values(pt, dfa, cols, delta, WALK_BUDGET, "values")
-            joins, _, join_right = close_values([0], [lambda v, y=y: v | y for y in meets], (), WALK_BUDGET, "values")
+            _, meet_tree, meets, _, _, _, steps = _meet_values(pt, dfa, cols, delta, WALK_BUDGET, "values")
+            joins, _, _, join_tree = close_values([0], [lambda v, y=y: v | y for y in meets], (), WALK_BUDGET, "values")
         except BudgetError:
             continue
-        _, (_, meet_tree, join_tree) = _least_lattice_forms(dfa, monoid_right, meet_image, join_right)
         meet_rows = _quotients(meet_tree, steps, and_, meets[0])
         for values, rows in [(meets, meet_rows), (joins, _quotients(join_tree, meet_rows, or_, 0))]:
             assert rows == [tuple(column_quotients(pt, v, len(cols), a) for a in dfa.alphabet) for v in values]

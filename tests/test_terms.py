@@ -73,6 +73,10 @@ def test_normalize_semiring_aci():
         synlat.normalize_semiring(T("avb"))
 
 
+def test_normalize_semiring_of_lambda():
+    assert synlat.normalize_semiring(T("%e")) == ("",)
+
+
 def test_normalize_lattice_removes_superfluous():
     assert synlat.normalize_lattice(T("(a^b)va")) == (("a",),)
     assert synlat.normalize_lattice(T("_")) == ()
