@@ -318,25 +318,14 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 def dfa_of_finite_language(words, alphabet, state_budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Minimal complete DFA of a finite word set (trie plus sink, minimized)."""
     alphabet = tuple(alphabet)
-    words = sorted(set(words))
+    words = sorted(set(words))   # sorted, so the letter check names the same letter under every hash seed
     for w in words:
         for a in w:
             if a not in alphabet:
                 raise ValueError(f"word letter {a!r} outside alphabet")
-    nodes: dict[str, int] = {"": 0}
-    prefixes = [""]
-    for w in words:
-        for i in range(1, len(w) + 1):
-            p = w[:i]
-            if p not in nodes:
-                nodes[p] = len(prefixes)
-                prefixes.append(p)
-    sink = len(prefixes)
-    if sink + 1 > state_budget:
-        raise BudgetError("finite-language states", state_budget)
-    delta = []
-    for p in prefixes:
-        delta.append(tuple(nodes.get(p + a, sink) for a in alphabet))
-    delta.append(tuple(sink for _ in alphabet))
-    finals = frozenset(nodes[w] for w in words)
-    return minimize(Dfa(alphabet, tuple(delta), 0, finals))
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+    # the trie closes λ under the letters: a takes p to p + a if that is a prefix, else to the sink None
+    letter_ops = [lambda p, a=a: p + a if p is not None and p + a in prefixes else None for a in alphabet]
+    _, index, right, _ = close_values([""], letter_ops, (), state_budget, "finite-language states")
+    finals = frozenset(index[w] for w in words)
+    return minimize(Dfa(alphabet, tuple(right), 0, finals))

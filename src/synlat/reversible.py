@@ -101,7 +101,7 @@ def _omega_powers(m: SyntacticMonoid, idempotent: list[bool]) -> list[int]:
 
 
 def check_reversibility_identity(
-    m: SyntacticMonoid, pt: ProfileTable, dfa: Dfa, quadruple_budget: int | None = None
+    m: SyntacticMonoid, pt: ProfileTable, dfa: Dfa, quadruple_budget: int = DEFAULT_QUADRUPLE_BUDGET
 ) -> IdentityCounterexample | None:
     """First failing substitution in (p, u, v, w, state) index order, or None.
 
@@ -128,7 +128,7 @@ def check_reversibility_identity(
     n = len(m.elements)
     idempotent = [all(f[x] == x for x in f) for f, _ in m.elements]
     needed = (sum(idempotent) + 1) * (n * (n - 1) // 2)
-    if quadruple_budget is not None and needed > quadruple_budget:
+    if needed > quadruple_budget:
         raise BudgetError("identity-check quadruples", quadruple_budget, needed)
     first = {}  # ω-power -> the first p that has it, in p order
     for p, s in enumerate(_omega_powers(m, idempotent)):
@@ -214,7 +214,7 @@ def is_reversible(
     dfa: Dfa,
     pt: ProfileTable | None = None,
     monoid: SyntacticMonoid | None = None,
-    quadruple_budget: int | None = None,
+    quadruple_budget: int = DEFAULT_QUADRUPLE_BUDGET,
 ) -> ReversibilityReport:
     """Condition-(6) verdict, cross-checked against the identity verdict."""
     m = monoid if monoid is not None else syntactic_monoid(dfa)

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import synlat
 from synlat.automata import Dfa, access_words, dfa_of_finite_language
+from synlat.errors import BudgetError
 
 from conftest import build, words_upto
 
@@ -37,6 +41,12 @@ def test_run_empty_word_and_bad_letter():
     assert synlat.run(dfa, dfa.initial, "") == dfa.initial
     with pytest.raises(ValueError):
         synlat.run(dfa, dfa.initial, "c")
+
+
+def test_run_refuses_a_state_out_of_range():
+    _, dfa, _ = build("a+b+", "ab")
+    with pytest.raises(ValueError, match="^state out of range$"):
+        synlat.run(dfa, 99, "a")
 
 
 def test_run_action_associativity():
@@ -195,6 +205,11 @@ def test_access_words_shortlex():
     assert access_words(dfa) == ("", "a", "b", "ab")
 
 
+def test_access_words_refuses_unreachable_states():
+    with pytest.raises(ValueError, match="^automaton has unreachable states$"):
+        access_words(Dfa(("a",), ((0,), (1,)), 0, frozenset({0})))
+
+
 def test_dfa_of_finite_language():
     dfa = dfa_of_finite_language(["aa", "bb"], "ab")
     for w in words_upto("ab", 4):
@@ -209,3 +224,74 @@ def test_dfa_of_empty_and_lambda_language():
     assert dempty.n_states == 1 and not dempty.finals
     dlam = dfa_of_finite_language([""], "a")
     assert dlam.n_states == 2 and synlat.accepts(dlam, "") and not synlat.accepts(dlam, "a")
+
+
+def test_dfa_of_finite_language_refuses_a_letter_outside_the_alphabet():
+    with pytest.raises(ValueError, match="^word letter 'c' outside alphabet$"):
+        dfa_of_finite_language(["ac"], "ab")
+
+
+def test_dfa_of_finite_language_budget():
+    # abab: five prefixes and the sink
+    with pytest.raises(BudgetError, match="^finite-language states exceeded budget of 3$"):
+        dfa_of_finite_language(["abab"], "ab", 3)
+    assert dfa_of_finite_language(["abab"], "ab", 6).n_states == 6
+
+
+def reference_dfa_of_finite_language(words, alphabet, state_budget):
+    """The trie of the words' prefixes in a hand-written loop, plus a sink, minimized."""
+    alphabet = tuple(alphabet)
+    words = sorted(set(words))
+    nodes = {"": 0}
+    prefixes = [""]
+    for w in words:
+        for i in range(1, len(w) + 1):
+            p = w[:i]
+            if p not in nodes:
+                nodes[p] = len(prefixes)
+                prefixes.append(p)
+    sink = len(prefixes)
+    if sink + 1 > state_budget:
+        raise BudgetError("finite-language states", state_budget)
+    delta = [tuple(nodes.get(p + a, sink) for a in alphabet) for p in prefixes]
+    delta.append(tuple(sink for _ in alphabet))
+    finals = frozenset(nodes[w] for w in words)
+    return synlat.minimize(Dfa(alphabet, tuple(delta), 0, finals))
+
+
+def test_dfa_of_finite_language_matches_the_trie_loop():
+    # 0-6 words of length 0-5 over 1-3 letters, so the empty set and {λ} occur
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5))) for _ in range(rng.randint(0, 6))]
+        seen.add(frozenset(words))
+        for budget in range(1, 9):
+            try:
+                expected = reference_dfa_of_finite_language(words, alphabet, budget)
+            except BudgetError as exc:
+                with pytest.raises(BudgetError) as got:
+                    dfa_of_finite_language(words, alphabet, budget)
+                assert str(got.value) == str(exc), (words, alphabet, budget)
+                continue
+            got = dfa_of_finite_language(words, alphabet, budget)
+            assert got == expected, (words, alphabet, budget)
+    assert frozenset() in seen and frozenset({""}) in seen
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_dfa_of_finite_language_names_the_same_letter_under_every_hash_seed(seed):
+    # CPython 3.10-3.13 iterate the set {"ac", "ad"} from "ad" under seed 2, so a check
+    # over the unsorted words would name 'd' there
+    src = os.path.dirname(os.path.dirname(synlat.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    code = (
+        "from synlat.automata import dfa_of_finite_language\n"
+        "try:\n"
+        "    dfa_of_finite_language({'ac', 'ad'}, 'ab')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "word letter 'c' outside alphabet\n"

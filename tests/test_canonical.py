@@ -138,6 +138,9 @@ def test_hasse_chain_and_antichain():
     assert hasse(anti).covers == ()
     with pytest.raises(ValueError):
         hasse([ra["L"], ra["L"]])
+    _, _, other = build("a*", "ab")
+    with pytest.raises(ValueError, match="^AtomSets belong to different profile tables$"):
+        hasse([ra["L"], synlat.residual_atoms(other, 0)])
 
 
 def brute_force_covers(n, le):
@@ -207,6 +210,13 @@ def test_lattice_automaton_accepts_the_language(pattern, alphabet):
         frozenset(la.finals),
     )
     assert synlat.equivalent(as_dfa, dfa)
+
+
+def test_meet_automaton_refuses_the_profile_table_of_another_dfa():
+    _, dfa, _ = build("a+b+", "ab")
+    _, _, other = build("a*", "ab")
+    with pytest.raises(ValueError, match="^profile table was built from a different DFA$"):
+        build_meet_automaton(other, dfa)
 
 
 def test_meet_automaton_budget():

@@ -3,7 +3,8 @@
 Each check runs in a new interpreter with PYTHONPATH=src and looks only at
 the modules the import itself adds, so what the interpreter's site setup
 loads does not count; the typing check runs without site (-S), since site
-loads typing on many installs.
+loads typing on many installs.  Nothing a session loads outside synlat may
+come from outside Python's standard library.
 """
 
 import json
@@ -49,6 +50,28 @@ def test_import_leaves_out_dataclasses_inspect_and_the_oracle(module):
 def test_a_cli_import_without_site_leaves_out_typing():
     loaded = _fresh("import json, sys\nimport synlat.cli\nprint(json.dumps('typing' in sys.modules))", "-S")
     assert loaded is False
+
+
+def test_a_session_loads_only_the_standard_library():
+    # synlat has no runtime dependency: whatever its import, its CLI's commands and its
+    # oracle load outside the package is a module of Python's standard library
+    codes, added, stdlib = _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
+        "import synlat, synlat.cli, synlat.oracle\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [synlat.cli.main(argv.split()) for argv in (\n"
+        "        'automaton --regex a+b+ --alphabet ab --level lattice --format json',\n"
+        "        'algebra --regex a+b+ --alphabet ab --level lattice --format json',\n"
+        "        'reversible --regex a+b+ --alphabet ab',\n"
+        "    )]\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "print(json.dumps([codes, added, sorted(sys.stdlib_module_names)]))\n"
+    )
+    assert codes == [0, 0, 0]
+    assert "synlat.oracle" in added
+    assert [name for name in added if name.split(".")[0] not in {"synlat", *stdlib}] == []
 
 
 def test_oracle_names_resolve_on_first_use():

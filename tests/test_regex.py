@@ -6,7 +6,8 @@ from hypothesis import given
 import synlat
 from synlat import regex as rx
 from synlat.automata import access_words
-from synlat.errors import BudgetError, InputError, RegexSyntaxError
+from synlat.cli import main
+from synlat.errors import EXIT_PARSE, BudgetError, InputError, RegexSyntaxError
 
 from conftest import ast_matches, build, random_regex_corpus, words_upto
 from test_records import _agree, _regex_reference, regex_trees
@@ -48,6 +49,22 @@ def test_parse_errors_have_positions(bad):
     with pytest.raises(RegexSyntaxError) as exc:
         synlat.parse_regex(bad, "a")
     assert exc.value.pos >= 0
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("(a", "unclosed group (at position 0)"),
+    ("a%", "dangling escape (at position 1)"),
+])
+def test_parse_errors_name_the_fault_and_its_position(bad, message):
+    with pytest.raises(RegexSyntaxError, match=f"^{re.escape(message)}$"):
+        synlat.parse_regex(bad, "ab")
+
+
+def test_empty_alphabet_is_an_input_error(capsys):
+    with pytest.raises(InputError, match="^alphabet must be non-empty$"):
+        synlat.parse_regex("a", "")
+    assert main(["automaton", "--regex", "a", "--alphabet", "", "--level", "dfa"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: alphabet must be non-empty\n"
 
 
 def test_letter_outside_alphabet():

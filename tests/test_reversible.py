@@ -232,7 +232,7 @@ def test_s6_verdict_within_default_budget():
     dfa = _symmetric_group_dfa(6)
     m = synlat.syntactic_monoid(dfa)
     assert len(m) == 720
-    report = is_reversible(dfa, monoid=m, quadruple_budget=DEFAULT_QUADRUPLE_BUDGET)
+    report = is_reversible(dfa, monoid=m)   # no budget given: the default bounds it
     assert report.reversible
     assert report.forbidden is None and report.identity_counterexample is None
 
@@ -244,6 +244,9 @@ def test_s7_refused_before_any_table_row(monkeypatch):
     m = synlat.syntactic_monoid(dfa)
     assert len(m) == 5040
     _no_rows(monkeypatch)
-    with pytest.raises(BudgetError) as exc:
-        check_reversibility_identity(m, pt, dfa, quadruple_budget=DEFAULT_QUADRUPLE_BUDGET)
-    assert exc.value.needed == 25_396_560
+    # a library call that gives no budget is bounded by the CLI's default
+    for refuse in (lambda: check_reversibility_identity(m, pt, dfa), lambda: is_reversible(dfa, pt, m)):
+        with pytest.raises(BudgetError) as exc:
+            refuse()
+        assert exc.value.needed == 25_396_560
+        assert exc.value.limit == DEFAULT_QUADRUPLE_BUDGET

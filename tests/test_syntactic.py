@@ -702,6 +702,21 @@ def test_axiom_checker_reports_elements_outside_the_span_of_the_products():
     assert (truncated.violations, truncated.truncated, truncated.checked) == ((), True, report.checked)
 
 
+def test_axiom_checker_refuses_an_algebra_without_tables(apb):
+    dfa, pt = apb
+    alg = synlat.syntactic_lattice_algebra(pt, dfa, with_tables=False)
+    with pytest.raises(ValueError, match="^algebra was built without multiplication tables$"):
+        check_lattice_algebra_axioms(alg)
+
+
+@pytest.mark.parametrize("builder", [synlat.syntactic_semiring, synlat.syntactic_lattice_algebra])
+def test_algebras_refuse_the_profile_table_of_another_dfa(builder, apb):
+    dfa, _ = apb
+    _, _, other = build("a*", "ab")
+    with pytest.raises(ValueError, match="^profile table was built from a different DFA$"):
+        builder(other, dfa)
+
+
 def test_axiom_checker_on_degenerate_language():
     # %0 collapses 1 with ⊥, so the unit and right-zero laws conflict: the
     # 2-element quotient cannot satisfy both at once
