@@ -218,6 +218,13 @@ def minimize(dfa: Dfa) -> Dfa:
     Blocks are numbered breadth first from the initial state, letters in
     alphabet order, and each takes the label of its lowest-numbered state.
     """
+    labels = dfa.state_labels
+    return minimize_labelled(dfa, None if labels is None else labels.__getitem__)
+
+
+def minimize_labelled(dfa: Dfa, label) -> Dfa:
+    """minimize(dfa), each block labelled label(q) of its lowest-numbered state q (unlabelled when
+    label is None), so that only the states the minimal DFA keeps are rendered."""
     reach = _reachable(dfa)
     reach_set = set(reach)
     finals = frozenset(q for q in dfa.finals if q in reach_set)
@@ -271,9 +278,7 @@ def minimize(dfa: Dfa) -> Dfa:
     number = {b: i for i, b in enumerate(order)}
     delta = tuple(tuple(number[block_of[t]] for t in dfa.delta[next(iter(partition[b]))]) for b in order)
     new_finals = frozenset(i for i, b in enumerate(order) if partition[b] <= finals)
-    labels = None
-    if dfa.state_labels is not None:
-        labels = tuple(dfa.state_labels[min(partition[b])] for b in order)
+    labels = None if label is None else tuple(label(min(partition[b])) for b in order)
     return Dfa(dfa.alphabet, delta, 0, new_finals, labels)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .automata import DEFAULT_STATE_BUDGET, Dfa, close_values, minimize
+from .automata import DEFAULT_STATE_BUDGET, Dfa, close_values, minimize_labelled
 from .errors import BudgetError, InputError, RegexSyntaxError
 from .records import Record, set_field
 
@@ -356,10 +356,10 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
 
     The initial state is the language itself; a state is final exactly when
     its residual contains λ.  State labels render the residual regexes: minimize
-    keeps each class's lowest-numbered derivative, the one along its shortlex-least word.
+    keeps each class's lowest-numbered derivative, the one along its shortlex-least word,
+    and renders only those.
     """
     letter_ops = [lambda node, a=a: derivative(node, a) for a in ast.alphabet]
     order, _, delta, _ = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
     finals = frozenset(i for i, n in enumerate(order) if n.nullable)
-    labels = tuple(map(regex_to_str, order))
-    return minimize(Dfa(ast.alphabet, tuple(delta), 0, finals, labels))
+    return minimize_labelled(Dfa(ast.alphabet, tuple(delta), 0, finals), lambda q: regex_to_str(order[q]))

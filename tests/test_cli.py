@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import runpy
@@ -6,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import synlat
 from synlat import render
-from synlat.cli import main
+from synlat.cli import COMMANDS, Budgets, main, parse_args
 from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, InconsistencyError
 
 from conftest import build
@@ -154,7 +159,7 @@ def test_monoid_dot_rejected_before_the_monoid_is_built(capsys):
          "unknown algebra format", "format on reversible"],
 )
 def test_argparse_rejects_unknown_levels_and_formats(capsys, argv):
-    # argparse's choices are the only check of level and format
+    # the command line's choices are the only check of level and format
     with pytest.raises(SystemExit) as exc:
         main([*argv[:1], "--regex", "a+b+", "--alphabet", "ab", *argv[1:]])
     out = capsys.readouterr()
@@ -299,6 +304,31 @@ def test_write_error_exits_5_without_traceback(argv, unbuffered):
     assert done.stderr.count("\n") == 1   # one line, no traceback
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
+def test_a_failed_flush_points_stdout_at_the_null_device(capsys):
+    # in-process: the short document waits in the buffer, the flush fails, and the descriptor is
+    # pointed at the null device, so the flush at close writes the pending bytes there
+    with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+        code = main(["reversible", "--regex", "a*", "--alphabet", "ab"])
+        assert os.fstat(full.fileno()).st_rdev == os.stat(os.devnull).st_rdev
+    err = capsys.readouterr().err
+    assert code == EXIT_OUTPUT
+    assert err.startswith("error: cannot write output: [Errno 28] ") and err.count("\n") == 1
+
+
+class Unwritable(io.StringIO):
+    """A stream with no descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_write_error_on_a_stream_without_a_descriptor_exits_5(capsys):
+    with contextlib.redirect_stdout(Unwritable()):
+        code = main(["reversible", "--regex", "a*", "--alphabet", "ab"])
+    assert (code, capsys.readouterr().err) == (EXIT_OUTPUT, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
 def test_python_m_synlat_runs_the_cli(monkeypatch, capsys):
     # synlat/__main__.py in-process, as python -m synlat runs it
     monkeypatch.setattr(sys, "argv", ["synlat", "reversible", "--regex", "a*", "--alphabet", "ab"])
@@ -396,7 +426,7 @@ def test_main_runs_with_the_collector_off_and_restores_its_state(capsys, monkeyp
     try:
         code, _, _ = run_cli(capsys, "automaton", "--regex", "a+b+", "--alphabet", "ab", "--level", "meet")
         after_run = gc.isenabled()
-        with pytest.raises(SystemExit):   # argparse rejects the level
+        with pytest.raises(SystemExit):   # the command line's level is refused
             main(["automaton", "--regex", "a", "--alphabet", "a", "--level", "nope"])
         after_exit = gc.isenabled()
     finally:
@@ -406,18 +436,16 @@ def test_main_runs_with_the_collector_off_and_restores_its_state(capsys, monkeyp
 
 
 def test_parser_reuse_carries_no_state(capsys):
-    # the parser is built once per process; a flag given to one call must
+    # every call reads the same option table; a flag given to one call must
     # not leak into the next
-    from synlat import cli
-
     args = ["algebra", "--regex", "a+b+", "--alphabet", "ab", "--level", "semiring", "--format", "table"]
-    assert cli._build_parser() is cli._build_parser()
+    _, first, _ = run_cli(capsys, *args)
     _, suppressed, _ = run_cli(capsys, *args, "--suppress-derivable-columns")
     _, second, _ = run_cli(capsys, *args)
-    cli._build_parser.cache_clear()
-    _, fresh, _ = run_cli(capsys, *args)
-    assert second == fresh
-    assert suppressed != fresh
+    assert second == first
+    assert suppressed != first
+    assert parse_args([*args, "--suppress-derivable-columns"]).suppress_derivable_columns is True
+    assert parse_args(args).suppress_derivable_columns is False
 
 
 @pytest.mark.parametrize(
@@ -532,3 +560,155 @@ def test_suppress_derivable_columns_help_names_the_table_format(capsys):
     usage = " ".join(capsys.readouterr().out.split())
     assert ("--suppress-derivable-columns keep only the informative residual columns; "
             "applies to --format table only") in usage
+
+
+# --- the command line, read against argparse as the reference ---
+
+def argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser the CLI was built on, which parse_args must read every command line as."""
+    parser = argparse.ArgumentParser(prog="synlat")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, levels=None, fmt=True):
+        p.add_argument("--regex", required=True)
+        p.add_argument("--alphabet", required=True, help="alphabet letters, e.g. 'ab'")
+        if levels:
+            p.add_argument("--level", required=True, choices=levels)
+        if fmt:
+            p.add_argument("--format", default="table", choices=["dot", "json", "table"])
+        p.add_argument("--budget-profiles", type=int, default=Budgets.profiles)
+        p.add_argument("--budget-states", type=int, default=Budgets.states)
+        p.add_argument("--budget-elements", type=int, default=Budgets.elements)
+        p.add_argument("--budget-quadruples", type=int, default=Budgets.quadruples)
+
+    p_auto = sub.add_parser("automaton", help="canonical, meet, or lattice automaton")
+    common(p_auto, levels=["dfa", "meet", "lattice"])
+    p_alg = sub.add_parser("algebra", help="syntactic monoid, semiring, or lattice algebra")
+    common(p_alg, levels=["monoid", "semiring", "lattice"])
+    p_alg.add_argument(
+        "--suppress-derivable-columns", action="store_true",
+        help="keep only the informative residual columns; applies to --format table only",
+    )
+    p_rev = sub.add_parser("reversible", help="reversibility verdict (JSON)")
+    common(p_rev, fmt=False)
+    return parser
+
+
+REFERENCE = argparse_reference()
+
+
+def outcome(parse, argv):
+    """("values", the attributes parsed), ("help",) or ("refused",), with each exit's streams checked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "values", vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        assert out.getvalue().startswith("usage: synlat") and err.getvalue() == ""
+        return ("help",)
+    assert (code, out.getvalue()) == (EXIT_PARSE, "") and err.getvalue().startswith("usage: synlat")
+    return ("refused",)
+
+
+KINDS = {name: kind for _, options in COMMANDS.values() for name, kind, *_ in options}
+LONG_OPTIONS = sorted([*KINDS, "--help"])
+VALUES = ["a", "ab", "-a", "-1", "-2.5", "-", "a b", "", "3", "0", "x=y", "-x", "--x", "-hh", "-1e3", " 5", "-1\n",
+          "dfa", "meet", "lattice", "monoid", "semiring", "nfa", "dot", "json", "table", "xml",
+          "automaton", "algebra", "reversible"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then tokens: option names, their prefixes and '=' forms, -h, values, and options
+    given a value of their kind; half the time with the command's required options.
+
+    '--' and -h followed by anything but more h's are left out: argparse reads them
+    differently from one Python version to the next (see parse_args).
+    """
+    long_name = st.sampled_from(LONG_OPTIONS).flatmap(lambda n: st.integers(3, len(n)).map(lambda k: n[:k]))
+    value = st.sampled_from(VALUES)
+    token = st.one_of(long_name, st.sampled_from(["-h", "-hh"]), value,
+                      st.tuples(long_name, value).map("=".join))
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    noise = draw(st.lists(st.one_of(st.tuples(long_name, value).map(list), token.map(lambda t: [t])), max_size=4))
+    options = draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=5))
+    if command in COMMANDS and draw(st.booleans()):   # a command line that may parse
+        noise = draw(st.sampled_from([[], noise]))
+        options += [name for name, _, default, _ in COMMANDS[command][1] if default is None]
+    body = noise
+    for name in options:   # each option with a value of its kind, in either form
+        kind = KINDS[name]
+        if kind is bool:
+            body.append([name])
+            continue
+        choices = kind if type(kind) is tuple else ["3", "-1", "+0"] if kind is int else ["a", "-1", "a b", "", "x=y"]
+        option_value = draw(st.sampled_from(choices))
+        body.append(draw(st.sampled_from([[name, option_value], [f"{name}={option_value}"]])))
+    body = draw(st.permutations(body))
+    head = draw(st.lists(token, max_size=2)) if draw(st.integers(0, 3)) == 0 else []
+    return [*head, command, *(t for tokens in body for t in tokens)]
+
+
+@given(command_lines())
+def test_command_lines_read_as_argparse_reads_them(argv):
+    assert outcome(parse_args, argv) == outcome(REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ([], "refused"),
+        (["-x"], "refused"),
+        (["--help=x", "reversible"], "refused"),
+        (["reversible", "-h="], "refused"),
+        (["-hh", "reversible"], "help"),
+        (["--he"], "help"),
+        (["-x", "-h"], "help"),
+        (["bogus", "-h"], "refused"),
+        (["reversible", "--budget"], "refused"),
+        (["reversible", "-h", "--budget"], "refused"),
+        (["algebra", "--suppress-derivable-columns=", "--regex", "a", "--alphabet", "a", "--level", "monoid"],
+         "refused"),
+        (["reversible", "--alphabet", "a", "--regex"], "refused"),
+        (["reversible", "--alphabet", "a", "--regex", "-a"], "refused"),
+        (["reversible", "--regex", "a", "--alphabet", "a", "--budget-states", "1.5"], "refused"),
+        (["automaton", "--level", "nfa", "-h"], "refused"),
+        (["automaton", "-h", "--level", "nfa"], "help"),
+        (["reversible", "--regex", "a"], "refused"),
+        (["reversible", "--regex", "a", "--alphabet", "a", "stray"], "refused"),
+        (["-q", "reversible", "--regex", "a", "--alphabet", "a"], "refused"),
+        (["reversible", "-q", "stray", "--h"], "help"),
+        (["reversible", "--regex", "-1", "--alphabet=-a", "--alph", "a b", "--budget-s", "-1", "--budget-s=7"],
+         "values"),
+        (["algebra", "--reg=", "--alphabet", "", "--lev", "monoid", "--s", "--f", "dot", "--suppress"], "values"),
+    ],
+)
+def test_each_refusal_and_help_branch_reads_as_argparse_does(argv, expected):
+    got = outcome(parse_args, argv)
+    assert got[0] == expected
+    assert got == outcome(REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [["-hx", "reversible"], ["reversible", "-h=x"], ["reversible", "-hhx"]])
+def test_letters_after_h_other_than_h_are_refused(argv):
+    # argparse reads the letters after -h as more short options: up to Python 3.12 an
+    # unknown one is refused, as here; 3.13 prints the help
+    assert outcome(parse_args, argv) == ("refused",)
+
+
+@pytest.mark.parametrize("argv", [["reversible", "--regex", "a", "--alphabet", "a", "--"],
+                                  ["reversible", "--regex", "a", "--", "--alphabet", "a"]])
+def test_a_double_dash_is_an_unknown_option(argv):
+    # argparse reads the tokens after '--' as values, but by rules that change from one
+    # Python version to the next; here '--' is no option of any command
+    assert outcome(parse_args, argv) == ("refused",)
+
+
+def test_a_refused_command_line_names_the_command_usage(capsys):
+    with pytest.raises(SystemExit):
+        main(["automaton", "--regex", "a"])
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: synlat automaton [-h] --regex REGEX --alphabet ALPHABET")
+    assert err[-1] == "synlat automaton: error: the following arguments are required: --alphabet, --level"

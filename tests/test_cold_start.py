@@ -1,4 +1,4 @@
-"""A fresh process importing synlat loads neither dataclasses, inspect, typing nor the oracle module.
+"""A fresh process importing synlat loads neither dataclasses, inspect, typing, argparse nor the oracle module.
 
 Each check runs in a new interpreter with PYTHONPATH=src and looks only at
 the modules the import itself adds, so what the interpreter's site setup
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ["dataclasses", "inspect", "synlat.oracle"]
+UNWANTED = ["dataclasses", "inspect", "synlat.oracle", "argparse", "gettext"]
 ORACLE_NAMES = [
     "OracleConfig",
     "oracle_enumerate_elements",

@@ -181,6 +181,25 @@ def test_nesting_limits():
         synlat.parse_regex("a" + "*" * depth, "a")
 
 
+def test_only_the_states_minimize_keeps_are_labelled(monkeypatch):
+    # 26 levels of (a(a(…)*)*)* have 28 derivative states, of 286,262 characters
+    # of labels in all, and a 2-state minimal DFA
+    pattern = "a"
+    for _ in range(26):
+        pattern = f"(a{pattern})*"
+    real, rendered = rx.regex_to_str, []
+
+    def regex_to_str(node):
+        rendered.append(real(node))
+        return rendered[-1]
+
+    monkeypatch.setattr(rx, "regex_to_str", regex_to_str)
+    dfa = synlat.compile_canonical_dfa(synlat.parse_regex(pattern, "ab"))
+    assert dfa.n_states == 2
+    assert list(dfa.state_labels) == rendered
+    assert rendered[1] == "∅"
+
+
 def test_state_labels_render_the_derivative_along_each_access_word():
     # the reference derives each residual again, along the state's shortlex-least word
     for ast in random_regex_corpus(seed=5, count=200):
