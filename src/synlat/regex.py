@@ -4,11 +4,13 @@ Grammar:  expr := term ('|' term)* ; term := factor+ ;
 factor := base ('*'|'+'|'?')* ; base := letter | '%e' | '%0' | '(' expr ')'.
 Union binds loosest, then concatenation, then the postfix operators.
 
-Compilation takes Brzozowski derivatives under similarity normalization
-(union is flattened/sorted/deduplicated, unit and annihilator laws applied)
-and finishes with Hopcroft minimization, so states correspond one-to-one to
-the distinct left quotients of the language no matter what the normalization
-missed.
+The parser builds its tree through the similarity-normalizing constructors
+cat, alt and star (union flattened, sorted and deduplicated, unit and
+annihilator laws applied), reading x+ as x x* and x? as x|%e, so a parsed
+tree is already normalized.  Compilation takes Brzozowski derivatives through
+the same constructors and finishes with Hopcroft minimization, so states
+correspond one-to-one to the distinct left quotients of the language no
+matter what the normalization missed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class Node(Record):
     children's keys, by which alt sorts a union; _hash, hashed from the tag
     and the children's hashes, so hashing never walks the tree; and nullable,
     whether its language holds λ.  Nodes are equal when their keys are.  A
-    class whose nullability is fixed sets it as a class attribute."""
+    class whose nullability is fixed sets it as a class attribute.  The six
+    classes below are the whole syntax, tags 0 to 5: + and ? have no node."""
 
     __slots__ = ("key", "_hash", "nullable")
 
@@ -89,26 +92,6 @@ class Union(Node):
         set_field(self, "nullable", any([p.nullable for p in parts]))
 
 
-class Plus(Node):           # sugar: x+ == x x*
-    __slots__ = _fields = ("inner",)
-
-    def __init__(self, inner: Node):
-        set_field(self, "inner", inner)
-        set_field(self, "key", (6, inner.key))
-        set_field(self, "_hash", hash((6, inner._hash)))
-        set_field(self, "nullable", inner.nullable)
-
-
-class Optional(Node):       # sugar: x? == x | %e
-    __slots__ = _fields = ("inner",)
-    nullable = True
-
-    def __init__(self, inner: Node):
-        set_field(self, "inner", inner)
-        set_field(self, "key", (7, inner.key))
-        set_field(self, "_hash", hash((7, inner._hash)))
-
-
 class RegexAst(Record):
     _fields = ("root", "alphabet")
 
@@ -117,115 +100,7 @@ MAX_NESTING = 100
 DERIVATIVE_PARTS_BUDGET = 10_000
 
 
-def parse_regex(text: str, alphabet) -> RegexAst:
-    """Parse a pattern over an explicit alphabet.
-
-    Letters are printable, non-space ASCII characters, so that none reads
-    as a symbol of the outputs (λ, ⊤, ⊥, ∧, ∨).  Groups may nest at most
-    MAX_NESTING deep, and so may the syntax tree (groups, concatenations,
-    unions and postfix operators inside one another); deeper patterns raise
-    RegexSyntaxError, since every later stage recurses on the tree.
-    """
-    alphabet = tuple(alphabet)
-    if not alphabet:
-        raise InputError("alphabet must be non-empty")
-    if len(set(alphabet)) != len(alphabet):
-        raise InputError("alphabet letters must be distinct")
-    odd = [a for a in alphabet if not (len(a) == 1 and "!" <= a <= "~")]
-    if odd:
-        raise InputError(f"alphabet letters {odd} are not printable non-space ASCII characters")
-    clash = set("|()*+?%") & set(alphabet)
-    if clash:
-        raise InputError(f"alphabet letters {sorted(clash)} clash with pattern syntax")
-    if text == "":
-        raise RegexSyntaxError('empty pattern (use "%e" for λ, "%0" for ∅)', 0)
-
-    pos = 0
-    groups = 0
-
-    def peek():
-        return text[pos] if pos < len(text) else None
-
-    def checked(height):
-        if height > MAX_NESTING:
-            raise RegexSyntaxError(f"pattern nested more than {MAX_NESTING} deep", pos)
-        return height
-
-    def nested(parts, cls):
-        """(node, height) of a single part, or of cls over several."""
-        if len(parts) == 1:
-            return parts[0]
-        return cls(tuple(node for node, _ in parts)), checked(1 + max(h for _, h in parts))
-
-    def parse_expr():
-        nonlocal pos
-        terms = [parse_term()]
-        while peek() == "|":
-            pos += 1
-            terms.append(parse_term())
-        return nested(terms, Union)
-
-    def parse_term():
-        factors = []
-        while True:
-            c = peek()
-            if c is None or c in "|)":
-                break
-            factors.append(parse_factor())
-        if not factors:
-            raise RegexSyntaxError("expected a letter, escape, or group", pos)
-        return nested(factors, Concat)
-
-    def parse_factor():
-        nonlocal pos
-        node, height = parse_base()
-        while peek() in ("*", "+", "?"):
-            op = text[pos]
-            pos += 1
-            node = {"*": Star, "+": Plus, "?": Optional}[op](node)
-            height = checked(height + 1)
-        return node, height
-
-    def parse_base():
-        nonlocal pos, groups
-        c = peek()
-        if c == "(":
-            if groups == MAX_NESTING:
-                raise RegexSyntaxError(f"groups nested more than {MAX_NESTING} deep", pos)
-            open_pos = pos
-            pos += 1
-            groups += 1
-            inner = parse_expr()
-            groups -= 1
-            if peek() != ")":
-                raise RegexSyntaxError("unclosed group", open_pos)
-            pos += 1
-            return inner
-        if c == "%":
-            if pos + 1 >= len(text):
-                raise RegexSyntaxError("dangling escape", pos)
-            esc = text[pos + 1]
-            if esc == "e":
-                pos += 2
-                return Epsilon(), 1
-            if esc == "0":
-                pos += 2
-                return Empty(), 1
-            raise RegexSyntaxError(f"unknown escape %{esc}", pos)
-        if c in ("*", "+", "?"):
-            raise RegexSyntaxError(f"postfix {c!r} with nothing to repeat", pos)
-        if c in alphabet:
-            pos += 1
-            return Letter(c), 1
-        raise RegexSyntaxError(f"letter {c!r} is not in the alphabet", pos)
-
-    root, _ = parse_expr()
-    if pos != len(text):
-        raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return RegexAst(root, alphabet)
-
-
-# --- similarity-normalizing constructors (used from desugaring onward) ---
+# --- similarity-normalizing constructors: the parser and derivative build every node through them ---
 
 _EMPTY = Empty()
 _EPSILON = Epsilon()
@@ -274,22 +149,116 @@ def star(node: Node) -> Node:
     return Star(node)
 
 
-def desugar(node: Node) -> Node:
-    """Eliminate + and ? and normalize; result uses Empty/Epsilon/Letter/Concat/Union/Star."""
-    if isinstance(node, (Empty, Epsilon, Letter)):
-        return node
-    if isinstance(node, Concat):
-        return cat(desugar(p) for p in node.parts)
-    if isinstance(node, Union):
-        return alt(desugar(p) for p in node.parts)
-    if isinstance(node, Star):
-        return star(desugar(node.inner))
-    if isinstance(node, Plus):
-        inner = desugar(node.inner)
-        return cat([inner, star(inner)])
-    if isinstance(node, Optional):
-        return alt([desugar(node.inner), _EPSILON])
-    raise TypeError(f"unknown node {node!r}")
+_POSTFIX = {"*": star, "+": lambda x: cat([x, star(x)]), "?": lambda x: alt([x, _EPSILON])}
+
+
+def parse_regex(text: str, alphabet) -> RegexAst:
+    """Parse a pattern over an explicit alphabet.
+
+    Letters are printable, non-space ASCII characters, so that none reads
+    as a symbol of the outputs (λ, ⊤, ⊥, ∧, ∨).  Groups may nest at most
+    MAX_NESTING deep, and so may the syntax tree (groups, concatenations,
+    unions and postfix operators inside one another, as written); deeper
+    patterns raise RegexSyntaxError, since every later stage recurses on the
+    tree.  The root is normalized as it is built, x+ read as x x* and x? as
+    x|%e, and is the tree compile_canonical_dfa closes from.
+    """
+    alphabet = tuple(alphabet)
+    if not alphabet:
+        raise InputError("alphabet must be non-empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise InputError("alphabet letters must be distinct")
+    odd = [a for a in alphabet if not (len(a) == 1 and "!" <= a <= "~")]
+    if odd:
+        raise InputError(f"alphabet letters {odd} are not printable non-space ASCII characters")
+    clash = set("|()*+?%") & set(alphabet)
+    if clash:
+        raise InputError(f"alphabet letters {sorted(clash)} clash with pattern syntax")
+    if text == "":
+        raise RegexSyntaxError('empty pattern (use "%e" for λ, "%0" for ∅)', 0)
+
+    pos = 0
+    groups = 0
+
+    def peek():
+        return text[pos] if pos < len(text) else None
+
+    def checked(height):
+        if height > MAX_NESTING:
+            raise RegexSyntaxError(f"pattern nested more than {MAX_NESTING} deep", pos)
+        return height
+
+    def nested(parts, build):
+        """(node, height) of a single part, or of build over several."""
+        if len(parts) == 1:
+            return parts[0]
+        return build([node for node, _ in parts]), checked(1 + max(h for _, h in parts))
+
+    def parse_expr():
+        nonlocal pos
+        terms = [parse_term()]
+        while peek() == "|":
+            pos += 1
+            terms.append(parse_term())
+        return nested(terms, alt)
+
+    def parse_term():
+        factors = []
+        while True:
+            c = peek()
+            if c is None or c in "|)":
+                break
+            factors.append(parse_factor())
+        if not factors:
+            raise RegexSyntaxError("expected a letter, escape, or group", pos)
+        return nested(factors, cat)
+
+    def parse_factor():
+        nonlocal pos
+        node, height = parse_base()
+        while peek() in _POSTFIX:
+            node = _POSTFIX[text[pos]](node)
+            pos += 1
+            height = checked(height + 1)
+        return node, height
+
+    def parse_base():
+        nonlocal pos, groups
+        c = peek()
+        if c == "(":
+            if groups == MAX_NESTING:
+                raise RegexSyntaxError(f"groups nested more than {MAX_NESTING} deep", pos)
+            open_pos = pos
+            pos += 1
+            groups += 1
+            inner = parse_expr()
+            groups -= 1
+            if peek() != ")":
+                raise RegexSyntaxError("unclosed group", open_pos)
+            pos += 1
+            return inner
+        if c == "%":
+            if pos + 1 >= len(text):
+                raise RegexSyntaxError("dangling escape", pos)
+            esc = text[pos + 1]
+            if esc == "e":
+                pos += 2
+                return _EPSILON, 1
+            if esc == "0":
+                pos += 2
+                return _EMPTY, 1
+            raise RegexSyntaxError(f"unknown escape %{esc}", pos)
+        if c in _POSTFIX:
+            raise RegexSyntaxError(f"postfix {c!r} with nothing to repeat", pos)
+        if c in alphabet:
+            pos += 1
+            return Letter(c), 1
+        raise RegexSyntaxError(f"letter {c!r} is not in the alphabet", pos)
+
+    root, _ = parse_expr()
+    if pos != len(text):
+        raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
+    return RegexAst(root, alphabet)
 
 
 def derivative(node: Node, letter: str) -> Node:
@@ -360,6 +329,6 @@ def compile_canonical_dfa(ast: RegexAst, state_budget: int = DEFAULT_STATE_BUDGE
     and renders only those.
     """
     letter_ops = [lambda node, a=a: derivative(node, a) for a in ast.alphabet]
-    order, _, delta, _ = close_values([desugar(ast.root)], letter_ops, (), state_budget, "derivative states")
+    order, _, delta, _ = close_values([ast.root], letter_ops, (), state_budget, "derivative states")
     finals = frozenset(i for i, n in enumerate(order) if n.nullable)
     return minimize_labelled(Dfa(ast.alphabet, tuple(delta), 0, finals), lambda q: regex_to_str(order[q]))

@@ -76,6 +76,12 @@ GOLDEN = [
     ("algebra", "(a|bc)*(c|%e)", "abc", "lattice", "json",
      "5c3db9368811727999d4757c1208ed60054112ec6dbacffa432d3a92e8129934"),
     ("automaton", "a+b+", "ab", "dfa", "json", "39d9c1a0404d7d39bb9e927b5f9e7c6c870954dbf1bde10c117e65584e9ca5cc"),
+    # DFA documents of patterns thick with + and ?: each state's label renders its residual regex
+    ("automaton", "a+++", "ab", "dfa", "json", "4587a3787a139523b303932cc3f0c32f5c03cd92885a6a129e590b0673041880"),
+    ("automaton", "(a?b+)*c?", "abc", "dfa", "json", "c24602bf501bac19ae04e9ead49722dc8182f4b51d6166a268fde7e2a3a07981"),
+    ("automaton", "((ab)+|%e)?b", "ba", "dfa", "json", "7639cec91cab19b85974e9073b6fa86619d5fd5af14010570382e63f8afea6e9"),
+    ("automaton", "(%0|a)+%e", "a", "dfa", "json", "0ccb4dd6157cd588abacc61767bf817964a79bfce3602d6e675e0d1719387f68"),
+    ("automaton", "(b|a)?(a|b)+", "ab", "dfa", "json", "99787e6976c70ec4bcb37e3bc3baec4eb0a7bf554a84c1957da3a947baf7a499"),
 ]
 
 

@@ -111,6 +111,24 @@ def test_subset_budget(apb):
         oracle_enumerate_elements(pt, dfa, "semiring", OracleConfig(4, 8), subset_budget=10)
 
 
+def test_join_subset_budget(apb):
+    # words up to length 1 give 3 maps: 7 meet combinations of at most 2 fit a budget of 10,
+    # but their 7 meets give 29 join combinations
+    dfa, pt = apb
+    assert len(oracle_enumerate_elements(pt, dfa, "semiring", OracleConfig(1, 2), subset_budget=10)) == 7
+    with pytest.raises(synlat.BudgetError, match="^oracle join combinations exceeded budget of 10$"):
+        oracle_enumerate_elements(pt, dfa, "lattice", OracleConfig(1, 2), subset_budget=10)
+
+
+def test_saturation_bound(apb):
+    # the monoid has 3 maps of words up to length 1 and 5 up to lengths 2 and 3
+    dfa, pt = apb
+    with pytest.raises(synlat.BudgetError, match="^oracle saturation bounds exceeded budget of 2$"):
+        oracle_enumerate_saturated(pt, dfa, "monoid", max_word_len=2)
+    maps, cfg = oracle_enumerate_saturated(pt, dfa, "monoid", max_word_len=3)
+    assert len(maps) == 5 and cfg == OracleConfig(3, 3)
+
+
 def test_words_upto_shortlex():
     assert words_upto("ab", 2) == ["", "a", "b", "aa", "ab", "ba", "bb"]
 

@@ -40,8 +40,6 @@ RECORDS = [
     (rx.Concat, [("parts", (a, b), (b, a))], (), ()),
     (rx.Union, [("parts", (a, b), (b, a))], (), ()),
     (rx.Star, [("inner", a, b)], (), ()),
-    (rx.Plus, [("inner", a, b)], (), ()),
-    (rx.Optional, [("inner", a, b)], (), ()),
     (rx.RegexAst, [("root", a, rx.Star(a)), ("alphabet", ("a",), ("a", "b"))], (), ()),
     (tm.Sym, [("char", "a", "b")], (), ()),
     (tm.Lam, [], (), ()),
@@ -112,11 +110,11 @@ GENERIC = [spec for spec in RECORDS if spec[0].__init__ is Record.__init__]
 DEFAULTS = {(sy.SyntacticLatticeAlgebra, "columns"): None, (sy.AxiomReport, "truncated"): False}
 # the classes that validate their arguments, derive a field or are built in bulk
 OWN_INIT = {automata.Dfa, cli.Budgets, oracle.OracleConfig, rx.Letter, rx.Star, rx.Concat, rx.Union,
-            rx.Plus, rx.Optional, atoms.AtomSet, sy._Element}
+            atoms.AtomSet, sy._Element}
 ABSTRACT = {rx.Node, tm.Term}   # bases, never built
 NOT_IN_RECORDS = {atoms.AtomSet}   # equal only over one table object: test_atom_sets_are_equal_only_over_one_table
 MUTABLE = {cli.Budgets}
-SLOTTED = {rx.Empty, rx.Epsilon, rx.Letter, rx.Concat, rx.Union, rx.Star, rx.Plus, rx.Optional,
+SLOTTED = {rx.Empty, rx.Epsilon, rx.Letter, rx.Concat, rx.Union, rx.Star,
            tm.Sym, tm.Lam, tm.TopT, tm.BotT, tm.Cat, tm.Meet, tm.Join}
 
 
@@ -243,9 +241,6 @@ def test_built_algebras_pickle_through_their_tables_as_tuples():
     [
         (rx.Empty(), rx.Epsilon()),
         (rx.Concat((a, b)), rx.Union((a, b))),
-        (rx.Star(a), rx.Plus(a)),
-        (rx.Star(a), rx.Optional(a)),
-        (rx.Plus(a), rx.Optional(a)),
         (rx.Letter("a"), tm.Sym("a")),
         (tm.Lam(), tm.TopT()),
         (tm.TopT(), tm.BotT()),
@@ -324,7 +319,7 @@ def _regex_reference(node):
         return (rx.Letter, node.char)
     if isinstance(node, (rx.Concat, rx.Union)):
         return (type(node), tuple(map(_regex_reference, node.parts)))
-    if isinstance(node, (rx.Star, rx.Plus, rx.Optional)):
+    if isinstance(node, rx.Star):
         return (type(node), _regex_reference(node.inner))
     return (type(node),)
 
@@ -342,8 +337,6 @@ regex_trees = st.recursive(
     st.one_of(st.builds(rx.Empty), st.builds(rx.Epsilon), st.builds(rx.Letter, st.sampled_from("ab"))),
     lambda kids: st.one_of(
         st.builds(rx.Star, kids),
-        st.builds(rx.Plus, kids),
-        st.builds(rx.Optional, kids),
         st.builds(rx.Concat, st.lists(kids, min_size=2, max_size=3).map(tuple)),
         st.builds(rx.Union, st.lists(kids, min_size=2, max_size=3).map(tuple)),
     ),
@@ -362,7 +355,7 @@ def _rebuild_regex(ref):
         return cls(rest[0])
     if cls in (rx.Concat, rx.Union):
         return cls(tuple(map(_rebuild_regex, rest[0])))
-    if cls in (rx.Star, rx.Plus, rx.Optional):
+    if cls is rx.Star:
         return cls(_rebuild_regex(rest[0]))
     return cls()
 

@@ -1,22 +1,34 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import synlat
 from synlat import regex as rx
 from synlat.automata import access_words
 from synlat.cli import main
 from synlat.errors import EXIT_PARSE, BudgetError, InputError, RegexSyntaxError
+from synlat.terms import Sym
 
-from conftest import ast_matches, build, random_regex_corpus, words_upto
+from conftest import (
+    OPERATOR, ast_matches, build, pattern_text, random_pattern_corpus, random_regex_corpus, surface, words_upto,
+)
 from test_records import _agree, _regex_reference, regex_trees
 
 
 def test_parse_plus_concat():
+    # x+ is read as x x*, and concatenations flatten as they are built
     ast = synlat.parse_regex("a+b+", "ab")
-    assert ast.root == rx.Concat((rx.Plus(rx.Letter("a")), rx.Plus(rx.Letter("b"))))
+    a, b = rx.Letter("a"), rx.Letter("b")
+    assert ast.root == rx.Concat((a, rx.Star(a), b, rx.Star(b)))
     assert ast.alphabet == ("a", "b")
+
+
+def test_parse_optional():
+    # x? is read as x|%e, and a union sorts its parts by key; similarity does not merge x* x*
+    optional = rx.Union((rx.Epsilon(), rx.Letter("a")))
+    assert synlat.parse_regex("a?", "a").root == optional
+    assert synlat.parse_regex("a??**+", "a").root == rx.Concat((rx.Star(optional), rx.Star(optional)))
 
 
 def test_parse_group_star():
@@ -32,9 +44,9 @@ def test_parse_escapes():
 
 
 def test_parse_precedence():
-    # union loosest, then concatenation, then postfix
+    # union loosest, then concatenation, then postfix; alt puts the letter's key first
     ast = synlat.parse_regex("ab|c", "abc")
-    assert ast.root == rx.Union((rx.Concat((rx.Letter("a"), rx.Letter("b"))), rx.Letter("c")))
+    assert ast.root == rx.Union((rx.Letter("c"), rx.Concat((rx.Letter("a"), rx.Letter("b")))))
     ast = synlat.parse_regex("ab*", "ab")
     assert ast.root == rx.Concat((rx.Letter("a"), rx.Star(rx.Letter("b"))))
 
@@ -82,12 +94,13 @@ def test_alphabet_letter_of_pattern_syntax_is_an_input_error(letter):
         synlat.parse_regex("a", ("a", letter))
 
 
-def count_residuals_bruteforce(ast, alphabet, depth=6):
-    """Distinct rows of the prefix-by-suffix membership matrix, via the AST matcher."""
+def count_residuals_bruteforce(pattern, alphabet, depth=6):
+    """Distinct rows of the prefix-by-suffix membership matrix, via the surface matcher."""
     suffixes = words_upto(alphabet, depth)
+    tree = surface(pattern)
     rows = set()
     for prefix in words_upto(alphabet, depth):
-        rows.add(tuple(ast_matches(ast, prefix + s) for s in suffixes))
+        rows.add(tuple(ast_matches(tree, prefix + s) for s in suffixes))
     return len(rows)
 
 
@@ -107,8 +120,8 @@ def test_compile_empty_language():
 
 def test_compile_a_star_two_states():
     # oracle: residual count by brute-force membership matrix
-    ast, dfa, _ = build("a*", "ab")
-    assert count_residuals_bruteforce(ast, "ab", depth=4) == 2
+    _, dfa, _ = build("a*", "ab")
+    assert count_residuals_bruteforce("a*", "ab", depth=4) == 2
     assert dfa.n_states == 2
 
 
@@ -117,18 +130,19 @@ def test_compile_a_star_two_states():
     [("a+b+", "ab"), ("a*", "ab"), ("a(b|c)*", "abc"), ("(ab)*", "ab"), ("a?b", "ab")],
 )
 def test_compile_minimal_state_count(pattern, alphabet):
-    ast, dfa, _ = build(pattern, alphabet)
-    assert dfa.n_states == count_residuals_bruteforce(ast, alphabet, depth=5)
+    _, dfa, _ = build(pattern, alphabet)
+    assert dfa.n_states == count_residuals_bruteforce(pattern, alphabet, depth=5)
 
 
 @pytest.mark.parametrize("pattern,alphabet", [("a+b+", "ab"), ("(a|bb)*", "ab"), ("a?b*a", "ab")])
 def test_states_recognize_left_quotients(pattern, alphabet):
-    # the state reached by u accepts exactly u^{-1}L, against the AST matcher
-    ast, dfa, _ = build(pattern, alphabet)
+    # the state reached by u accepts exactly u^{-1}L, against the surface matcher
+    _, dfa, _ = build(pattern, alphabet)
+    tree = surface(pattern)
     for u in words_upto(alphabet, 4):
         q = synlat.run(dfa, dfa.initial, u)
         for v in words_upto(alphabet, 4):
-            assert synlat.accepts(dfa, v, state=q) == ast_matches(ast, u + v)
+            assert synlat.accepts(dfa, v, state=q) == ast_matches(tree, u + v)
 
 
 def test_state_budget():
@@ -163,7 +177,7 @@ def recursive_derivative(node, letter):
 def test_derivative_matches_recursive_rule():
     # looping over the parts of a concatenation builds the same normalized nodes
     for ast in random_regex_corpus(seed=5, count=200):
-        frontier = [rx.desugar(ast.root)]
+        frontier = [ast.root]
         for _ in range(3):
             frontier = [rx.derivative(n, a) for n in frontier for a in ast.alphabet]
             for n in frontier:
@@ -204,36 +218,35 @@ def test_state_labels_render_the_derivative_along_each_access_word():
     # the reference derives each residual again, along the state's shortlex-least word
     for ast in random_regex_corpus(seed=5, count=200):
         dfa = synlat.compile_canonical_dfa(ast)
-        root = rx.desugar(ast.root)
         for q, word in enumerate(access_words(dfa)):
-            node = root
+            node = ast.root
             for a in word:
                 node = rx.derivative(node, a)
             assert dfa.state_labels[q] == rx.regex_to_str(node)
 
 
 def stdlib_pattern(node):
-    """The surface AST in Python's re syntax."""
-    if isinstance(node, rx.Empty):
+    """The surface pattern in Python's re syntax."""
+    kind = node[0]
+    if kind == "empty":
         return "(?!)"
-    if isinstance(node, rx.Epsilon):
+    if kind == "epsilon":
         return "(?:)"
-    if isinstance(node, rx.Letter):
-        return re.escape(node.char)
-    if isinstance(node, rx.Concat):
-        return "".join(f"(?:{stdlib_pattern(p)})" for p in node.parts)
-    if isinstance(node, rx.Union):
-        return "|".join(f"(?:{stdlib_pattern(p)})" for p in node.parts)
-    postfix = {rx.Star: "*", rx.Plus: "+", rx.Optional: "?"}[type(node)]
-    return f"(?:{stdlib_pattern(node.inner)}){postfix}"
+    if kind == "letter":
+        return re.escape(node[1])
+    if kind == "concat":
+        return "".join(f"(?:{stdlib_pattern(p)})" for p in node[1:])
+    if kind == "union":
+        return "|".join(f"(?:{stdlib_pattern(p)})" for p in node[1:])
+    return f"(?:{stdlib_pattern(node[1])}){OPERATOR[kind]}"
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_compiled_dfa_agrees_with_stdlib_re(seed):
-    for ast in random_regex_corpus(seed=seed, count=60):
-        dfa = synlat.compile_canonical_dfa(ast)
-        pattern = re.compile(stdlib_pattern(ast.root))
-        for w in words_upto(ast.alphabet, 5):
+    for tree, alphabet in random_pattern_corpus(seed=seed, count=60):
+        dfa = synlat.compile_canonical_dfa(synlat.parse_regex(pattern_text(tree), alphabet))
+        pattern = re.compile(stdlib_pattern(tree))
+        for w in words_upto(alphabet, 5):
             assert synlat.accepts(dfa, w) == (pattern.fullmatch(w) is not None), (pattern.pattern, w)
 
 
@@ -253,21 +266,15 @@ def reference_key(node):
         return (4,) + tuple(reference_key(p) for p in node.parts)
     if isinstance(node, rx.Union):
         return (5,) + tuple(reference_key(p) for p in node.parts)
-    if isinstance(node, rx.Plus):
-        return (6, reference_key(node.inner))
-    if isinstance(node, rx.Optional):
-        return (7, reference_key(node.inner))
     raise TypeError(f"unknown node {node!r}")
 
 
 def reference_nullable(node):
     """Whether the node's language holds λ, recomputed over the whole tree."""
-    if isinstance(node, (rx.Epsilon, rx.Star, rx.Optional)):
+    if isinstance(node, (rx.Epsilon, rx.Star)):
         return True
     if isinstance(node, (rx.Empty, rx.Letter)):
         return False
-    if isinstance(node, rx.Plus):
-        return reference_nullable(node.inner)
     if isinstance(node, rx.Concat):
         return all(reference_nullable(p) for p in node.parts)
     if isinstance(node, rx.Union):
@@ -284,9 +291,8 @@ def subtrees(node):
 
 
 def made_from(tree):
-    """The tree, its desugared form and that form's derivatives by words of up to two letters."""
-    made = [tree, rx.desugar(tree)]
-    frontier = made[1:]
+    """The tree and its derivatives by words of up to two letters."""
+    made, frontier = [tree], [tree]
     for _ in range(2):
         frontier = [rx.derivative(n, a) for n in frontier for a in "ab"]
         made.extend(frontier)
@@ -314,3 +320,52 @@ def test_hash_and_equality_do_not_walk_a_deep_chain():
     assert rx.Star(rx.Concat((rx.Letter("a"), inner))) == chain
     assert rx.Star(rx.Concat((rx.Letter("b"), inner))) != chain
     assert chain.nullable and not chain.inner.nullable
+
+
+# --- the parser against a fold of the normalizing constructors over the surface pattern ---
+
+def desugared(node):
+    """The normalized tree of a surface pattern: cat, alt and star folded over it bottom up, x+ as
+    x x* and x? as x|%e.  The parser builds the same tree as it reads; this is its reference."""
+    kind = node[0]
+    if kind == "letter":
+        return rx.Letter(node[1])
+    if kind in ("epsilon", "empty"):
+        return rx.Epsilon() if kind == "epsilon" else rx.Empty()
+    if kind == "concat":
+        return rx.cat(desugared(p) for p in node[1:])
+    if kind == "union":
+        return rx.alt(desugared(p) for p in node[1:])
+    inner = desugared(node[1])
+    if kind == "star":
+        return rx.star(inner)
+    if kind == "plus":
+        return rx.cat([inner, rx.star(inner)])
+    return rx.alt([inner, rx.Epsilon()])
+
+
+surface_patterns = st.recursive(
+    st.one_of(st.just(("epsilon",)), st.just(("empty",)), st.tuples(st.just("letter"), st.sampled_from("ab"))),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["star", "plus", "optional"]), kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda parts: ("concat", *parts)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda parts: ("union", *parts)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(surface_patterns)
+def test_parsed_root_is_the_desugared_surface_pattern(tree):
+    text = pattern_text(tree)
+    root = synlat.parse_regex(text, "ab").root
+    assert root == desugared(tree) == desugared(surface(text))
+
+
+@pytest.mark.parametrize(
+    "walk", [lambda node: rx.derivative(node, "a"), rx.regex_to_str], ids=["derivative", "regex_to_str"]
+)
+def test_a_foreign_node_is_a_type_error(walk):
+    # a term of the lattice-term grammar is no regex node
+    with pytest.raises(TypeError, match="^unnormalized node Sym\\(char='a'\\)$"):
+        walk(Sym("a"))
