@@ -98,6 +98,7 @@ class RegexAst(Record):
 
 MAX_NESTING = 100
 DERIVATIVE_PARTS_BUDGET = 10_000
+MAX_LABEL_LENGTH = 100_000   # characters in one rendered state label; a+ with 15 + renders 98,301
 
 
 # --- similarity-normalizing constructors: the parser and derivative build every node through them ---
@@ -290,7 +291,13 @@ def derivative(node: Node, letter: str) -> Node:
 
 
 def regex_to_str(node: Node) -> str:
-    """Render a normalized node; used for residual state labels."""
+    """Render a normalized node; used for residual state labels.
+
+    Subtrees are shared, not copied, so a rendering can be exponentially
+    longer than its tree: x+ is read as x x*, and each + of a run doubles
+    it.  A node whose rendering would be longer than MAX_LABEL_LENGTH raises
+    BudgetError, tested once from its pieces' lengths before they are joined.
+    """
 
     def prec(n):
         if isinstance(n, Union):
@@ -298,6 +305,11 @@ def regex_to_str(node: Node) -> str:
         if isinstance(n, Concat):
             return 1
         return 2
+
+    def joined(pieces, sep=""):
+        if sum(map(len, pieces)) + len(sep) * (len(pieces) - 1) > MAX_LABEL_LENGTH:
+            raise BudgetError("rendered state label characters", MAX_LABEL_LENGTH)
+        return sep.join(pieces)
 
     def rec(n):
         if isinstance(n, Empty):
@@ -309,12 +321,12 @@ def regex_to_str(node: Node) -> str:
         if isinstance(n, Star):
             inner = rec(n.inner)
             if prec(n.inner) < 2 or len(inner) > 1:
-                inner = f"({inner})"
+                return joined(("(", inner, ")*"))
             return inner + "*"
         if isinstance(n, Concat):
-            return "".join(f"({rec(p)})" if prec(p) < 1 else rec(p) for p in n.parts)
+            return joined([f"({rec(p)})" if prec(p) < 1 else rec(p) for p in n.parts])
         if isinstance(n, Union):
-            return "|".join(rec(p) for p in n.parts)
+            return joined([rec(p) for p in n.parts], "|")
         raise TypeError(f"unnormalized node {n!r}")
 
     return rec(node)

@@ -9,7 +9,7 @@ convention of the meet/lattice automaton drawings.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 
 from .atoms import ProfileTable, bit_indices, bottom, residual_atoms, top
 from .automata import Dfa
@@ -46,12 +46,19 @@ def dot_order(labels, covers) -> str:
     return "\n".join(lines) + "\n"
 
 
-def text_table(header, rows) -> str:
-    """Each column left-justified to its widest cell, two spaces apart, trailing blanks cut."""
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths).format
-    sep = "  ".join("-" * w for w in widths)
-    return "\n".join([fmt(*header).rstrip(), sep] + [fmt(*row).rstrip() for row in rows]) + "\n"
+def text_table(header, columns) -> str:
+    """A table given column by column: header[k] heads the cells columns[k], each a sequence.
+
+    Each column is left-justified to its widest cell, header included, and
+    the columns stand two spaces apart; every line but the rule under the
+    header has its trailing blanks cut.  The cells are padded a column at a
+    time and the lines joined a row at a time, each step one map.
+    """
+    widths = [max(len(title), max(map(len, column), default=0)) for title, column in zip(header, columns)]
+    padded = [map(str.ljust, column, repeat(width)) for column, width in zip(columns, widths)]
+    head = "  ".join(map(str.ljust, header, widths)).rstrip()
+    rule = "  ".join(map("-".__mul__, widths))
+    return "\n".join(chain((head, rule), map(str.rstrip, map("  ".join, zip(*padded))), ("",)))
 
 
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
@@ -174,12 +181,11 @@ def automaton_payload(regex_text, alphabet, level, dfa, pt, automaton) -> dict:
 
 def automaton_text(level, dfa, pt, automaton) -> str:
     labels, _, initial, finals, delta, _ = automaton_parts(level, dfa, pt, automaton)
-    header = ["state", "final"] + list(dfa.alphabet)
-    rows = []
-    for i, label in enumerate(labels):
-        mark = ("-> " if i == initial else "") + label
-        rows.append([mark, "yes" if i in finals else ""] + [labels[delta[i][li]] for li in range(len(dfa.alphabet))])
-    return text_table(header, rows)
+    states = list(labels)
+    states[initial] = "-> " + states[initial]
+    final = ["yes" if i in finals else "" for i in range(len(labels))]
+    targets = [list(map(labels.__getitem__, column)) for column in zip(*delta)]
+    return text_table(["state", "final", *dfa.alphabet], [states, final, *targets])
 
 
 def automaton_dot(level, dfa, pt, automaton) -> str:
@@ -217,7 +223,7 @@ def _mul_table(algebra):
 
 
 def table_images(level, dfa, algebra, states):
-    """images[e][k]: the state states[k] acted on by element e, built column by column.
+    """columns[k][e]: the state states[k] acted on by element e, one column per state.
 
     A monoid element's mapping acts on every DFA state, so the columns are
     read off the mappings and no row of the Cayley table is built.  For the
@@ -227,31 +233,16 @@ def table_images(level, dfa, algebra, states):
     """
     if level == "monoid":
         by_state = list(zip(*(e.mapping for e in algebra.elements)))
-        columns = [by_state[q] for q in states]
-    else:
-        initial = [e.mapping[dfa.initial] for e in algebra.elements]
-        mul = _mul_table(algebra)
-        reached = {}
-        for c, x in enumerate(initial):
-            reached.setdefault(x, c)
-        try:
-            columns = [list(map(initial.__getitem__, mul[reached[x]])) for x in states]
-        except KeyError:
-            raise InconsistencyError("column is not an image of the initial column") from None
-    if not columns:   # zip would give no rows at all, not one empty row per element
-        return [[] for _ in algebra.elements]
-    return list(map(list, zip(*columns)))
-
-
-def algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress):
-    """(column labels, element row labels, cell labels) of the transformation table."""
-    states, col_labels, cell_labels = _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress)
-    images = table_images(level, dfa, algebra, states)
+        return [by_state[q] for q in states]
+    initial = [e.mapping[dfa.initial] for e in algebra.elements]
+    mul = _mul_table(algebra)
+    reached = {}
+    for c, x in enumerate(initial):
+        reached.setdefault(x, c)
     try:
-        rows = [(label, list(map(cell_labels.__getitem__, row))) for label, row in zip(algebra.labels(), images)]
+        return [list(map(initial.__getitem__, mul[reached[x]])) for x in states]
     except KeyError:
-        raise InconsistencyError("image is not a state of the canonical automaton") from None
-    return col_labels, rows
+        raise InconsistencyError("column is not an image of the initial column") from None
 
 
 def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
@@ -283,9 +274,13 @@ def algebra_payload(regex_text, alphabet, level, dfa, pt, algebra) -> dict:
 
 
 def algebra_text(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress) -> str:
-    col_labels, rows = algebra_rows(level, dfa, pt, algebra, meet_aut, lattice_aut, suppress)
-    header = ["element"] + col_labels
-    return text_table(header, [[label] + cells for label, cells in rows])
+    states, col_labels, cell_labels = _table_columns(level, dfa, pt, meet_aut, lattice_aut, suppress)
+    images = table_images(level, dfa, algebra, states)
+    try:
+        columns = [list(map(cell_labels.__getitem__, column)) for column in images]
+    except KeyError:
+        raise InconsistencyError("image is not a state of the canonical automaton") from None
+    return text_table(["element", *col_labels], [algebra.labels(), *columns])
 
 
 def algebra_dot(algebra) -> str:

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ import synlat
 from synlat import render
 from synlat.cli import COMMANDS, Budgets, main, parse_args
 from synlat.errors import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_OUTPUT, EXIT_PARSE, InconsistencyError
+from synlat.regex import MAX_LABEL_LENGTH
 
 from conftest import build
 from test_reversible import _no_rows
@@ -208,6 +210,19 @@ def test_deep_or_long_patterns_end_in_an_exit_code(capsys, pattern, code, messag
     rc, out, err = run_cli(capsys, "reversible", "--regex", pattern, "--alphabet", "ab")
     assert (rc, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["automaton", "--level", "dfa"], ["algebra", "--level", "monoid"], ["reversible"]],
+    ids=["automaton", "algebra", "reversible"],
+)
+def test_a_run_of_plus_ends_in_the_label_budget(capsys, argv):
+    # each + doubles the rendered state label: 40 of them would never end
+    started = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv, "--regex", "a" + "+" * 40, "--alphabet", "a")
+    assert time.perf_counter() - started < 5   # about 0.1 s; without the budget, hours
+    assert (rc, out, err) == (
+        EXIT_BUDGET, "", f"error: rendered state label characters exceeded budget of {MAX_LABEL_LENGTH}\n")
 
 
 def test_reversible_lambda_language(capsys):
@@ -465,26 +480,30 @@ def test_state_budget_bounds_only_the_printed_automaton(capsys, level, fmt, code
     "pattern,alphabet", [("a+b+", "ab"), ("(a|bb)*", "ab"), ("ab*a|b", "ab"), ("(a|bc)*(c|%e)", "abc")]
 )
 def test_table_images_match_direct_action(pattern, alphabet):
-    # the product-table cells equal the action computed on each column state
+    # column k holds state k acted on by each element: the product-table cells equal the action
     _, dfa, pt = build(pattern, alphabet)
     monoid = synlat.syntactic_monoid(dfa)
     states = list(range(dfa.n_states))
-    for e, row in zip(monoid.elements, render.table_images("monoid", dfa, monoid, states)):
-        assert row == [synlat.run(dfa, q, e.witness) for q in states]
+    columns = render.table_images("monoid", dfa, monoid, states)
+    assert [list(c) for c in columns] == [[synlat.run(dfa, q, e.witness) for e in monoid.elements] for q in states]
 
     semiring = synlat.syntactic_semiring(pt, dfa)
     states = synlat.build_meet_automaton(pt, dfa).states
-    for e, row in zip(semiring.elements, render.table_images("semiring", dfa, semiring, states)):
-        assert row == [synlat.extend_semiring_action(pt, e.mapping, x) for x in states]
+    columns = render.table_images("semiring", dfa, semiring, states)
+    assert columns == [[synlat.extend_semiring_action(pt, e.mapping, x) for e in semiring.elements] for x in states]
 
     lattice = synlat.syntactic_lattice_algebra(pt, dfa)
     states = synlat.build_lattice_automaton(pt, dfa).states
-    for e, row in zip(lattice.elements, render.table_images("lattice", dfa, lattice, states)):
-        assert row == [synlat.eval_lattice_form(pt, x, e.witness) for x in states]
+    columns = render.table_images("lattice", dfa, lattice, states)
+    assert columns == [[synlat.eval_lattice_form(pt, x, e.witness) for e in lattice.elements] for x in states]
 
-    # no columns: one empty row per element
+    # some DFA states, out of order, as --suppress-derivable-columns keeps them: just their columns
+    picked = [dfa.n_states - 1, 0]
+    assert render.table_images("monoid", dfa, monoid, picked) == [
+        tuple(e.mapping[q] for e in monoid.elements) for q in picked]
+    # no states: no columns
     for level, algebra in (("monoid", monoid), ("semiring", semiring), ("lattice", lattice)):
-        assert render.table_images(level, dfa, algebra, []) == [[] for _ in algebra.elements]
+        assert render.table_images(level, dfa, algebra, []) == []
 
 
 @pytest.mark.parametrize("pattern", ["a+b+", "(a|b)*a(a|b)(a|b)"])

@@ -82,6 +82,18 @@ GOLDEN = [
     ("automaton", "((ab)+|%e)?b", "ba", "dfa", "json", "7639cec91cab19b85974e9073b6fa86619d5fd5af14010570382e63f8afea6e9"),
     ("automaton", "(%0|a)+%e", "a", "dfa", "json", "0ccb4dd6157cd588abacc61767bf817964a79bfce3602d6e675e0d1719387f68"),
     ("automaton", "(b|a)?(a|b)+", "ab", "dfa", "json", "99787e6976c70ec4bcb37e3bc3baec4eb0a7bf554a84c1957da3a947baf7a499"),
+    # automaton tables: a column per letter, each cell a state label; the regex labels span several characters
+    ("automaton", "a+b+", "ab", "dfa", "table", "9ffafe42bd384a74193a419397bd9ea632bc5bc379ef6be5fc2ac5cebf3e0cf9"),
+    ("automaton", "a+b+", "ab", "meet", "table", "e74fdcb1e1556ebc8d09efce35b7e6f931e8b4115dcb200dccacefba253c3f66"),
+    ("automaton", "a+b+", "ab", "lattice", "table", "c81739cacbf17b1d5f03a8a2803fb013f679bb7e5510a9a8812e2ce75f6d4cbe"),
+    ("automaton", "(a|bc)*(c|%e)", "abc", "dfa", "table",
+     "a0c4ff9f0a92bab912001a8cdf03e35e765f49d926002aa0c19fcdcc8b2f1118"),
+    ("automaton", "(a|bc)*(c|%e)", "abc", "meet", "table",
+     "023aec2ee97aee6fa7de9f05598109dc0e19145587a302075807d6c094876cc8"),
+    ("automaton", "(a|bc)*(c|%e)", "abc", "lattice", "table",
+     "9df7cc7a610759b10f6bc8aa3359aa6a5602bbb5b51250ea1e4abbd94b6411b8"),
+    ("automaton", "(a|b)*abb", "ab", "lattice", "table", "94d312723bd506458fe0bd82865f54b460583c9e1f26b00e3005be19ce6ade84"),
+    ("automaton", "a+++", "ab", "dfa", "table", "a394172eb568a956d2467760bbb8fcd2af7f31cd0f382bf23a20ac3658e02212"),
 ]
 
 

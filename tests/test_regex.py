@@ -214,6 +214,25 @@ def test_only_the_states_minimize_keeps_are_labelled(monkeypatch):
     assert rendered[1] == "∅"
 
 
+def test_rendered_labels_are_bounded():
+    # a run of k + renders the initial state in 3·2^k − 3 characters: 15 fit, 16 are refused
+    # before the label is joined, and the refusal ends as quickly at 60
+    dfa = synlat.compile_canonical_dfa(synlat.parse_regex("a" + "+" * 15, "a"))
+    assert [len(label) for label in dfa.state_labels] == [98_301, 98_300] and rx.MAX_LABEL_LENGTH == 100_000
+    for k in (16, 60):
+        with pytest.raises(BudgetError, match="^rendered state label characters exceeded budget of 100000$"):
+            synlat.compile_canonical_dfa(synlat.parse_regex("a" + "+" * k, "a"))
+    # the bound is on the whole label, a star's parentheses and a union's bar included
+    def word(n):   # a concatenation rendered in n characters
+        return rx.cat(([rx.Letter("a"), rx.Letter("b")] * n)[:n])
+
+    assert len(rx.regex_to_str(rx.star(word(99_997)))) == 100_000
+    assert len(rx.regex_to_str(rx.alt([word(50_000), word(49_999)]))) == 100_000
+    for node in (rx.star(word(99_998)), rx.alt([word(50_000), word(50_001)])):
+        with pytest.raises(BudgetError):
+            rx.regex_to_str(node)
+
+
 def test_state_labels_render_the_derivative_along_each_access_word():
     # the reference derives each residual again, along the state's shortlex-least word
     for ast in random_regex_corpus(seed=5, count=200):

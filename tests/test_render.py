@@ -13,7 +13,9 @@ key or value, once per call, so the payloads draw keys, strings and ints
 from small sets too, to be met again.  Real documents (a lattice algebra,
 a monoid, a semiring and a verdict) are compared whole.
 
-text_table must pad and strip as the per-cell ljust/rstrip code below did.
+text_table takes its cells column by column and must pad and strip as the
+per-cell, row-by-row ljust/rstrip code below did, given the same table
+transposed.
 """
 
 import json
@@ -165,20 +167,32 @@ def tables(draw):
     return draw(row), draw(st.lists(row, max_size=6))
 
 
+def columns_of(header, rows):
+    """The table's cells column by column, as text_table takes them; one column per header cell
+    even when there are no rows."""
+    return [[row[k] for row in rows] for k in range(len(header))]
+
+
 @given(tables())
 def test_text_table_matches_the_per_cell_reference(table):
     header, rows = table
-    assert text_table(header, rows) == reference_text_table(header, rows)
+    assert text_table(header, columns_of(header, rows)) == reference_text_table(header, rows)
 
 
 def test_text_table_edge_cases():
     cases = [
         (["element"], []),                               # no rows
+        (["element", "q0", "q1"], []),                   # no rows under several columns
         (["element"], [["λ"], ["⊤"]]),                   # no state columns
-        (["element", ""], [["λ", ""], ["a∧b", ""]]),     # an all-empty column
+        (["element", ""], [["λ", ""], ["a∧b", ""]]),     # an all-empty column, last: the rule keeps its blanks
+        (["", "q"], [["", "λ"], ["", ""]]),              # an all-empty column, first
         (["", ""], [["", ""]]),                          # nothing but empty cells
         (["{}", "{0}"], [["{", "}"], ["{0:>3}", " "]]),  # format syntax in cells
+        (["a ", "b  "], [["λ  ", "⊤ "], [" ", "  "]]),   # cells with trailing blanks
     ]
     for header, rows in cases:
-        assert text_table(header, rows) == reference_text_table(header, rows)
-    assert text_table(["element"], []) == "element\n-------\n"
+        assert text_table(header, columns_of(header, rows)) == reference_text_table(header, rows)
+    assert text_table(["element"], [[]]) == "element\n-------\n"
+    assert text_table(["element", ""], [["λ"], [""]]) == "element\n-------  \nλ\n"
+    # columns may be any sequences, such as the tuples of a monoid's mappings
+    assert text_table(["s", "a"], [("p", "q"), ("q", "p")]) == "s  a\n-  -\np  q\nq  p\n"

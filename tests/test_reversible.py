@@ -1,11 +1,14 @@
 import pytest
 
 import synlat
-from synlat.errors import BudgetError
+from synlat import reversible
+from synlat.errors import BudgetError, InconsistencyError
 from synlat.oracle import oracle_identity_counterexample
 from synlat.reversible import (
     DEFAULT_QUADRUPLE_BUDGET,
+    _first_failing_pair,
     _omega_powers,
+    _separator,
     check_reversibility_identity,
     evaluate_identity_sides,
     find_forbidden_configuration,
@@ -250,3 +253,37 @@ def test_s7_refused_before_any_table_row(monkeypatch):
             refuse()
         assert exc.value.needed == 25_396_560
         assert exc.value.limit == DEFAULT_QUADRUPLE_BUDGET
+
+
+# --- guards against tampered inputs: each raises where the two methods or the DFA are inconsistent ---
+
+def test_a_u_that_no_pair_fails_is_an_inconsistency():
+    # equal sides for every pair: the OR of the differences named a u that does not fail
+    with pytest.raises(
+        InconsistencyError, match="^identity check: the OR of the pair differences fails a u that no pair fails$"
+    ):
+        _first_failing_pair(None, None, [0, 0, 0], [0, 0, 0], 0, 0)
+
+
+def test_a_configuration_whose_sides_agree_is_an_inconsistency(monkeypatch):
+    _, dfa, pt = build("a+b+", "ab")
+    m = synlat.syntactic_monoid(dfa)
+    fw = find_forbidden_configuration(dfa, m)
+    monkeypatch.setattr(reversible, "evaluate_identity_sides", lambda pt, dfa, m, p, u, v, w, q: (p, p))
+    with pytest.raises(InconsistencyError, match="^case construction produced equal sides$"):
+        identity_counterexample_from_configuration(pt, dfa, m, fw)
+
+
+def test_equivalent_states_have_no_separator():
+    # two final states that swap on a: the DFA is complete but not minimal
+    dfa = synlat.Dfa(("a",), ((1,), (0,)), 0, frozenset({0, 1}))
+    with pytest.raises(ValueError, match="^states are equivalent; the DFA is not minimal$"):
+        _separator(dfa, 0, 1)
+
+
+def test_disagreeing_verdicts_are_an_inconsistency(monkeypatch):
+    # a+b+ has a forbidden configuration and an identity counterexample; hide the first
+    _, dfa, pt = build("a+b+", "ab")
+    monkeypatch.setattr(reversible, "find_forbidden_configuration", lambda dfa, m: None)
+    with pytest.raises(InconsistencyError, match="^forbidden-configuration and identity verdicts disagree: None vs "):
+        is_reversible(dfa, pt)

@@ -1,5 +1,6 @@
 import random
 from operator import and_, or_
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +10,13 @@ from synlat import terms as tm
 from synlat.atoms import quotient_bits, residual_atoms, unpack_columns
 from synlat.automata import close_values
 from synlat.canonical import hasse_from_leq, quotient_moves, state_closures
-from synlat.errors import BudgetError
+from synlat.errors import BudgetError, InconsistencyError
 from synlat.syntactic import (
     AxiomViolation,
+    DfaTransformation,
     SyntacticLatticeAlgebra,
     LatticeAlgebraElement,
+    _mask_lattice,
     _meet_values,
     _quotients,
     check_lattice_algebra_axioms,
@@ -975,3 +978,31 @@ def test_walked_letter_rows_match_column_quotients_on_random_dfas(dfa):
         meet_rows = _quotients(meet_tree, steps, and_, meets[0])
         for values, rows in [(meets, meet_rows), (joins, _quotients(join_tree, meet_rows, or_, 0))]:
             assert rows == [tuple(column_quotients(pt, v, len(cols), a) for a in dfa.alphabet) for v in values]
+
+
+# --- guards against tampered inputs: each raises where a builder's output would be inconsistent ---
+
+def test_omega_power_of_an_unclosed_monoid_is_an_inconsistency():
+    # one element whose mapping is a 3-cycle: its square is not an element, so no idempotent
+    # turns up within the element count
+    monoid = SimpleNamespace(elements=(DfaTransformation((1, 2, 0), "a"),), index={})
+    with pytest.raises(InconsistencyError, match="^no idempotent power found; the monoid is not closed$"):
+        omega_power(monoid, 0)
+
+
+def test_a_form_outside_the_index_is_an_inconsistency():
+    _, dfa, pt = build("a+b+", "ab")
+    alg = synlat.syntactic_lattice_algebra(pt, dfa)
+    form = alg.elements[1].witness
+    assert alg.element_of_form(form) == 1
+    alg.index.clear()
+    with pytest.raises(InconsistencyError, match="^form evaluates outside the computed algebra$"):
+        alg.element_of_form(form)
+
+
+def test_two_joins_with_one_mask_are_an_inconsistency():
+    # elements 1 and 2 both join the only meet value onto ⊥, so both get its mask
+    with pytest.raises(
+        InconsistencyError, match="^two lattice algebra elements have the same join-irreducibles below them$"
+    ):
+        _mask_lattice([1], [(1, 0, 0), (2, 0, 0)])
