@@ -7,7 +7,6 @@ import os
 import runpy
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given
@@ -218,9 +217,7 @@ def test_deep_or_long_patterns_end_in_an_exit_code(capsys, pattern, code, messag
 )
 def test_a_run_of_plus_ends_in_the_label_budget(capsys, argv):
     # each + doubles the rendered state label: 40 of them would never end
-    started = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv, "--regex", "a" + "+" * 40, "--alphabet", "a")
-    assert time.perf_counter() - started < 5   # about 0.1 s; without the budget, hours
     assert (rc, out, err) == (
         EXIT_BUDGET, "", f"error: rendered state label characters exceeded budget of {MAX_LABEL_LENGTH}\n")
 
